@@ -12,10 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .eisenstein import EisIdeal
-from .neighbour import (GenusEnumeration, iter_neighbours, iter_lines_with_data,
-                        _kernel_columns, _hermite_key, intersection_lattice,
-                        _classify, sublattice_genus, automorphism_order)
-from .isometry import is_isometric
+from .isometry import Classifier
+from .neighbour import GenusEnumeration, iter_neighbours, sublattice_genus
 
 
 class OrphanLatticeError(RuntimeError):
@@ -96,16 +94,28 @@ class IntertwiningData:
 
 def hecke_direct(genus: GenusEnumeration, ideal: EisIdeal,
                  progress=None) -> HeckeMatrix:
+    """T(ideal) by counting neighbours: t_ij = #neighbours of L_i in class j.
+
+    The rows that enumerate_genus recorded are used when the genus was
+    walked at this prime; otherwise every class's neighbours are walked.
+    """
+    if genus.hecke_rows is not None and genus.prime == ideal:
+        entries = [list(row) for row in genus.hecke_rows]
+    else:
+        entries = _walk_rows(genus, ideal, progress)
+    T = HeckeMatrix(ideal, entries, "direct", genus)
+    T.check_row_sums_constant()
+    return T
+
+
+def _walk_rows(genus: GenusEnumeration, ideal: EisIdeal, progress) -> list:
     h = genus.class_number
-    reps = genus.representatives
-    fps = {}
-    for idx, L in enumerate(reps):
-        fps.setdefault(L.fingerprint(), []).append(idx)
+    classes = Classifier(genus.representatives, genus.aut_orders)
     entries = [[0] * h for _ in range(h)]
-    for i, L in enumerate(reps):
+    for i, L in enumerate(genus.representatives):
         done = 0
         for _, lat in iter_neighbours(L, ideal):
-            j = _classify(lat, reps, fps)
+            j = classes.find(lat)
             if j is None:
                 raise OrphanLatticeError(
                     f"neighbour of class {i} matches no representative: "
@@ -114,9 +124,7 @@ def hecke_direct(genus: GenusEnumeration, ideal: EisIdeal,
             done += 1
             if progress and done % 10000 == 0:
                 progress(i, done)
-    T = HeckeMatrix(ideal, entries, "direct", genus)
-    T.check_row_sums_constant()
-    return T
+    return entries
 
 
 def sprime_from_s(S, aut_L, aut_Lprime):

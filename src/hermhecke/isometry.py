@@ -122,3 +122,43 @@ def automorphism_order(L: HermitianLattice) -> int:
         order *= orbit
         prefix.append(basis[k])
     return order
+
+
+class Classifier:
+    """Isometry classes met so far: a representative of each, its |Aut|, and
+    buckets of representatives by fingerprint, so that a lattice is tested
+    for isometry only against representatives with its fingerprint."""
+
+    def __init__(self, representatives=(), aut_orders=None):
+        self.representatives = []
+        self.aut_orders = []
+        self._buckets = {}          # fingerprint -> indices of representatives
+        for i, L in enumerate(representatives):
+            self._add(L, L.fingerprint(),
+                      None if aut_orders is None else aut_orders[i])
+
+    def find(self, L: HermitianLattice):
+        """Index of the representative isometric to L, or None."""
+        return self._find(L, L.fingerprint())
+
+    def classify(self, L: HermitianLattice):
+        """(index of the class of L, whether L became a new representative)."""
+        fp = L.fingerprint()
+        idx = self._find(L, fp)
+        if idx is not None:
+            return idx, False
+        return self._add(L, fp), True
+
+    def _find(self, L, fp):
+        for idx in self._buckets.get(fp, ()):
+            if is_isometric(L, self.representatives[idx]) is not None:
+                return idx
+        return None
+
+    def _add(self, L, fp, aut_order=None) -> int:
+        idx = len(self.representatives)
+        self.representatives.append(L)
+        self.aut_orders.append(automorphism_order(L) if aut_order is None
+                               else aut_order)
+        self._buckets.setdefault(fp, []).append(idx)
+        return idx

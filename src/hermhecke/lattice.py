@@ -8,6 +8,7 @@ tuples of EisensteinInt relative to that basis.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -82,23 +83,6 @@ class HermitianLattice:
         s3 = canonical_associate(EisensteinInt(1, 2))
         return all(canonical_associate(f) == s3 for f in self.invariant_factors)
 
-    def dual_gram_scaled(self):
-        """(adjugate, det): dual lattice gram is adjugate/det, entrywise."""
-        n = self.rank
-        d = self.det
-        adj = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                minor = [[self.gram[r][c] for c in range(n) if c != i]
-                         for r in range(n) if r != j]
-                m = eismat.eis_det(minor) if n > 1 else ONE
-                if (i + j) % 2:
-                    m = -m
-                row.append(m)
-            adj.append(row)
-        return adj, d
-
     def trace_gram(self):
         """Gram of the rank-2n Z-lattice under Tr<x, y>.
 
@@ -119,41 +103,53 @@ class HermitianLattice:
     @cached_property
     def minimum(self) -> int:
         m = 1
-        while True:
-            vs = self.short_vectors(m)
-            if vs:
-                return min(herm_norm(self.gram, v) for v in vs)
+        while not (table := self._vectors_by_norm(m)):
             m *= 2
+        return next(iter(table))
+
+    def _vectors_by_norm(self, max_norm: int) -> dict:
+        """The lattice's short-vector table: norm -> vectors of that norm,
+        up to sign, for every norm up to at least max_norm.
+
+        One table per lattice, kept in the instance dict like the cached
+        properties, so equality and hashing still see only the gram.  A
+        request beyond its bound enumerates again at the new bound and
+        replaces it.  Within one norm the vectors keep the enumeration order,
+        which does not depend on the bound.
+        """
+        table = self.__dict__.get("_short_vector_table")
+        if table is None or table[0] < max_norm:
+            by_norm = {}
+            n = self.rank
+            for zvec, q in _fincke_pohst(self.trace_gram(), 2 * max_norm):
+                v = tuple(EisensteinInt(zvec[2 * i], zvec[2 * i + 1])
+                          for i in range(n))
+                by_norm.setdefault(q // 2, []).append(v)
+            table = (max_norm, dict(sorted(by_norm.items())))
+            self.__dict__["_short_vector_table"] = table
+        return table[1]
 
     def short_vectors(self, max_norm: int):
-        """All nonzero vectors of Hermitian norm <= max_norm, up to sign.
+        """All nonzero vectors of Hermitian norm <= max_norm, up to sign,
+        by increasing norm.
 
         One representative of each +-v pair is returned (unit multiples other
         than -1 are listed separately).
         """
-        T = self.trace_gram()
-        out = []
-        for zvec in _fincke_pohst(T, 2 * max_norm):
-            v = tuple(EisensteinInt(zvec[2 * i], zvec[2 * i + 1])
-                      for i in range(self.rank))
-            out.append(v)
-        return out
+        return [v for m, vs in self._vectors_by_norm(max_norm).items()
+                if m <= max_norm for v in vs]
 
     def vectors_of_norm(self, m: int):
         """All vectors of exact Hermitian norm m (including unit multiples)."""
         out = []
-        for v in self.short_vectors(m):
-            if herm_norm(self.gram, v) == m:
-                out.append(v)
-                out.append(tuple(-x for x in v))
+        for v in self._vectors_by_norm(m).get(m, ()):
+            out.append(v)
+            out.append(tuple(-x for x in v))
         return out
 
     def norm_histogram(self, max_norm: int):
-        hist = {}
-        for v in self.short_vectors(max_norm):
-            m = herm_norm(self.gram, v)
-            hist[m] = hist.get(m, 0) + 2
-        return dict(sorted(hist.items()))
+        return {m: 2 * len(vs) for m, vs in self._vectors_by_norm(max_norm).items()
+                if m <= max_norm}
 
     def rebase(self, cols, denominator: int = 1) -> "HermitianLattice":
         """Gram after the basis change with the given columns / denominator.
@@ -330,9 +326,15 @@ def direct_sum(*lattices) -> HermitianLattice:
 
 
 def _fincke_pohst(T, bound: int):
-    """Nonzero integer vectors x with x^T T x <= bound, up to sign.
+    """(x, x^T T x) for the nonzero integer vectors x with x^T T x <= bound,
+    up to sign: the last nonzero coordinate is positive.
 
-    T is a positive-definite integer Gram matrix; exact Fraction Cholesky.
+    T is a positive-definite integer Gram matrix.  The exact Fraction LDL
+    gives Q(x) = sum_i q_ii (x_i + sum_{j>i} q_ij x_j)^2.  The search runs on
+    integers: with d_i a common denominator of q_ij (j > i) and M one of every
+    q_ii / d_i^2, level i adds w_i (d_i x_i + s_i)^2 to M Q(x), where
+    w_i = M q_ii / d_i^2 and s_i = sum_{j>i} (d_i q_ij) x_j are integers.
+    Vectors come in lexicographic order of (x_{n-1}, ..., x_0).
     """
     n = len(T)
     q = [[Fraction(T[i][j]) for j in range(n)] for i in range(n)]
@@ -346,50 +348,33 @@ def _fincke_pohst(T, bound: int):
         for k in range(i + 1, n):
             for l in range(k, n):
                 q[k][l] = q[k][l] - q[k][i] * q[i][l]
+    d = [math.lcm(*(q[i][j].denominator for j in range(i + 1, n)))
+         for i in range(n)]
+    M = math.lcm(*((q[i][i] / (d[i] * d[i])).denominator for i in range(n)))
+    w = [int(M * q[i][i] / (d[i] * d[i])) for i in range(n)]
+    c = [[int(d[i] * q[i][j]) if j > i else 0 for j in range(n)]
+         for i in range(n)]
+    total = M * bound
     results = []
     x = [0] * n
-    B = Fraction(bound)
 
-    def recurse(i, remaining, center_terms):
-        # Q = sum_i q_ii (x_i + U_i)^2 with U_i = sum_{j>i} q_ij x_j
-        U = sum(q[i][j] * x[j] for j in range(i + 1, n))
-        # |x_i + U| <= sqrt(remaining / q_ii)
-        lim = remaining / q[i][i]
-        lo, hi = _integer_range(-U, lim)
-        for xi in range(lo, hi + 1):
-            x[i] = xi
-            term = q[i][i] * (xi + U) ** 2
-            if i == 0:
-                if any(x):
-                    # canonical sign: first nonzero from the top is positive
-                    lead = next(v for v in reversed(x) if v)
-                    if lead > 0:
-                        results.append(tuple(x))
-            else:
-                recurse(i - 1, remaining - term, None)
+    def search(i, remaining, top):
+        # top: every x_j with j > i is zero, so x_i takes the sign
+        ci = c[i]
+        s = sum(ci[j] * x[j] for j in range(i + 1, n))
+        di, wi = d[i], w[i]
+        r = math.isqrt(remaining // wi)
+        lo = 0 if top else -((r + s) // di)
+        for xi in range(lo, (r - s) // di + 1):
+            y = di * xi + s
+            rest = remaining - wi * y * y
+            if i:
+                x[i] = xi
+                search(i - 1, rest, top and xi == 0)
+            elif xi or not top:
+                x[0] = xi
+                results.append((tuple(x), (total - rest) // M))
         x[i] = 0
 
-    recurse(n - 1, B, None)
+    search(n - 1, total, True)
     return results
-
-
-import math
-
-
-def _integer_range(center: Fraction, lim: Fraction):
-    """All integers t with (t - center)^2 <= lim, as an inclusive (lo, hi)."""
-    if lim < 0:
-        return 1, 0
-    # sqrt(lim) = isqrt(a*b)/b exactly when rounding down, for lim = a/b
-    a, b = lim.numerator, lim.denominator
-    s_up = Fraction(math.isqrt(a * b) + 1, b)  # strictly > sqrt(lim)
-    hi = math.floor(center + s_up)
-    floor_lo = math.ceil(center - s_up)
-    while hi >= floor_lo and (hi - center) ** 2 > lim:
-        hi -= 1
-    lo = floor_lo
-    while lo <= hi and (lo - center) ** 2 > lim:
-        lo += 1
-    if lo > hi:
-        return 1, 0
-    return lo, hi

@@ -23,7 +23,7 @@ from .eisenstein import EisensteinInt, ZERO, ONE, eis, EisIdeal, \
     canonical_associate
 from . import eismat
 from .lattice import HermitianLattice, hermitian_lll
-from .isometry import is_isometric, automorphism_order
+from .isometry import Classifier
 
 
 class PreconditionError(ValueError):
@@ -52,6 +52,10 @@ class GenusEnumeration:
     aut_orders: list
     prime: EisIdeal
     discovery_log: list = field(default_factory=list)
+    # T(prime) rows recorded by a complete walk: hecke_rows[i][j] neighbours
+    # of class i lie in class j.  None when the walk was cut short or the
+    # genus was loaded from an archive.
+    hecke_rows: list = None
 
     @property
     def class_number(self):
@@ -177,26 +181,31 @@ def iter_lines_with_data(L: HermitianLattice, ideal: EisIdeal):
             yield x, xg, ts
 
 
-def iter_neighbours(L: HermitianLattice, ideal: EisIdeal):
-    """Yields (hermite_key, lattice) for every neighbour, streaming."""
+def _line_neighbours(L: HermitianLattice, ideal: EisIdeal, x, xg, ts):
+    """Yields (hermite_key, lattice) for the neighbours of one line."""
     n = L.rank
     pi, pibar = ideal.generator, ideal.generator.conj()
     N = ideal.residue_norm
+    kernel = _kernel_columns(xg, ideal, n)
+    scaled_kernel = [[pibar * v for v in col] for col in kernel]
+    piv_bar = ginv_bar = None
+    for j in range(n):
+        ginv_bar = _inverse_mod(xg[j], ideal.conjugate())
+        if ginv_bar is not None:
+            piv_bar = j
+            break
+    for t in ts:
+        zcoef = t * ginv_bar
+        xt = list(x)
+        xt[piv_bar] = xt[piv_bar] + pi * zcoef
+        key = _hermite_key([xt] + scaled_kernel, n)
+        yield key, _neighbour_from_key(L, key, N)
+
+
+def iter_neighbours(L: HermitianLattice, ideal: EisIdeal):
+    """Yields (hermite_key, lattice) for every neighbour, streaming."""
     for x, xg, ts in iter_lines_with_data(L, ideal):
-        kernel = _kernel_columns(xg, ideal, n)
-        scaled_kernel = [[pibar * v for v in col] for col in kernel]
-        piv_bar = ginv_bar = None
-        for j in range(n):
-            ginv_bar = _inverse_mod(xg[j], ideal.conjugate())
-            if ginv_bar is not None:
-                piv_bar = j
-                break
-        for t in ts:
-            zcoef = t * ginv_bar
-            xt = list(x)
-            xt[piv_bar] = xt[piv_bar] + pi * zcoef
-            key = _hermite_key([xt] + scaled_kernel, n)
-            yield key, _neighbour_from_key(L, key, N)
+        yield from _line_neighbours(L, ideal, x, xg, ts)
 
 
 def neighbours(L: HermitianLattice, ideal: EisIdeal) -> NeighbourSet:
@@ -206,9 +215,9 @@ def neighbours(L: HermitianLattice, ideal: EisIdeal) -> NeighbourSet:
     for x, xg, ts in iter_lines_with_data(L, ideal):
         result.intersections.append(
             _hermite_key(_kernel_columns(xg, ideal, n), n))
-    for key, lat in iter_neighbours(L, ideal):
-        result.hermite_keys.append(key)
-        result.neighbours.append(lat)
+        for key, lat in _line_neighbours(L, ideal, x, xg, ts):
+            result.hermite_keys.append(key)
+            result.neighbours.append(lat)
     assert len(set(result.hermite_keys)) == len(result.hermite_keys), \
         "neighbour keys are not distinct"
     assert len(set(result.intersections)) == len(result.intersections), \
@@ -252,37 +261,33 @@ def verify_neighbour(L: HermitianLattice, key, ideal: EisIdeal) -> bool:
 
 def enumerate_genus(L: HermitianLattice, ideal: EisIdeal,
                     max_classes: int = None, progress=None) -> GenusEnumeration:
+    """The classes of the genus of L reached by iterated P-neighbours.
+
+    Every neighbour of every class is classified once; a complete walk
+    also records the rows of T(P) from those classifications.
+    """
     if L.rank < 3:
         raise UnsupportedCaseError(
             "neighbours need not stay in the genus for rank < 3")
-    reps = [L]
-    auts = [automorphism_order(L)]
-    fps = {L.fingerprint(): [0]}
+    classes = Classifier([L])
+    reps = classes.representatives
     log = []
-    queue = [0]
-    while queue:
-        i = queue.pop(0)
-        for _, lat in iter_neighbours(reps[i], ideal):
-            idx = _classify(lat, reps, fps)
-            if idx is None:
-                reps.append(lat)
-                auts.append(automorphism_order(lat))
-                fps.setdefault(lat.fingerprint(), []).append(len(reps) - 1)
-                queue.append(len(reps) - 1)
-                log.append((i, len(reps) - 1))
+    counts = []
+    for i, R in enumerate(reps):        # reps grows as classes are found
+        row = {}
+        for _, lat in iter_neighbours(R, ideal):
+            j, new = classes.classify(lat)
+            if new:
+                log.append((i, j))
                 if progress:
                     progress(len(reps))
                 if max_classes and len(reps) >= max_classes:
-                    return GenusEnumeration(reps, auts, ideal, log)
-    return GenusEnumeration(reps, auts, ideal, log)
-
-
-def _classify(lat: HermitianLattice, reps, fps):
-    bucket = fps.get(lat.fingerprint(), [])
-    for idx in bucket:
-        if is_isometric(lat, reps[idx]) is not None:
-            return idx
-    return None
+                    return GenusEnumeration(reps, classes.aut_orders, ideal, log)
+            row[j] = row.get(j, 0) + 1
+        counts.append(row)
+    h = len(reps)
+    rows = [[row.get(j, 0) for j in range(h)] for row in counts]
+    return GenusEnumeration(reps, classes.aut_orders, ideal, log, rows)
 
 
 def sublattice_genus(L_genus: GenusEnumeration, ideal: EisIdeal):
@@ -294,27 +299,20 @@ def sublattice_genus(L_genus: GenusEnumeration, ideal: EisIdeal):
     if ideal.split_type == "split":
         raise UnsupportedCaseError(
             "the intertwining method requires an inert or ramified prime")
-    sub_reps = []
-    sub_auts = []
-    sub_fps = {}
+    classes = Classifier()
     rows = []
     for L in L_genus.representatives:
         n = L.rank
         counts = {}
         for x, xg, ts in iter_lines_with_data(L, ideal):
             key = _hermite_key(_kernel_columns(xg, ideal, n), n)
-            X = intersection_lattice(L, key)
-            idx = _classify(X, sub_reps, sub_fps)
-            if idx is None:
-                sub_reps.append(X)
-                sub_auts.append(automorphism_order(X))
-                sub_fps.setdefault(X.fingerprint(), []).append(len(sub_reps) - 1)
-                idx = len(sub_reps) - 1
+            idx, _ = classes.classify(intersection_lattice(L, key))
             counts[idx] = counts.get(idx, 0) + 1
         rows.append(counts)
-    h2 = len(sub_reps)
+    h2 = len(classes.representatives)
     S = [[row.get(j, 0) for j in range(h2)] for row in rows]
-    return GenusEnumeration(sub_reps, sub_auts, ideal), S
+    return GenusEnumeration(classes.representatives, classes.aut_orders,
+                            ideal), S
 
 
 # --- genus archive --------------------------------------------------------

@@ -1,10 +1,24 @@
 import pytest
 
 from hermhecke.eisenstein import ideal_above
-from hermhecke.hecke import (HeckeMatrix, assemble_intertwining, hecke_direct,
+from hermhecke.hecke import (HeckeMatrix, OrphanLatticeError,
+                             assemble_intertwining, hecke_direct,
                              hecke_intertwining, s_from_sprime, sprime_from_s)
 from hermhecke.lattice import HermitianLattice
-from hermhecke.neighbour import enumerate_genus
+from hermhecke.neighbour import enumerate_genus, load_genus, save_genus
+
+# <1, 1, d> at the prime above p: sorted |Aut| of the classes, and the row
+# sum of T (the neighbour count of a rank-3 class)
+MULTICLASS = {(5, 2): ((72, 432), 18), (7, 3): ((36, 72, 432), 12)}
+
+
+@pytest.fixture(scope="module", params=sorted(MULTICLASS),
+                ids=lambda k: f"<1,1,{k[0]}>@{k[1]}")
+def multiclass(request):
+    d, p = request.param
+    L = HermitianLattice.from_gram([[1, 0, 0], [0, 1, 0], [0, 0, d]])
+    P = ideal_above(p)
+    return L, P, enumerate_genus(L, P), MULTICLASS[request.param]
 
 
 def test_s_sprime_roundtrip(fx):
@@ -53,3 +67,56 @@ def test_matrix_json_roundtrip(tmp_path):
 def test_fixture_matrices_self_adjoint(fx):
     M = HeckeMatrix("(2)", fx.t2_5x5, "fixture")
     assert M.check_self_adjoint(fx.aut_5)
+
+
+def test_multiclass_genus_records_rows(multiclass):
+    _, P, g, (auts, row_sum) = multiclass
+    assert tuple(sorted(g.aut_orders)) == auts
+    assert g.prime == P
+    assert [sum(row) for row in g.hecke_rows] == [row_sum] * len(auts)
+    T = hecke_direct(g, P)
+    assert T.entries == g.hecke_rows
+    assert T.check_self_adjoint(g.aut_orders)
+
+
+def test_stored_rows_equal_a_fresh_walk(multiclass, tmp_path):
+    _, P, g, _ = multiclass
+    save_genus(g, str(tmp_path / "g"))
+    loaded = load_genus(str(tmp_path / "g"), P)
+    assert loaded.hecke_rows is None
+    assert hecke_direct(loaded, P).entries == g.hecke_rows
+
+
+def test_multiclass_direct_equals_intertwining(multiclass):
+    _, P, g, _ = multiclass
+    Ti, data, _ = hecke_intertwining(g, P)
+    assert Ti.entries == hecke_direct(g, P).entries
+    assert data.verify()
+    assert Ti.check_self_adjoint(g.aut_orders)
+
+
+def test_walk_at_another_prime_commutes(multiclass):
+    # the rows were recorded at P; the other prime is walked
+    _, P, g, _ = multiclass
+    T = hecke_direct(g, P).entries
+    other = ideal_above(3 if P.residue_norm == 4 else 2)
+    U = hecke_direct(g, other)
+    assert U.check_self_adjoint(g.aut_orders)
+    h = g.class_number
+    TU = [[sum(T[i][k] * U.entries[k][j] for k in range(h)) for j in range(h)]
+          for i in range(h)]
+    UT = [[sum(U.entries[i][k] * T[k][j] for k in range(h)) for j in range(h)]
+          for i in range(h)]
+    assert TU == UT
+
+
+def test_truncated_genus_stores_no_rows(multiclass):
+    L, P, g, _ = multiclass
+    cut = enumerate_genus(L, P, max_classes=1)
+    assert cut.hecke_rows is None
+    if cut.class_number < g.class_number:
+        with pytest.raises(OrphanLatticeError):
+            hecke_direct(cut, P)
+    else:
+        # the walk stopped at its last class: walking it again finds all rows
+        assert hecke_direct(cut, P).entries == g.hecke_rows

@@ -3,8 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermhecke.eisenstein import eis
-from hermhecke.lattice import HermitianLattice, direct_sum, hermitian_lll
+from hermhecke.eisenstein import OMEGA, eis
+from hermhecke.lattice import HermitianLattice, direct_sum, herm_norm, hermitian_lll
+from hermhecke.theta import theta_degree1
 from hermhecke.eismat import eis_det, smith_invariants
 
 
@@ -37,6 +38,52 @@ def test_rebasing_invariants():
         assert M.discriminant() == L.discriminant()
         assert M.invariant_factors == L.invariant_factors
         assert M.fingerprint() == L.fingerprint()
+    L5 = HermitianLattice.from_gram([[1, 0, 0], [0, 1, 0], [0, 0, 5]])
+    for _ in range(10):
+        cols = random_unimodular_cols(3, rng)
+        M = L5.rebase([[cols[j][i] for j in range(3)] for i in range(3)])
+        assert M.fingerprint() == L5.fingerprint()
+        assert theta_degree1(M, 6) == theta_degree1(L5, 6)
+
+
+def sheared_117():
+    """<1, 1, 7> in the basis e1, e2, e3 + w e1."""
+    cols = [[eis(1), eis(0), OMEGA], [eis(0), eis(1), eis(0)],
+            [eis(0), eis(0), eis(1)]]
+    return HermitianLattice.from_gram([[1, 0, 0], [0, 1, 0], [0, 0, 7]]).rebase(cols)
+
+
+def test_short_vectors_bruteforce_sheared_rank3():
+    M = sheared_117()
+    assert any(M.gram[i][j] != eis(0) for i in range(3) for j in range(3) if i != j)
+    bound = 8
+    # y = (y1, y2, y3) has norm |y1 + w y3|^2 + |y2|^2 + 7 |y3|^2 <= 8, so
+    # N(y3) <= 1, N(y2) <= 8 and N(y1) < (sqrt 8 + 1)^2 < 15; since
+    # N(a + b w) >= 3 b^2 / 4 and >= 3 a^2 / 4, this box holds every such y
+    def box(r):
+        return [eis(a, b) for a in range(-r, r + 1) for b in range(-r, r + 1)]
+    counts = {}
+    for y1 in box(4):
+        for y2 in box(3):
+            for y3 in box(1):
+                m = herm_norm(M.gram, (y1, y2, y3))
+                if 0 < m <= bound:
+                    counts[m] = counts.get(m, 0) + 1
+    assert M.norm_histogram(bound) == dict(sorted(counts.items()))
+    assert len(M.short_vectors(bound)) * 2 == sum(counts.values())
+
+
+def test_smaller_request_reads_the_larger_table():
+    M = sheared_117()
+    M.short_vectors(6)
+    # each request on a lattice that has never enumerated
+    assert M.short_vectors(3) == sheared_117().short_vectors(3)
+    assert M.vectors_of_norm(3) == sheared_117().vectors_of_norm(3)
+    assert M.norm_histogram(3) == sheared_117().norm_histogram(3)
+    assert M.minimum == sheared_117().minimum == 1
+    # the cached table is not part of equality or hashing
+    fresh = sheared_117()
+    assert M == fresh and hash(M) == hash(fresh)
 
 
 def test_sqrt3_modular_seed():
