@@ -7,6 +7,7 @@ factorizations over Q are delegated to sympy.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import sympy
@@ -14,31 +15,11 @@ import sympy
 from .quadfield import QuadExtElem
 
 
-def identity_matrix(n, one=1):
-    return [[one if i == j else one * 0 for j in range(n)] for i in range(n)]
-
-
 def mat_mul(A, B):
     n, k, m = len(A), len(B), len(B[0])
     assert len(A[0]) == k
     return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
             for i in range(n)]
-
-
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scalar(c, A):
-    return [[c * a for a in row] for row in A]
-
-
-def transpose(A):
-    return [list(col) for col in zip(*A)]
 
 
 def mat_vec(A, v):
@@ -51,37 +32,47 @@ def _is_zero(x) -> bool:
     return x == 0
 
 
-def kernel_basis(A):
-    """Basis of the right kernel of A, by fraction-free-ish Gauss-Jordan.
+def _gauss_jordan(A, rhs):
+    """Reduced row echelon form of the augmented matrix [A | rhs].
 
-    Works over any field whose elements support +, -, *, / and compare to 0.
+    `rhs` holds one row of right-hand sides per row of A (rows may be
+    empty).  Pivots are sought in the columns of A only.  Works over any
+    field whose elements support +, -, *, / and compare to 0.  Returns the
+    reduced augmented rows and the pivot column of each leading row.
+    """
+    m, n = len(A), len(A[0])
+    M = [list(a) + list(b) for a, b in zip(A, rhs)]
+    pivots = []
+    for col in range(n):
+        row = len(pivots)
+        if row == m:
+            break
+        piv = next((r for r in range(row, m) if not _is_zero(M[r][col])), None)
+        if piv is None:
+            continue
+        M[row], M[piv] = M[piv], M[row]
+        # columns left of `col` are already zero in this row, so the row
+        # operations only touch the tail
+        recip = 1 / M[row][col]
+        tail = [x * recip for x in M[row][col:]]
+        M[row][col:] = tail
+        for r in range(m):
+            if r != row and not _is_zero(M[r][col]):
+                c = M[r][col]
+                M[r][col:] = [x - c * y for x, y in zip(M[r][col:], tail)]
+        pivots.append(col)
+    return M, pivots
+
+
+def kernel_basis(A):
+    """Basis of the right kernel of A, by Gauss-Jordan elimination.
+
     Free variables are set to 1 in turn.
     """
     if not A:
         return []
-    m, n = len(A), len(A[0])
-    M = [list(row) for row in A]
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, m):
-            if not _is_zero(M[r][col]):
-                piv = r
-                break
-        if piv is None:
-            continue
-        M[row], M[piv] = M[piv], M[row]
-        inv = M[row][col]
-        M[row] = [x / inv for x in M[row]]
-        for r in range(m):
-            if r != row and not _is_zero(M[r][col]):
-                c = M[r][col]
-                M[r] = [x - c * y for x, y in zip(M[r], M[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
+    n = len(A[0])
+    M, pivots = _gauss_jordan(A, [[] for _ in A])
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:
@@ -101,31 +92,23 @@ def matrix_rank(A):
 
 def solve_right(A, b):
     """One solution x of A x = b over a field, or None."""
-    m = len(A)
-    aug = [list(A[i]) + [b[i]] for i in range(m)]
     n = len(A[0])
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, m) if not _is_zero(aug[r][col])), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = aug[row][col]
-        aug[row] = [x / inv for x in aug[row]]
-        for r in range(m):
-            if r != row and not _is_zero(aug[r][col]):
-                c = aug[r][col]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, m):
-        if not _is_zero(aug[r][n]):
-            return None
+    M, pivots = _gauss_jordan(A, [[x] for x in b])
+    if any(not _is_zero(row[n]) for row in M[len(pivots):]):
+        return None
     x = [0] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = aug[r][n]
+    for row, pc in zip(M, pivots):
+        x[pc] = row[n]
     return x
+
+
+def inverse(A):
+    """The inverse of a square matrix over a field, or None if A is singular."""
+    n = len(A)
+    M, pivots = _gauss_jordan(A, [[int(i == j) for j in range(n)] for i in range(n)])
+    if len(pivots) < n:
+        return None
+    return [row[n:] for row in M]
 
 
 def charpoly_coeffs(A):
@@ -139,23 +122,23 @@ def charpoly_coeffs(A):
 def charpoly_factors(A):
     """Irreducible factors of the char poly over Q, as (coeff-list, mult).
 
-    Coefficient lists are low-degree first with integer entries, primitive,
-    positive leading coefficient.
+    Entries may be int or Fraction.  Coefficient lists are low-degree first
+    with integer entries, primitive, positive leading coefficient.
     """
-    M = sympy.Matrix([[int(x) for x in row] for row in A])
+    M = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                      for row in A])
     x = sympy.Symbol("x")
-    p = M.charpoly(x).as_expr()
-    _, factors = sympy.factor_list(p)
+    _, factors = sympy.factor_list(M.charpoly(x).as_expr())
     out = []
     for poly, mult in factors:
-        cs = list(reversed(sympy.Poly(poly, x).all_coeffs()))
-        out.append(([int(c) for c in cs], int(mult)))
+        cs = [sympy.Rational(c) for c in reversed(sympy.Poly(poly, x).all_coeffs())]
+        den = math.lcm(*[int(c.q) for c in cs])
+        out.append(([int(c * den) for c in cs], int(mult)))
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return out
 
 
 def int_sqrt_exact(n: int):
-    import math
     if n < 0:
         return None
     r = math.isqrt(n)
@@ -257,7 +240,6 @@ def saturate_columns(B):
 
 def integer_kernel_basis(A):
     """Saturated basis of {x in Z^n : A x = 0} for an integer matrix A."""
-    import math
     rat = kernel_basis([[Fraction(x) for x in row] for row in A])
     if not rat:
         return []
@@ -274,7 +256,6 @@ def normalize_primitive(vec):
 
     First nonzero entry is made positive.  Input entries: int/Fraction.
     """
-    import math
     fr = [Fraction(x) for x in vec]
     den = math.lcm(*[f.denominator for f in fr]) if fr else 1
     ints = [int(f * den) for f in fr]

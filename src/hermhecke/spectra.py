@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 
 import sympy
 
-from .linalg import (charpoly_factors, integer_kernel_basis, kernel_basis,
-                     mat_mul, mat_vec, normalize_primitive, roots_of_factor,
-                     solve_right)
+from .linalg import (charpoly_factors, integer_kernel_basis, inverse,
+                     kernel_basis, mat_mul, mat_vec, normalize_primitive,
+                     roots_of_factor, solve_right)
 from .quadfield import QuadExtElem, UnsupportedCaseError, ideal_valuation, parse_quad, rational
 
 
@@ -148,16 +149,37 @@ class EigenSystem:
         return out
 
     def check_exactness(self) -> bool:
+        """Every stored vector is an eigenvector of every stored operator,
+        with its stored eigenvalue.  Integer vectors with rational
+        eigenvalues are checked in integer arithmetic."""
+        quad_mats = {op: [[rational(x) for x in row] for row in M]
+                     for op, M in self.matrices.items()}
         for rec in self.labels.values():
+            integral = all(isinstance(x, int) for x in rec.vector)
             for op in self.operator_names:
-                M = self.matrices[op]
                 lam = rec.eigenvalues[op]
+                if integral and lam.is_rational():
+                    lam = lam.as_fraction()
+                    img = mat_vec(self.matrices[op], rec.vector)
+                    if img != [lam * x for x in rec.vector]:
+                        return False
+                    continue
                 vec = [x if isinstance(x, QuadExtElem) else rational(x)
                        for x in rec.vector]
-                img = mat_vec([[rational(x) for x in row] for row in M], vec)
+                img = mat_vec(quad_mats[op], vec)
                 if any((a - lam * b) != 0 for a, b in zip(img, vec)):
                     return False
         return True
+
+    @cached_property
+    def eigenbasis_inverse(self):
+        """Inverse of the matrix whose columns are the stored vectors in label
+        order, or None if they are dependent.  Computed on first use, which
+        in `eigensystem` comes after the conjugate vectors are aligned; it is
+        not refreshed if `labels` changes afterwards."""
+        cols = [[x if isinstance(x, QuadExtElem) else rational(x)
+                 for x in self.labels[lab].vector] for lab in sorted(self.labels)]
+        return inverse([list(row) for row in zip(*cols)])
 
     def to_json_dict(self):
         rows = []
@@ -208,25 +230,11 @@ def _restrict(M, basis):
     A = [[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))]
     out_cols = []
     for v in cols:
-        img = mat_vec([[Fraction(x) for x in row] for row in M], v)
+        img = mat_vec(M, v)
         coords = solve_right(A, img)
         assert coords is not None
         out_cols.append(coords)
     return [[out_cols[j][i] for j in range(len(out_cols))] for i in range(len(out_cols[0]))]
-
-
-def _rat_charpoly_factors(A):
-    M = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in
-                       (Fraction(y) for y in row)] for row in A])
-    x = sympy.Symbol("x")
-    _, factors = sympy.factor_list(M.charpoly(x).as_expr())
-    out = []
-    for poly, mult in factors:
-        cs = [sympy.Rational(c) for c in reversed(sympy.Poly(poly, x).all_coeffs())]
-        den = math.lcm(*[int(c.q) for c in cs])
-        out.append(([int(c * den) for c in cs], int(mult)))
-    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
-    return out
 
 
 def eigensystem(matrices, operator_names=None, reference=None) -> EigenSystem:
@@ -263,19 +271,18 @@ def eigensystem(matrices, operator_names=None, reference=None) -> EigenSystem:
         M = mats[depth]
         if len(space_basis) == 1:
             v = space_basis[0]
-            img = mat_vec([[Fraction(x) for x in row] for row in M],
-                          [Fraction(x) for x in v])
-            k = next(i for i, x in enumerate(v) if Fraction(x) != 0)
-            lam = img[k] / Fraction(v[k])
+            img = mat_vec(M, v)
+            k = next(i for i, x in enumerate(v) if x != 0)
+            lam = Fraction(img[k]) / v[k]
             split(space_basis, eig_so_far + [QuadExtElem.of(lam)], depth + 1)
             return
         R = _restrict(M, space_basis)
-        pieces = _rat_charpoly_factors(R)
+        pieces = charpoly_factors(R)
         for coeffs, _mult in pieces:
             if len(coeffs) > 3:
                 raise UnsupportedFieldError(
                     f"irreducible factor of degree {len(coeffs) - 1}")
-            for root in _roots_once(coeffs):
+            for root in roots_of_factor(coeffs):
                 if root.D != 1:
                     raise UnsupportedFieldError(
                         "quadratic refinement inside a rational block is not needed "
@@ -295,10 +302,11 @@ def eigensystem(matrices, operator_names=None, reference=None) -> EigenSystem:
 
     # first operator over Z, supporting quadratic eigenvalues directly
     quad_systems = []  # (eigtuple, vector over QuadExtElem, D)
+    quad_mats = [[[rational(x) for x in row] for row in M] for M in mats[1:]]
     for coeffs, _mult in charpoly_factors(mats[0]):
         if len(coeffs) > 3:
             raise UnsupportedFieldError(f"irreducible factor of degree {len(coeffs) - 1}")
-        for root in _roots_once(coeffs):
+        for root in roots_of_factor(coeffs):
             if root.D == 1:
                 lam = root.as_fraction()
                 A = [[Fraction(x) - (lam if i == j else 0) for j, x in enumerate(row)]
@@ -315,8 +323,8 @@ def eigensystem(matrices, operator_names=None, reference=None) -> EigenSystem:
                         "multi-dimensional quadratic eigenspace not supported")
                 vec = [x if isinstance(x, QuadExtElem) else rational(x) for x in ker[0]]
                 eigs = [root]
-                for M in mats[1:]:
-                    img = mat_vec([[rational(x) for x in row] for row in M], vec)
+                for M in quad_mats:
+                    img = mat_vec(M, vec)
                     k = next(i for i, x in enumerate(vec) if not x.is_zero())
                     eigs.append(img[k] / vec[k])
                 quad_systems.append((tuple(eigs), vec, root.D))
@@ -356,11 +364,6 @@ def eigensystem(matrices, operator_names=None, reference=None) -> EigenSystem:
     _align_conjugates(system)
     assert system.check_exactness()
     return system
-
-
-def _roots_once(coeffs):
-    roots = roots_of_factor(coeffs)
-    return roots
 
 
 def _saturate_block(M0, eigs, names, basis):
@@ -466,20 +469,17 @@ class CongruenceReport:
 
 def expand_in_eigenbasis(v, system: EigenSystem):
     """Coefficients of v in the stored eigenbasis (block basis vectors count
-    as basis elements for their labels).  Returns {label: QuadExtElem}."""
-    labels = sorted(system.labels)
-    cols = []
-    for lab in labels:
-        vec = system.labels[lab].vector
-        cols.append([x if isinstance(x, QuadExtElem) else rational(x) for x in vec])
-    n = system.size
-    A = [[cols[j][i] for j in range(len(cols))] for i in range(n)]
-    b = [rational(x) for x in v]
-    sol = solve_right(A, b)
-    if sol is None:
-        raise PreconditionError("vector outside the span of the eigenbasis")
+    as basis elements for their labels).  Returns {label: QuadExtElem}.
+
+    One product with the system's cached eigenbasis inverse."""
+    if len(v) != system.size:
+        raise PreconditionError(f"vector of length {len(v)}, not {system.size}")
+    inv = system.eigenbasis_inverse
+    if inv is None:
+        raise PreconditionError("stored eigenvectors are linearly dependent")
+    sol = mat_vec(inv, [rational(x) for x in v])
     return {lab: (c if isinstance(c, QuadExtElem) else rational(c))
-            for lab, c in zip(labels, sol)}
+            for lab, c in zip(sorted(system.labels), sol)}
 
 
 def _denominator_primes(c: QuadExtElem, q_min: int):

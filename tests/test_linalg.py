@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermhecke.linalg import (charpoly_coeffs, charpoly_factors,
-                              integer_kernel_basis, kernel_basis, mat_mul,
-                              mat_vec, matrix_rank, normalize_primitive,
-                              roots_of_factor, saturate_columns, solve_right)
-from hermhecke.quadfield import QuadExtElem
+                              integer_kernel_basis, inverse, kernel_basis,
+                              mat_mul, mat_vec, matrix_rank,
+                              normalize_primitive, roots_of_factor,
+                              saturate_columns, solve_right)
+from hermhecke.quadfield import QuadExtElem, rational
 
 mat3 = st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
                 min_size=3, max_size=3)
@@ -63,6 +64,11 @@ def test_charpoly_factors_quadratic():
     assert sorted(r.rational_part for r in roots) == [Fraction(1, 2)] * 2
 
 
+def test_charpoly_factors_rational_entries():
+    A = [[Fraction(1, 2), Fraction(0)], [Fraction(5), Fraction(1, 3)]]
+    assert charpoly_factors(A) == [([-1, 2], 1), ([-1, 3], 1)]
+
+
 def test_roots_rational():
     roots = roots_of_factor([-6, 1])  # x - 6
     assert len(roots) == 1 and roots[0].as_fraction() == 6
@@ -87,3 +93,37 @@ def test_solve_right():
     x = solve_right(A, [Fraction(5), Fraction(11)])
     assert mat_vec(A, x) == [Fraction(5), Fraction(11)]
     assert solve_right([[Fraction(1), Fraction(1)]], [Fraction(1)]) is not None
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@given(mat3)
+@settings(max_examples=50)
+def test_inverse_over_q(A):
+    F = [[Fraction(x) for x in row] for row in A]
+    inv = inverse(F)
+    if matrix_rank(F) < 3:
+        assert inv is None
+    else:
+        assert mat_mul(F, inv) == _identity(3)
+        assert mat_mul(inv, F) == _identity(3)
+
+
+def test_inverse_over_quadratic_field():
+    r = QuadExtElem.of(0, 1, 193)
+    A = [[rational(1), r, rational(2)],
+         [QuadExtElem.of(Fraction(1, 2), Fraction(1, 2), 193), rational(3), rational(0)],
+         [rational(Fraction(1, 2)), rational(1), 1 + r]]
+    inv = inverse(A)
+    assert inv is not None
+    assert mat_mul(A, inv) == _identity(3)
+    assert mat_mul(inv, A) == _identity(3)
+
+
+def test_inverse_singular():
+    assert inverse([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) is None
+    r = QuadExtElem.of(1, 1, 193)
+    row = [rational(1), r, rational(3)]
+    assert inverse([row, [r * x for x in row], [rational(0), rational(1), r]]) is None

@@ -1,10 +1,12 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
 from hermhecke import spectra
-from hermhecke.quadfield import QuadExtElem, parse_quad
+from hermhecke.linalg import solve_right
+from hermhecke.quadfield import QuadExtElem, parse_quad, rational
 
 
 def test_twenty_labels(system):
@@ -26,6 +28,22 @@ def test_exactness_and_conjugacy(system):
     assert all(a.conjugate() == b for a, b in zip(v12, v13))
 
 
+def _with_vector(system, lab, vector):
+    labels = dict(system.labels)
+    labels[lab] = dataclasses.replace(labels[lab], vector=tuple(vector))
+    return spectra.EigenSystem(labels, system.operator_names, system.matrices)
+
+
+@pytest.mark.parametrize("lab", [1, 12, 19])
+def test_check_exactness_sees_a_perturbed_entry(system, lab):
+    vec = list(system.labels[lab].vector)
+    # label 1 and block label 19 take the integer path, label 12 the quadratic one
+    assert all(isinstance(x, int) for x in vec) == (lab != 12)
+    assert _with_vector(system, lab, vec).check_exactness()
+    vec[3] += 1
+    assert not _with_vector(system, lab, vec).check_exactness()
+
+
 def test_vector_content_reduced(system):
     for lab in range(1, 19):
         vec = system.labels[lab].vector
@@ -40,6 +58,50 @@ def test_content_reduce_quadratic_unit():
     out = spectra._content_reduce_quadratic(vec, 193)
     assert out[0] == QuadExtElem.of(1, 0, 193)
     assert out[1] == QuadExtElem.of(0, 1, 193)
+
+
+@pytest.fixture(scope="module")
+def permuted_system(fx):
+    # a class permutation that keeps class 20 last
+    n = len(fx.t2_20x20)
+    perm = list(range(n - 1))
+    random.Random(7).shuffle(perm)
+    perm.append(n - 1)
+
+    def conj(M):
+        return [[M[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+    return spectra.eigensystem([conj(fx.t2_20x20), conj(fx.t3_20x20)],
+                               operator_names=("t2", "t3"),
+                               reference=fx.eigen_table)
+
+
+@pytest.mark.parametrize("which", ["system", "permuted_system"])
+def test_expansion_matches_solve_and_reconstructs(which, request):
+    system = request.getfixturevalue(which)
+    n = system.size
+    labels = sorted(system.labels)
+    basis = [[x if isinstance(x, QuadExtElem) else rational(x)
+              for x in system.labels[lab].vector] for lab in labels]
+    A = [[basis[k][i] for k in range(n)] for i in range(n)]
+    rng = random.Random(23)
+    probes = [[int(i == j) for j in range(n)] for i in range(n)]
+    probes += [[rng.randint(-9, 9) for _ in range(n)] for _ in range(5)]
+    for probe in probes:
+        coeffs = spectra.expand_in_eigenbasis(probe, system)
+        assert [coeffs[lab] for lab in labels] == solve_right(A, [rational(x) for x in probe])
+        image = [sum((coeffs[lab] * basis[k][i] for k, lab in enumerate(labels)),
+                     rational(0)) for i in range(n)]
+        assert image == probe
+
+
+def test_expansion_preconditions(system):
+    with pytest.raises(spectra.PreconditionError):
+        spectra.expand_in_eigenbasis([1] * (system.size - 1), system)
+    one = spectra.eigensystem([[[1, 0], [0, 1]]])
+    dependent = _with_vector(one, 2, one.labels[1].vector)
+    with pytest.raises(spectra.PreconditionError):
+        spectra.expand_in_eigenbasis([1, 0], dependent)
 
 
 def test_scan_stable_under_probe_permutation(system):
