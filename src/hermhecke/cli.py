@@ -1,20 +1,20 @@
 """Command-line workbench tying the modules together.
 
-Exit codes: 0 success, 2 invariant violation, 3 unsupported case.
+Exit codes: 0 success, 2 invalid input or failed precondition, 3 unsupported
+case.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from . import arthur, spectra, theta
 from .coefficients import CoefficientStore, MissingCoefficientError
 from .eisenstein import ideal_above
 from .fixtures import FixtureSet, fixture_checksum
-from .hecke import HeckeMatrix, hecke_direct, hecke_intertwining
+from .hecke import HeckeMatrix, OrphanLatticeError, hecke_direct, hecke_intertwining
 from .lattice import HermitianLattice
 from .neighbour import (UnsupportedCaseError, count_neighbours,
                         enumerate_genus, load_genus, neighbours, save_genus)
@@ -167,8 +167,6 @@ def cmd_fixtures(args):
 
 def build_parser():
     p = argparse.ArgumentParser(prog="hermhecke")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized search order")
-    p.add_argument("--jobs", type=int, default=1, help="worker cap (default: serial)")
     p.add_argument("--allow-long", action="store_true", dest="allow_long")
     p.add_argument("--verbose", action="store_true")
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -197,7 +195,6 @@ def build_parser():
     h.set_defaults(func=cmd_hecke)
 
     e = sub.add_parser("eigen")
-    e.add_argument("--input", default="fixtures")
     e.add_argument("--out")
     e.set_defaults(func=cmd_eigen)
 
@@ -237,15 +234,17 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    random.seed(args.seed)
     try:
         return args.func(args)
     except (UnsupportedCaseError, arthur.UnsupportedCaseError,
             spectra.UnsupportedFieldError, MissingCoefficientError) as exc:
         print(f"unsupported case: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (spectra.PreconditionError, arthur.ParameterError, ValueError,
-            AssertionError) as exc:
+    except FileNotFoundError as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except (spectra.PreconditionError, arthur.ParameterError, OrphanLatticeError,
+            ValueError, AssertionError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

@@ -8,16 +8,8 @@ each pivot, so equal modules get identical forms.
 
 from __future__ import annotations
 
-from .eisenstein import (EisensteinInt, ZERO, ONE, eis, canonical_associate,
-                         canonical_residue, eis_gcd)
-
-
-def eye(n):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def from_int_matrix(A):
-    return [[eis(x) for x in row] for row in A]
+from .eisenstein import (EisensteinInt, ZERO, ONE, canonical_associate,
+                         canonical_residue)
 
 
 def emat_mul(A, B):

@@ -174,9 +174,8 @@ class EigenSystem:
     @cached_property
     def eigenbasis_inverse(self):
         """Inverse of the matrix whose columns are the stored vectors in label
-        order, or None if they are dependent.  Computed on first use, which
-        in `eigensystem` comes after the conjugate vectors are aligned; it is
-        not refreshed if `labels` changes afterwards."""
+        order, or None if they are dependent.  Computed on first use and not
+        refreshed if `labels` changes afterwards."""
         cols = [[x if isinstance(x, QuadExtElem) else rational(x)
                  for x in self.labels[lab].vector] for lab in sorted(self.labels)]
         return inverse([list(row) for row in zip(*cols)])
@@ -242,7 +241,9 @@ def eigensystem(matrices, operator_names=None, reference=None) -> EigenSystem:
 
     Splits along the first operator (rational and quadratic eigenvalues),
     refines multi-dimensional spaces with the remaining operators, and
-    reports any residual common eigenspace of dimension > 1.  Labels follow
+    reports any residual common eigenspace of dimension > 1.  Of a pair of
+    Galois-conjugate systems only one is solved; the other holds the
+    conjugate eigenvalues and the conjugate reduced vector.  Labels follow
     `reference` rows (matched by eigenvalue tuple) when given, else are
     assigned in decreasing eigenvalue order of the first operator.
     """
@@ -260,13 +261,19 @@ def eigensystem(matrices, operator_names=None, reference=None) -> EigenSystem:
         operator_names = tuple(f"T{i}" for i in range(len(mats)))
     operator_names = tuple(operator_names)
 
-    # each space: (basis over Z or None for quadratic, eigenvalue list)
-    spaces = []  # (eigenvalues tuple so far, basis vectors, D)
+    records = []  # (eigenvalues, vector, eigenspace dim, field D, in residual block)
 
     def split(space_basis, eig_so_far, depth):
         """space_basis: list of rational vectors spanning an invariant space."""
         if depth == len(mats):
-            spaces.append((tuple(eig_so_far), space_basis))
+            eigs = tuple(eig_so_far)
+            if len(space_basis) == 1:
+                records.append((eigs, tuple(normalize_primitive(space_basis[0])),
+                                1, 1, False))
+            else:
+                # residual common eigenspace: saturated integer basis
+                sat = _saturate_block(mats[0], eigs, space_basis)
+                records.extend((eigs, tuple(v), len(sat), 1, True) for v in sat)
             return
         M = mats[depth]
         if len(space_basis) == 1:
@@ -301,72 +308,50 @@ def eigensystem(matrices, operator_names=None, reference=None) -> EigenSystem:
                 split(sub, eig_so_far + [QuadExtElem.of(lam)], depth + 1)
 
     # first operator over Z, supporting quadratic eigenvalues directly
-    quad_systems = []  # (eigtuple, vector over QuadExtElem, D)
     quad_mats = [[[rational(x) for x in row] for row in M] for M in mats[1:]]
     for coeffs, _mult in charpoly_factors(mats[0]):
         if len(coeffs) > 3:
             raise UnsupportedFieldError(f"irreducible factor of degree {len(coeffs) - 1}")
-        for root in roots_of_factor(coeffs):
-            if root.D == 1:
+        roots = roots_of_factor(coeffs)
+        if roots[0].D == 1:
+            for root in roots:
                 lam = root.as_fraction()
                 A = [[Fraction(x) - (lam if i == j else 0) for j, x in enumerate(row)]
                      for i, row in enumerate(mats[0])]
                 ker = integer_kernel_basis(
                     [[int(x * lam.denominator) for x in row] for row in A])
                 split([list(v) for v in ker], [QuadExtElem.of(lam)], 1)
-            else:
-                A = [[rational(x) - (root if i == j else rational(0))
-                      for j, x in enumerate(row)] for i, row in enumerate(mats[0])]
-                ker = kernel_basis(A)
-                if len(ker) != 1:
-                    raise UnsupportedFieldError(
-                        "multi-dimensional quadratic eigenspace not supported")
-                vec = [x if isinstance(x, QuadExtElem) else rational(x) for x in ker[0]]
-                eigs = [root]
-                for M in quad_mats:
-                    img = mat_vec(M, vec)
-                    k = next(i for i, x in enumerate(vec) if not x.is_zero())
-                    eigs.append(img[k] / vec[k])
-                quad_systems.append((tuple(eigs), vec, root.D))
+            continue
+        # a Galois-conjugate pair: solve for the first root only; the mate's
+        # eigenvalues and reduced vector are the conjugates of its own
+        root = roots[0]
+        A = [[rational(x) - (root if i == j else rational(0))
+              for j, x in enumerate(row)] for i, row in enumerate(mats[0])]
+        ker = kernel_basis(A)
+        if len(ker) != 1:
+            raise UnsupportedFieldError(
+                "multi-dimensional quadratic eigenspace not supported")
+        vec = [x if isinstance(x, QuadExtElem) else rational(x) for x in ker[0]]
+        eigs = [root]
+        for M in quad_mats:
+            img = mat_vec(M, vec)
+            k = next(i for i, x in enumerate(vec) if not x.is_zero())
+            eigs.append(img[k] / vec[k])
+        vec = tuple(_content_reduce_quadratic(vec, root.D))
+        records.append((tuple(eigs), vec, 1, root.D, False))
+        records.append((tuple(e.conjugate() for e in eigs),
+                        tuple(x.conjugate() for x in vec), 1, root.D, False))
 
-    # assemble labels
-    records = []
-    for eigs, basis in spaces:
-        if len(basis) == 1:
-            vec = tuple(normalize_primitive(basis[0]))
-            records.append((eigs, vec, 1, 1, ()))
-        else:
-            # residual common eigenspace: saturated integer basis
-            sat = _saturate_block(mats[0], eigs, operator_names, basis)
-            for v in sat:
-                records.append((eigs, tuple(v), len(sat), 1, "BLOCK"))
-    for eigs, vec, D in quad_systems:
-        records.append((eigs, tuple(_content_reduce_quadratic(vec, D)), 1, D, ()))
-
-    dimsum = 0
-    seen_blocks = set()
-    labelled = _assign_labels(records, operator_names, reference)
-    labels = {}
-    for lab, (eigs, vec, dim, D, blk) in labelled.items():
-        labels[lab] = EigenLabel(lab, dict(zip(operator_names, eigs)), vec, dim, D, blk)
-    for lab in sorted(labels):
-        rec = labels[lab]
-        if rec.block:
-            if rec.block not in seen_blocks:
-                seen_blocks.add(rec.block)
-                dimsum += rec.eigenspace_dim
-        else:
-            dimsum += rec.eigenspace_dim
-    if dimsum != n:
-        raise PreconditionError(f"eigenspace dimensions sum to {dimsum}, not {n}")
-    system = EigenSystem(labels, operator_names, dict(zip(operator_names, mats)))
-    # Galois consistency: align conjugate quadratic systems
-    _align_conjugates(system)
+    # a residual block adds one record per dimension
+    if len(records) != n:
+        raise PreconditionError(f"eigenspace dimensions sum to {len(records)}, not {n}")
+    system = EigenSystem(_assign_labels(records, operator_names, reference),
+                         operator_names, dict(zip(operator_names, mats)))
     assert system.check_exactness()
     return system
 
 
-def _saturate_block(M0, eigs, names, basis):
+def _saturate_block(M0, eigs, basis):
     lam = eigs[0].as_fraction()
     A = [[Fraction(x) - (lam if i == j else 0) for j, x in enumerate(row)]
          for i, row in enumerate(M0)]
@@ -390,63 +375,31 @@ def _sort_key(eigs):
 
 
 def _assign_labels(records, names, reference):
+    """Label each (eigenvalues, vector, dim, D, in_block) record: by the
+    `reference` row with the same eigenvalue tuple, else 1, 2, ... in
+    decreasing eigenvalue order.  Returns {label: EigenLabel}."""
     if reference is None:
-        ordered = sorted(records, key=lambda r: _sort_key(r[0]))
-        out = {}
-        blocks = {}
-        for i, rec in enumerate(ordered, start=1):
-            out[i] = rec
-        # group residual blocks by eigenvalue tuple
-        by_eigs = {}
-        for lab, rec in out.items():
-            if rec[4] == "BLOCK":
-                by_eigs.setdefault(rec[0], []).append(lab)
-        final = {}
-        for lab, (eigs, vec, dim, D, blk) in out.items():
-            if blk == "BLOCK":
-                blk = tuple(sorted(by_eigs[eigs]))
-            final[lab] = (eigs, vec, dim, D, blk)
-        return final
-    # match records to reference rows by eigenvalue tuple
-    pool = list(records)
-    out = {}
-    block_labels = {}
-    for row in reference:
-        target = tuple(row[name] for name in names)
-        idx = next((i for i, rec in enumerate(pool) if rec[0] == target), None)
-        if idx is None:
-            raise PreconditionError(
-                f"no computed eigensystem matches reference label {row['label']}")
-        rec = pool.pop(idx)
-        out[row["label"]] = rec
-        if rec[4] == "BLOCK":
-            block_labels.setdefault(rec[0], []).append(row["label"])
-    if pool:
-        raise PreconditionError(f"{len(pool)} computed systems missing from reference")
-    final = {}
-    for lab, (eigs, vec, dim, D, blk) in out.items():
-        if blk == "BLOCK":
-            blk = tuple(sorted(block_labels[eigs]))
-        final[lab] = (eigs, vec, dim, D, blk)
-    return final
-
-
-def _align_conjugates(system: EigenSystem):
-    quad = [lab for lab, rec in system.labels.items() if rec.field_tag != 1]
-    done = set()
-    for lab in sorted(quad):
-        if lab in done:
-            continue
-        rec = system.labels[lab]
-        conj_eigs = {op: v.conjugate() for op, v in rec.eigenvalues.items()}
-        mate = next((l2 for l2 in quad if l2 != lab and
-                     system.labels[l2].eigenvalues == conj_eigs), None)
-        if mate is None:
-            continue
-        done.update({lab, mate})
-        system.labels[mate] = EigenLabel(
-            mate, conj_eigs, tuple(x.conjugate() for x in rec.vector),
-            rec.eigenspace_dim, rec.field_tag, system.labels[mate].block)
+        ordered = list(enumerate(sorted(records, key=lambda r: _sort_key(r[0])), start=1))
+    else:
+        pool = list(records)
+        ordered = []
+        for row in reference:
+            target = tuple(row[name] for name in names)
+            idx = next((i for i, rec in enumerate(pool) if rec[0] == target), None)
+            if idx is None:
+                raise PreconditionError(
+                    f"no computed eigensystem matches reference label {row['label']}")
+            ordered.append((row["label"], pool.pop(idx)))
+        if pool:
+            raise PreconditionError(f"{len(pool)} computed systems missing from reference")
+    # the labels of a residual block are the labels sharing its eigenvalue tuple
+    blocks = {}
+    for lab, (eigs, _, _, _, in_block) in ordered:
+        if in_block:
+            blocks.setdefault(eigs, []).append(lab)
+    return {lab: EigenLabel(lab, dict(zip(names, eigs)), vec, dim, D,
+                            tuple(sorted(blocks[eigs])) if in_block else ())
+            for lab, (eigs, vec, dim, D, in_block) in ordered}
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +531,14 @@ def scan_congruences_lemma(system: EigenSystem, probes=None, q_min: int = 11):
                                                ("denominator-lemma", "residual-block-candidate"),
                                                system.operator_names)
                         found.setdefault(rep.key(), rep)
-    return sorted(found.values(), key=lambda r: (-r.q, r.key()))
+    return sorted(found.values(), key=_scan_order)
+
+
+def _scan_order(r: CongruenceReport):
+    """Larger q first, then by key, with a single label compared as a
+    one-label block so that labels and blocks in one slot are comparable."""
+    a, b, q, tag = r.key()
+    return (-q, a, b if isinstance(b, tuple) else (b,), tag)
 
 
 def verify_vector_reduction(system: EigenSystem, i: int, j: int, q: int):

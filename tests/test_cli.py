@@ -3,7 +3,9 @@ import json
 import pytest
 
 from hermhecke.cli import main
+from hermhecke.eisenstein import ideal_above
 from hermhecke.lattice import HermitianLattice
+from hermhecke.neighbour import enumerate_genus, save_genus
 
 
 def run(capsys, *argv):
@@ -88,3 +90,24 @@ def test_genus_requires_allow_long(tmp_path, capsys):
     HermitianLattice.standard(12).save(p)
     rc = main(["genus", str(p), "--prime", "2"])
     assert rc == 3
+
+
+def test_hecke_direct_on_incomplete_genus(tmp_path, capsys):
+    L = HermitianLattice.from_gram([[1, 0, 0], [0, 1, 0], [0, 0, 7]])
+    save_genus(enumerate_genus(L, ideal_above(3), max_classes=1), tmp_path)
+    rc = main(["hecke", "--method", "direct", "--genus", str(tmp_path), "--prime", "3"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and "matches no representative" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta", "{missing}"],
+    ["hecke", "--method", "direct", "--genus", "{missing}", "--prime", "2"],
+], ids=["lattice", "genus"])
+def test_missing_input_path(tmp_path, capsys, argv):
+    missing = str(tmp_path / "missing")
+    rc = main([a.format(missing=missing) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and missing in err

@@ -135,6 +135,72 @@ def test_every_report_reverifies(system):
         assert spectra._eig_congruent(system, r.i, j, r.q, r.prime_tag)
 
 
+@pytest.mark.parametrize("q_min, count", [(2, 648), (5, 102), (7, 74)])
+def test_scan_below_eleven(system, q_min, count):
+    # a label and a block can share a report slot once q_min is small
+    reports = spectra.scan_congruences_lemma(system, q_min=q_min)
+    assert len(reports) == count
+    assert any(isinstance(r.j, tuple) for r in reports)
+    for r in reports:
+        j = r.j[0] if isinstance(r.j, tuple) else r.j
+        assert spectra._eig_congruent(system, r.i, j, r.q, r.prime_tag)
+
+
+def test_scan_keys_at_eleven(system):
+    assert [r.key() for r in spectra.scan_congruences_lemma(system, q_min=11)] == [
+        (1, 4, 1847, ""), (1, 9, 809, ""), (2, 8, 809, ""), (3, 7, 809, ""),
+        (1, 2, 691, ""), (1, 3, 73, ""), (2, 5, 61, ""), (7, 12, 59, "q1"),
+        (7, 13, 59, "q2"), (4, 6, 41, ""), (9, 12, 23, "q1"), (9, 13, 23, "q2"),
+        (2, 3, 17, ""), (7, 8, 17, ""), (14, 15, 17, ""), (17, (19, 20), 13, ""),
+        (11, 16, 11, "")]
+
+
+@pytest.fixture(scope="module")
+def unreferenced(fx):
+    """The fixture system labelled without a reference, and the number of
+    content reductions its construction ran."""
+    calls = []
+    reduce = spectra._content_reduce_quadratic
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_content_reduce_quadratic",
+                   lambda vec, D: calls.append(D) or reduce(vec, D))
+        system = spectra.eigensystem([fx.t2_20x20, fx.t3_20x20],
+                                     operator_names=("t2", "t3"))
+    return system, len(calls)
+
+
+def test_unreferenced_labels_follow_eigenvalue_order(unreferenced):
+    system, _ = unreferenced
+    assert sorted(system.labels) == list(range(1, 21))
+    # (rational part, surd part) order: 23319 + 162*sqrt(193) comes after 23805
+    order = [[(system.eigenvalue(lab, op).rational_part, system.eigenvalue(lab, op).surd_part)
+              for op in ("t2", "t3")] for lab in range(1, 21)]
+    assert order == sorted(order, reverse=True)
+    blocks = system.residual_blocks()
+    assert len(blocks) == 1 and len(blocks[0]) == 2
+
+
+def test_conjugate_pair_built_once(unreferenced):
+    system, reductions = unreferenced
+    assert reductions == 1
+    quad = [rec for _, rec in sorted(system.labels.items()) if rec.field_tag != 1]
+    assert len(quad) == 2
+    assert all(a.conjugate() == b for a, b in zip(quad[0].vector, quad[1].vector))
+    assert {op: v.conjugate() for op, v in quad[0].eigenvalues.items()} == quad[1].eigenvalues
+
+
+def test_unreferenced_vectors_match_referenced(unreferenced, system):
+    def vectors(sys_):
+        out = {}
+        for lab in sorted(sys_.labels):
+            rec = sys_.labels[lab]
+            key = tuple(str(rec.eigenvalues[op]) for op in ("t2", "t3"))
+            out.setdefault(key, []).append(rec.vector)
+        return out
+
+    assert vectors(unreferenced[0]) == vectors(system)
+
+
 def test_commutation_precondition():
     with pytest.raises(spectra.PreconditionError):
         spectra.eigensystem([[[1, 1], [0, 1]], [[1, 0], [1, 1]]])
