@@ -17,14 +17,11 @@ from fractions import Fraction
 
 from .coefficients import CoefficientStore, MissingCoefficientError
 from .eisenstein import EisIdeal, EisensteinInt
+from .errors import PreconditionError, UnsupportedCaseError
 from .quadfield import QuadExtElem, ideal_valuation, rational
 
 
-class ParameterError(ValueError):
-    pass
-
-
-class UnsupportedCaseError(ValueError):
+class ParameterError(PreconditionError):
     pass
 
 

@@ -13,11 +13,12 @@ import sys
 from . import arthur, spectra, theta
 from .coefficients import CoefficientStore, MissingCoefficientError
 from .eisenstein import ideal_above
+from .errors import PreconditionError, UnsupportedCaseError
 from .fixtures import FixtureSet, fixture_checksum
 from .hecke import HeckeMatrix, OrphanLatticeError, hecke_direct, hecke_intertwining
 from .lattice import HermitianLattice
-from .neighbour import (UnsupportedCaseError, count_neighbours,
-                        enumerate_genus, load_genus, neighbours, save_genus)
+from .neighbour import (count_neighbours, enumerate_genus, load_genus,
+                        neighbours, save_genus)
 
 EXIT_OK = 0
 EXIT_INVARIANT = 2
@@ -236,16 +237,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UnsupportedCaseError, arthur.UnsupportedCaseError,
-            spectra.UnsupportedFieldError, MissingCoefficientError) as exc:
+    except (UnsupportedCaseError, MissingCoefficientError) as exc:
         print(f"unsupported case: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except FileNotFoundError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except (spectra.PreconditionError, arthur.ParameterError, OrphanLatticeError,
+    except (PreconditionError, OrphanLatticeError, FileNotFoundError,
             ValueError, AssertionError) as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
+        print(f"invalid input or failed check: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 
 

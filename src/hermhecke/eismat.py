@@ -108,14 +108,15 @@ def column_hermite_form(M):
     for j in range(n - 1, -1, -1):
         for i in range(j + 1, n):
             # entry basis[j][i] reduced modulo pivot basis[i][i]
-            q = _reduction_quotient(basis[j][i], basis[i][i])
+            q = reduction_quotient(basis[j][i], basis[i][i])
             if q != ZERO:
                 basis[j] = [x - q * y for x, y in zip(basis[j], basis[i])]
     # return as matrix with basis vectors as columns
     return [[basis[j][i] for j in range(n)] for i in range(n)]
 
 
-def _reduction_quotient(x: EisensteinInt, d: EisensteinInt) -> EisensteinInt:
+def reduction_quotient(x: EisensteinInt, d: EisensteinInt) -> EisensteinInt:
+    """The q nearest to x / d: x - q*d is canonical_residue(x, d)."""
     r = canonical_residue(x, d)
     return (x - r).exact_div(d)
 

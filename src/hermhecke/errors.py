@@ -1,0 +1,13 @@
+"""The library's exceptions for inputs it rejects.
+
+The CLI maps PreconditionError to exit code 2 and UnsupportedCaseError to
+exit code 3.  Both are ValueErrors.
+"""
+
+
+class PreconditionError(ValueError):
+    """An input fails a precondition of the call."""
+
+
+class UnsupportedCaseError(ValueError):
+    """A well-formed input that this implementation does not handle."""

@@ -177,8 +177,9 @@ class HermitianLattice:
 
     @staticmethod
     def from_json_dict(d) -> "HermitianLattice":
-        if set(d) - {"rank", "gram", "label"}:
-            raise ValueError(f"unexpected keys {sorted(set(d) - {'rank', 'gram'})}")
+        extra = set(d) - {"rank", "gram", "label"}
+        if extra:
+            raise ValueError(f"unexpected keys {sorted(extra)}")
         gram = tuple(tuple(EisensteinInt(a, b) for a, b in row)
                      for row in d["gram"])
         if len(gram) != d["rank"] or any(len(r) != d["rank"] for r in gram):
@@ -204,113 +205,70 @@ class HermitianLattice:
                 tuple(sorted(self.norm_histogram(depth).items())))
 
 
-class _EFrac:
-    """a + b*omega with Fraction coordinates; just enough for LLL."""
+def hermitian_lll(L: HermitianLattice) -> HermitianLattice:
+    """LLL-reduce the basis over O_E with delta = 3/4, in integers.
 
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b=Fraction(0)):
-        self.a, self.b = Fraction(a), Fraction(b)
-
-    @staticmethod
-    def of(x: EisensteinInt) -> "_EFrac":
-        return _EFrac(x.a, x.b)
-
-    def __add__(self, o):
-        return _EFrac(self.a + o.a, self.b + o.b)
-
-    def __sub__(self, o):
-        return _EFrac(self.a - o.a, self.b - o.b)
-
-    def __mul__(self, o):
-        return _EFrac(self.a * o.a - self.b * o.b,
-                      self.a * o.b + self.b * o.a - self.b * o.b)
-
-    def conj(self) -> "_EFrac":
-        return _EFrac(self.a - self.b, -self.b)
-
-    def norm(self) -> Fraction:
-        return self.a * self.a - self.a * self.b + self.b * self.b
-
-    def div_real(self, r: Fraction) -> "_EFrac":
-        return _EFrac(self.a / r, self.b / r)
-
-    def round(self) -> EisensteinInt:
-        best = None
-        ra, rb = round(self.a), round(self.b)
-        for da in (-1, 0, 1):
-            for db in (-1, 0, 1):
-                z = EisensteinInt(ra + da, rb + db)
-                d = (self - _EFrac.of(z)).norm()
-                if best is None or d < best[0]:
-                    best = (d, z)
-        return best[1]
-
-
-def hermitian_lll(L: HermitianLattice, delta=Fraction(3, 4)):
-    """LLL-reduce the basis over O_E; returns (reduced lattice, transform U)
-    with reduced gram = U^dagger G U."""
+    Integral LLL after Cohen, GTM 138, Alg. 2.6.7, adapted to Hermitian
+    forms, on a working copy G of the Gram matrix: d[i] is the determinant
+    of the leading i x i block and lam[k][j] = d[j+1] * mu_{k,j} lies in
+    Z[w], with mu_{k,j} = <b_j*, b_k> / <b_j*, b_j*>.  Gram-Schmidt row k
+    is computed from G and the rows above it; after a swap the rows from
+    k-1 on are computed again when the loop reaches them.
+    """
     n = L.rank
-    from . import eismat
+    G = [list(r) for r in L.gram]
+    d = [1] + [0] * n
+    lam = [[ZERO] * n for _ in range(n)]
 
-    U = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    G0 = [list(r) for r in L.gram]
-
-    def current_gram():
-        return eismat.emat_mul(eismat.conj_transpose(U),
-                               eismat.emat_mul(G0, U))
-
-    def gso(G):
-        mu = [[None] * n for _ in range(n)]
-        B = [None] * n
-        star = [[None] * n for _ in range(n)]  # star[j][i] = <b_j*, b_i>
-        for j in range(n):
-            for i in range(n):
-                s = _EFrac.of(G[j][i])
-                for k in range(j):
-                    s = s - mu[j][k].conj() * star[k][i]
-                star[j][i] = s
-            B[j] = star[j][j].a
-            if B[j] <= 0:
+    def gram_schmidt_row(k):
+        for j in range(k + 1):
+            u = G[j][k]
+            for i in range(j):
+                u = (d[i + 1] * u - lam[j][i].conj() * lam[k][i]).exact_div(d[i])
+            if j < k:
+                lam[k][j] = u
+            elif u.b != 0 or u.a <= 0:
                 raise ValueError("gram is not positive definite")
-            for i in range(j + 1, n):
-                mu[i][j] = star[j][i].div_real(B[j])
-        return mu, B
+            else:
+                d[k + 1] = u.a
 
-    def col_op(k, j, r: EisensteinInt):
-        # b_k <- b_k - r * b_j
+    def size_reduce(k, l):
+        # b_k <- b_k - r b_l with r the nearest integer to mu_{k,l}
+        r = eismat.reduction_quotient(lam[k][l], EisensteinInt(d[l + 1], 0))
+        if r == ZERO:
+            return
         for i in range(n):
-            U[i][k] = U[i][k] - r * U[i][j]
+            G[i][k] = G[i][k] - G[i][l] * r
+        G[k][k] = G[k][k] - r.conj() * G[l][k]
+        for j in range(n):
+            if j != k:
+                G[k][j] = G[j][k].conj()
+        lam[k][l] = lam[k][l] - r * d[l + 1]
+        for i in range(l):
+            lam[k][i] = lam[k][i] - r * lam[l][i]
 
-    def swap(k):
-        for i in range(n):
-            U[i][k], U[i][k - 1] = U[i][k - 1], U[i][k]
-
+    done = 0        # Gram-Schmidt rows 0 .. done-1 are current
     k = 1
-    guard = 0
+    steps = 0
     while k < n:
-        guard += 1
-        if guard > 10000:
+        steps += 1
+        if steps > 10000:
             raise RuntimeError("LLL failed to terminate")
-        G = current_gram()
-        mu, B = gso(G)
-        reduced_any = False
-        for j in range(k - 1, -1, -1):
-            r = mu[k][j].round()
-            if r != ZERO:
-                col_op(k, j, r)
-                reduced_any = True
-        if reduced_any:
-            G = current_gram()
-            mu, B = gso(G)
-        if B[k] >= (delta - mu[k][k - 1].norm()) * B[k - 1]:
-            k += 1
-        else:
-            swap(k)
+        while done <= k:
+            gram_schmidt_row(done)
+            done += 1
+        size_reduce(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1].norm():
+            G[k - 1], G[k] = G[k], G[k - 1]
+            for row in G:
+                row[k - 1], row[k] = row[k], row[k - 1]
+            done = k - 1
             k = max(1, k - 1)
-    G = current_gram()
-    return HermitianLattice(tuple(tuple(r) for r in G)), \
-        [[U[i][j] for j in range(n)] for i in range(n)]
+        else:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+    return HermitianLattice(tuple(tuple(r) for r in G))
 
 
 def direct_sum(*lattices) -> HermitianLattice:

@@ -2,9 +2,13 @@
 
 For a prime ideal P = (pi) with residue norm N, a neighbour of L is
 determined by a line [x] in L/PL together with a lift adjustment
-x ~> x + pi*z making <x, x> = 0 mod N; then
+x ~> x + pibar*z making <x, x> = 0 mod N; then
 
     L' = Pbar^{-1} x  +  { y in L : <x, y> in P }.
+
+The adjustment is by pibar, not pi, so that it keeps the kernel:
+<x + pibar z, y> = <x, y> + pi <z, y> stays in P.  At a split prime pi
+and pibar generate different ideals and only pibar works.
 
 All arithmetic is exact: line representatives are kept as small Eisenstein
 lifts, lattices are handled through canonical Hermite bases of pibar * L'
@@ -24,14 +28,7 @@ from .eisenstein import EisensteinInt, ZERO, ONE, eis, EisIdeal, \
 from . import eismat
 from .lattice import HermitianLattice, hermitian_lll
 from .isometry import Classifier
-
-
-class PreconditionError(ValueError):
-    pass
-
-
-class UnsupportedCaseError(ValueError):
-    pass
+from .errors import PreconditionError, UnsupportedCaseError
 
 
 @dataclass
@@ -105,21 +102,23 @@ def _check_precondition(L: HermitianLattice, ideal: EisIdeal):
 
 
 def _admissible_adjustments(c0: int, ideal: EisIdeal):
-    """Residue parameters t = <x, z> mod Pbar with
-    <x + pi z, x + pi z> = c0 + Tr(pi t) = 0 mod N(pi)."""
-    pi = ideal.generator
+    """Residue parameters t = <x, z> mod P with
+    <x + pibar z, x + pibar z> = c0 + Tr(pibar t) = 0 mod N(pi)."""
+    pibar = ideal.generator.conj()
     N = ideal.residue_norm
     out = []
-    for t in _residue_reps(ideal.conjugate()):
-        shift = pi * t
+    for t in _residue_reps(ideal):
+        shift = pibar * t
         if (c0 + 2 * shift.a - shift.b) % N == 0:
             out.append(t)
     return out
 
 
 def _kernel_columns(xg, ideal, n):
-    """Lifted O-generators of L_x = { y in L : <x, y> in P } (mod refinement:
-    n-1 kernel lifts of the functional y -> sum xg_j y_j plus pi e_piv)."""
+    """(piv, ginv, cols): a pivot j with xg_j invertible mod P, a lift ginv
+    of its inverse, and lifted O-generators cols of
+    L_x = { y in L : <x, y> in P } (mod refinement: n-1 kernel lifts of the
+    functional y -> sum xg_j y_j plus pi e_piv)."""
     pi = ideal.generator
     piv = ginv = None
     for j in range(n):
@@ -141,7 +140,7 @@ def _kernel_columns(xg, ideal, n):
     col = [ZERO] * n
     col[piv] = pi
     cols.append(col)
-    return cols
+    return piv, ginv, cols
 
 
 def _hermite_key(cols, n):
@@ -163,7 +162,7 @@ def _neighbour_from_key(L, key, N):
                 raise AssertionError("neighbour gram is not integral")
             out.append(EisensteinInt(v.a // N, v.b // N))
         gram.append(tuple(out))
-    return hermitian_lll(HermitianLattice(tuple(gram)))[0]
+    return hermitian_lll(HermitianLattice(tuple(gram)))
 
 
 def iter_lines_with_data(L: HermitianLattice, ideal: EisIdeal):
@@ -181,23 +180,18 @@ def iter_lines_with_data(L: HermitianLattice, ideal: EisIdeal):
             yield x, xg, ts
 
 
-def _line_neighbours(L: HermitianLattice, ideal: EisIdeal, x, xg, ts):
-    """Yields (hermite_key, lattice) for the neighbours of one line."""
+def _line_neighbours(L: HermitianLattice, ideal: EisIdeal, x, ts, kernel):
+    """Yields (hermite_key, lattice) for the neighbours of one line, where
+    kernel = _kernel_columns(xg, ideal, n)."""
     n = L.rank
-    pi, pibar = ideal.generator, ideal.generator.conj()
+    pibar = ideal.generator.conj()
     N = ideal.residue_norm
-    kernel = _kernel_columns(xg, ideal, n)
-    scaled_kernel = [[pibar * v for v in col] for col in kernel]
-    piv_bar = ginv_bar = None
-    for j in range(n):
-        ginv_bar = _inverse_mod(xg[j], ideal.conjugate())
-        if ginv_bar is not None:
-            piv_bar = j
-            break
+    piv, ginv, cols = kernel
+    scaled_kernel = [[pibar * v for v in col] for col in cols]
     for t in ts:
-        zcoef = t * ginv_bar
+        # z = t * ginv * e_piv has <x, z> = t mod P
         xt = list(x)
-        xt[piv_bar] = xt[piv_bar] + pi * zcoef
+        xt[piv] = xt[piv] + pibar * t * ginv
         key = _hermite_key([xt] + scaled_kernel, n)
         yield key, _neighbour_from_key(L, key, N)
 
@@ -205,7 +199,8 @@ def _line_neighbours(L: HermitianLattice, ideal: EisIdeal, x, xg, ts):
 def iter_neighbours(L: HermitianLattice, ideal: EisIdeal):
     """Yields (hermite_key, lattice) for every neighbour, streaming."""
     for x, xg, ts in iter_lines_with_data(L, ideal):
-        yield from _line_neighbours(L, ideal, x, xg, ts)
+        yield from _line_neighbours(L, ideal, x, ts,
+                                    _kernel_columns(xg, ideal, L.rank))
 
 
 def neighbours(L: HermitianLattice, ideal: EisIdeal) -> NeighbourSet:
@@ -213,9 +208,9 @@ def neighbours(L: HermitianLattice, ideal: EisIdeal) -> NeighbourSet:
     n = L.rank
     result = NeighbourSet(L, ideal, [], [], [])
     for x, xg, ts in iter_lines_with_data(L, ideal):
-        result.intersections.append(
-            _hermite_key(_kernel_columns(xg, ideal, n), n))
-        for key, lat in _line_neighbours(L, ideal, x, xg, ts):
+        kernel = _kernel_columns(xg, ideal, n)
+        result.intersections.append(_hermite_key(kernel[2], n))
+        for key, lat in _line_neighbours(L, ideal, x, ts, kernel):
             result.hermite_keys.append(key)
             result.neighbours.append(lat)
     assert len(set(result.hermite_keys)) == len(result.hermite_keys), \
@@ -238,7 +233,7 @@ def count_neighbours(L: HermitianLattice, ideal: EisIdeal):
 def intersection_lattice(L: HermitianLattice, key) -> HermitianLattice:
     """The sublattice L cap L' (given by its canonical basis) as an abstract
     Hermitian lattice."""
-    return hermitian_lll(L.rebase([list(row) for row in key]))[0]
+    return hermitian_lll(L.rebase([list(row) for row in key]))
 
 
 def verify_neighbour(L: HermitianLattice, key, ideal: EisIdeal) -> bool:
@@ -305,7 +300,7 @@ def sublattice_genus(L_genus: GenusEnumeration, ideal: EisIdeal):
         n = L.rank
         counts = {}
         for x, xg, ts in iter_lines_with_data(L, ideal):
-            key = _hermite_key(_kernel_columns(xg, ideal, n), n)
+            key = _hermite_key(_kernel_columns(xg, ideal, n)[2], n)
             idx, _ = classes.classify(intersection_lattice(L, key))
             counts[idx] = counts.get(idx, 0) + 1
         rows.append(counts)

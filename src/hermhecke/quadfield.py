@@ -10,12 +10,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import UnsupportedCaseError
+
 
 class MixedFieldError(TypeError):
-    pass
-
-
-class UnsupportedCaseError(ValueError):
     pass
 
 
@@ -208,7 +206,6 @@ def _split_val(na: int, nb: int, D: int, q: int, r: int) -> int:
     """v at the prime where sqrt(D) specializes to the q-adic lift of r."""
     if na == 0 and nb == 0:
         raise ValueError("valuation of 0")
-    K = 1
     # enough precision to see past v_q(norm)
     norm = na * na - D * nb * nb
     bound = (_valuation(norm, q) if norm % q == 0 else 0) + 2 if norm else 64

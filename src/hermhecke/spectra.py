@@ -22,14 +22,11 @@ import sympy
 from .linalg import (charpoly_factors, integer_kernel_basis, inverse,
                      kernel_basis, mat_mul, mat_vec, normalize_primitive,
                      roots_of_factor, solve_right)
-from .quadfield import QuadExtElem, UnsupportedCaseError, ideal_valuation, parse_quad, rational
+from .errors import PreconditionError, UnsupportedCaseError
+from .quadfield import QuadExtElem, ideal_valuation, parse_quad, rational
 
 
-class PreconditionError(ValueError):
-    pass
-
-
-class UnsupportedFieldError(ValueError):
+class UnsupportedFieldError(UnsupportedCaseError):
     pass
 
 

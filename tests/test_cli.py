@@ -85,6 +85,14 @@ def test_neighbours_count(tmp_path, capsys):
     assert out["count"] == 18
 
 
+def test_neighbours_at_split_prime(tmp_path, capsys):
+    p = tmp_path / "l.json"
+    HermitianLattice.standard(3).save(p)
+    rc, out = run(capsys, "neighbours", str(p), "--prime", "7")
+    assert rc == 0
+    assert out["count"] == len(out["neighbours"]) == 57
+
+
 def test_genus_requires_allow_long(tmp_path, capsys):
     p = tmp_path / "l.json"
     HermitianLattice.standard(12).save(p)

@@ -1,10 +1,11 @@
 import pytest
 
-from hermhecke.eisenstein import ideal_above
+from hermhecke.eisenstein import classify_prime, ideal_above
 from hermhecke.hecke import (HeckeMatrix, OrphanLatticeError,
                              assemble_intertwining, hecke_direct,
                              hecke_intertwining, s_from_sprime, sprime_from_s)
 from hermhecke.lattice import HermitianLattice
+from hermhecke.linalg import mat_mul
 from hermhecke.neighbour import enumerate_genus, load_genus, save_genus
 
 # <1, 1, d> at the prime above p: sorted |Aut| of the classes, and the row
@@ -120,3 +121,33 @@ def test_truncated_genus_stores_no_rows(multiclass):
     else:
         # the walk stopped at its last class: walking it again finds all rows
         assert hecke_direct(cut, P).entries == g.hecke_rows
+
+
+@pytest.fixture(scope="module")
+def split_pair():
+    """<1,1,5> walked at (2), with T(P_7) and T(Pbar_7) by direct walks."""
+    L = HermitianLattice.from_gram([[1, 0, 0], [0, 1, 0], [0, 0, 5]])
+    g = enumerate_genus(L, ideal_above(2))
+    return g, [hecke_direct(g, P).entries for P in classify_prime(7)[1]]
+
+
+def test_split_hecke_matrices(split_pair):
+    _, (T, Tbar) = split_pair
+    assert T == Tbar == [[9, 48], [8, 49]]
+    assert [sum(row) for row in T] == [57, 57]
+
+
+def test_split_hecke_adjoint_pair(split_pair):
+    # t(P)_ij |Aut_j| = t(Pbar)_ji |Aut_i|
+    g, (T, Tbar) = split_pair
+    aut, h = g.aut_orders, g.class_number
+    assert all(T[i][j] * aut[j] == Tbar[j][i] * aut[i]
+               for i in range(h) for j in range(h))
+
+
+def test_split_hecke_commute(split_pair):
+    g, (T, Tbar) = split_pair
+    T3 = hecke_direct(g, ideal_above(3)).entries
+    for A, B in [(T, g.hecke_rows), (Tbar, g.hecke_rows), (T, T3), (Tbar, T3),
+                 (T, Tbar)]:
+        assert mat_mul(A, B) == mat_mul(B, A)

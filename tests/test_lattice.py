@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermhecke.eisenstein import OMEGA, eis
+from hermhecke.eisenstein import OMEGA, eis, ideal_above
+from hermhecke.isometry import is_isometric
 from hermhecke.lattice import HermitianLattice, direct_sum, herm_norm, hermitian_lll
+from hermhecke.neighbour import enumerate_genus, iter_neighbours
 from hermhecke.theta import theta_degree1
 from hermhecke.eismat import eis_det, smith_invariants
 
@@ -118,9 +121,84 @@ def test_short_vectors_bruteforce_rank2():
 def test_direct_sum_and_lll():
     L = direct_sum(HermitianLattice.standard(2), HermitianLattice.standard(2))
     assert L.rank == 4 and L.det == 1
-    M, _ = hermitian_lll(L)
+    M = hermitian_lll(L)
     assert M.det == 1
     assert M.fingerprint() == L.fingerprint()
+
+
+def _mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0] - x[1] * y[1])
+
+
+def _norm(x):
+    return x[0] * x[0] - x[0] * x[1] + x[1] * x[1]
+
+
+def gram_schmidt(gram):
+    """(mu, B) of a Hermitian gram in Fraction arithmetic, with
+    mu[k][j] = <b_j*, b_k> / B[j] and B[j] = <b_j*, b_j*>.  An element
+    a + b w of Q(w) is the pair (a, b)."""
+    n = len(gram)
+    star = [[None] * n for _ in range(n)]   # star[j][i] = <b_j*, b_i>
+    mu = [[None] * n for _ in range(n)]
+    B = []
+    for j in range(n):
+        for i in range(n):
+            s = (Fraction(gram[j][i].a), Fraction(gram[j][i].b))
+            for k in range(j):
+                conj_mu = (mu[j][k][0] - mu[j][k][1], -mu[j][k][1])
+                t = _mul(conj_mu, star[k][i])
+                s = (s[0] - t[0], s[1] - t[1])
+            star[j][i] = s
+        B.append(star[j][j][0])
+        for i in range(j + 1, n):
+            mu[i][j] = (star[j][i][0] / B[j], star[j][i][1] / B[j])
+    return mu, B
+
+
+def assert_lll_reduced(M):
+    """Size-reduced (|mu|^2 <= 1/3, the covering radius of Z[w]) and
+    Lovasz at delta = 3/4."""
+    mu, B = gram_schmidt(M.gram)
+    for k in range(1, M.rank):
+        assert all(_norm(mu[k][j]) <= Fraction(1, 3) for j in range(k)), M.gram
+        assert B[k] >= (Fraction(3, 4) - _norm(mu[k][k - 1])) * B[k - 1], M.gram
+
+
+LLL_INPUTS = {
+    "<1,1,5>": [[1, 0, 0], [0, 1, 0], [0, 0, 5]],
+    "<1,1,7>": [[1, 0, 0], [0, 1, 0], [0, 0, 7]],
+    "I4": [[1 if i == j else 0 for j in range(4)] for i in range(4)],
+    "A2+<1,3>": [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]],
+    "I5": [[1 if i == j else 0 for j in range(5)] for i in range(5)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LLL_INPUTS))
+def test_lll_of_sheared_bases(name):
+    L = HermitianLattice.from_gram(LLL_INPUTS[name])
+    n = L.rank
+    rng = random.Random(name)
+    for _ in range(4):
+        cols = random_unimodular_cols(n, rng)
+        S = L.rebase([[cols[j][i] for j in range(n)] for i in range(n)])
+        M = hermitian_lll(S)
+        assert_lll_reduced(M)
+        assert is_isometric(M, L) is not None
+
+
+def test_lll_neighbours_of_a_genus_walk():
+    # the <1,1,7> walk at (sqrt-3): every neighbour of every class
+    P = ideal_above(3)
+    g = enumerate_genus(HermitianLattice.from_gram(LLL_INPUTS["<1,1,7>"]), P)
+    for R in g.representatives:
+        for _, M in iter_neighbours(R, P):
+            assert_lll_reduced(M)
+
+
+def test_lll_rejects_indefinite_gram():
+    with pytest.raises(ValueError, match="not positive definite"):
+        hermitian_lll(HermitianLattice.from_gram([[1, 2], [2, 1]]))
 
 
 def test_smith_invariants():

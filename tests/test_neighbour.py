@@ -1,6 +1,6 @@
 import pytest
 
-from hermhecke.eisenstein import eis, ideal_above
+from hermhecke.eisenstein import classify_prime, eis, ideal_above
 from hermhecke.eismat import smith_invariants
 from hermhecke.isometry import automorphism_order, is_isometric
 from hermhecke.lattice import HermitianLattice
@@ -98,3 +98,18 @@ def test_genus_archive_roundtrip(tmp_path):
     assert g2.class_number == g.class_number
     assert g2.aut_orders == g.aut_orders
     assert is_isometric(g2.representatives[0], g.representatives[0]) is not None
+
+
+@pytest.mark.parametrize("rank,p,count", [(3, 7, 57), (4, 7, 400), (3, 13, 183)],
+                         ids=["I3@7", "I4@7", "I3@13"])
+@pytest.mark.parametrize("side", [0, 1], ids=["P", "Pbar"])
+def test_split_prime_neighbours(rank, p, count, side):
+    # every line of F_p^rank is admissible, one neighbour each
+    L = HermitianLattice.standard(rank)
+    P = classify_prime(p)[1][side]
+    ns = neighbours(L, P)
+    assert len(ns) == count == count_neighbours(L, P)[1]
+    assert len(set(ns.hermite_keys)) == count
+    for key, M in zip(ns.hermite_keys, ns.neighbours):
+        assert verify_neighbour(L, key, P)
+        assert M.is_unimodular()
