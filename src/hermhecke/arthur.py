@@ -52,21 +52,6 @@ class ArthurConstituent:
     def dimension(self) -> int:
         return self.base_dim * self.d
 
-    @property
-    def motivic_weight(self) -> int:
-        """Doubled largest infinity exponent of the unsmeared constituent."""
-        if self.kind in (ELL1, ELL3, ELL3NEB):
-            w = self.weight - 1
-        elif self.kind in (PSI6, CPSI6):
-            w = 6
-        elif self.kind == U4:
-            w = 2 * self.ab[0] + 3
-        else:
-            w = 0
-        if self.twist:
-            w += 6
-        return w
-
     def base_exponents(self) -> list:
         """Doubled infinity exponents of the unsmeared constituent."""
         if self.kind in (ELL1, ELL3, ELL3NEB):

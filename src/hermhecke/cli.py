@@ -15,7 +15,7 @@ from .coefficients import CoefficientStore, MissingCoefficientError
 from .eisenstein import ideal_above
 from .errors import PreconditionError, UnsupportedCaseError
 from .fixtures import FixtureSet, fixture_checksum
-from .hecke import HeckeMatrix, OrphanLatticeError, hecke_direct, hecke_intertwining
+from .hecke import HeckeMatrix, hecke_direct, hecke_intertwining
 from .lattice import HermitianLattice
 from .neighbour import (count_neighbours, enumerate_genus, load_genus,
                         neighbours, save_genus)
@@ -240,8 +240,8 @@ def main(argv=None) -> int:
     except (UnsupportedCaseError, MissingCoefficientError) as exc:
         print(f"unsupported case: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (PreconditionError, OrphanLatticeError, FileNotFoundError,
-            ValueError, AssertionError) as exc:
+    except (PreconditionError, FileNotFoundError, ValueError,
+            AssertionError) as exc:
         print(f"invalid input or failed check: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

@@ -9,5 +9,9 @@ class PreconditionError(ValueError):
     """An input fails a precondition of the call."""
 
 
+class OrphanLatticeError(PreconditionError):
+    """A neighbour matched no representative: the genus list is incomplete."""
+
+
 class UnsupportedCaseError(ValueError):
     """A well-formed input that this implementation does not handle."""

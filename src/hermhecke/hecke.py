@@ -12,12 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .eisenstein import EisIdeal
+from .errors import OrphanLatticeError
 from .isometry import Classifier
 from .neighbour import GenusEnumeration, iter_neighbours, sublattice_genus
-
-
-class OrphanLatticeError(RuntimeError):
-    """A neighbour matched no representative: the genus list is incomplete."""
 
 
 @dataclass

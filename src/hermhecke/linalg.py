@@ -1,16 +1,15 @@
 """Exact linear algebra over Q and quadratic extensions.
 
 Matrices are plain lists of lists.  Entries may be int, Fraction, or
-QuadExtElem; everything stays exact.  Characteristic polynomials and their
-factorizations over Q are delegated to sympy.
+QuadExtElem; everything stays exact.  Characteristic polynomials, their
+factorizations over Q and integer factoring are delegated to sympy, which is
+imported on first use.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import sympy
 
 from .quadfield import QuadExtElem
 
@@ -113,6 +112,7 @@ def inverse(A):
 
 def charpoly_coeffs(A):
     """Coefficients [c_0, ..., c_n] of det(X I - A), integer matrix input."""
+    import sympy
     M = sympy.Matrix([[int(x) for x in row] for row in A])
     p = M.charpoly()
     coeffs = list(reversed(p.all_coeffs()))
@@ -125,6 +125,7 @@ def charpoly_factors(A):
     Entries may be int or Fraction.  Coefficient lists are low-degree first
     with integer entries, primitive, positive leading coefficient.
     """
+    import sympy
     M = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
                       for row in A])
     x = sympy.Symbol("x")
@@ -170,10 +171,11 @@ def roots_of_factor(coeffs):
 
 def squarefree_decomposition(n: int):
     """n = core * square^2 with core squarefree (sign carried by core)."""
+    from sympy import factorint
     sign = -1 if n < 0 else 1
     n = abs(n)
     core, square = sign, 1
-    for p, e in sympy.factorint(n).items():
+    for p, e in factorint(n).items():
         square *= p ** (e // 2)
         if e % 2:
             core *= p

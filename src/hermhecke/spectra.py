@@ -14,10 +14,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from importlib import resources
-
-import sympy
 
 from .linalg import (charpoly_factors, integer_kernel_basis, inverse,
                      kernel_basis, mat_mul, mat_vec, normalize_primitive,
@@ -30,85 +28,14 @@ class UnsupportedFieldError(UnsupportedCaseError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# quadratic-integer helpers (integral basis coordinates)
-
-def _theta_params(D: int):
-    """Integral basis 1, theta of Q(sqrt(D)): theta = (1+sqrt(D))/2 when
-    D = 1 mod 4, else sqrt(D).  Returns (uses_half_basis, t) with
-    theta^2 = theta + t (half basis) or theta^2 = t."""
-    if D % 4 == 1:
-        return True, (D - 1) // 4
-    return False, D
-
-
-def _to_integral_coords(x: QuadExtElem):
-    """x = u + v*theta; returns (u, v) as Fractions."""
-    r, s = x.rational_part, x.surd_part
-    half, _ = _theta_params(x.D)
-    if half:
-        return r - s, 2 * s
-    return r, s
-
-
-def _from_integral_coords(u, v, D: int) -> QuadExtElem:
-    half, _ = _theta_params(D)
-    if half:
-        return QuadExtElem.of(Fraction(u) + Fraction(v, 2), Fraction(v, 2), D)
-    return QuadExtElem.of(Fraction(u), Fraction(v), D)
-
-
-def _content_reduce_quadratic(vec, D: int):
-    """Scale a vector over Q(sqrt(D)) so entries are algebraic integers with
-    trivial content ideal (class number one assumed; a generator of the
-    content ideal is located by short-element search)."""
-    half, t = _theta_params(D)
-    coords = [_to_integral_coords(x) for x in vec]
-    den = math.lcm(*[Fraction(c).denominator for uv in coords for c in uv])
-    ints = [(int(u * den), int(v * den)) for u, v in coords]
-    # content ideal as a Z-module: generated by e and theta*e for each entry
-    gens = []
-    for u, v in ints:
-        gens.append((u, v))
-        if half:
-            gens.append((t * v, u + v))       # theta*(u+v*theta)
-        else:
-            gens.append((t * v, u))           # sqrt(D)*(u+v*sqrt(D))
-    # Hermite form of the 2-row module
-    from sympy.matrices.normalforms import hermite_normal_form
-    M = sympy.Matrix([[g[0] for g in gens], [g[1] for g in gens]])
-    H = hermite_normal_form(M)
-    h11, h12, h22 = int(H[0, 0]), int(H[0, 1]), int(H[1, 1])
-    index = abs(h11 * h22)
-    if index == 0:
-        raise ValueError("zero vector")
-
-    def field_norm(u, v):
-        return u * u + u * v - t * v * v if half else u * u - t * v * v
-
-    gamma = None
-    if index == 1:
-        gamma = (1, 0)
-    else:
-        bound = 4 * index
-        for b in range(-bound, bound + 1):
-            for a in range(-bound, bound + 1):
-                u = a * h11 + b * h12
-                v = b * h22
-                if (u, v) != (0, 0) and abs(field_norm(u, v)) == index:
-                    gamma = (u, v)
-                    break
-            if gamma:
-                break
-        if gamma is None:
-            raise ValueError("no short generator found for content ideal")
-    g = _from_integral_coords(*gamma, D)
-    out = [_from_integral_coords(u, v, D) / g for u, v in ints]
-    lead = next((x for x in out if not x.is_zero()), None)
-    if lead is not None and (lead.rational_part < 0
-                             or (lead.rational_part == 0 and lead.surd_part < 0)):
-        out = [-x for x in out]
-    return out
+def _primitive_quadratic(vec):
+    """Scale a vector over Q(sqrt(D)) so that its rational and surd parts are
+    integers with gcd 1, the first nonzero part positive."""
+    n = len(vec)
+    parts = normalize_primitive([x.rational_part for x in vec]
+                                + [x.surd_part for x in vec])
+    return [QuadExtElem.of(r, s, x.D)
+            for r, s, x in zip(parts[:n], parts[n:], vec)]
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +166,12 @@ def eigensystem(matrices, operator_names=None, reference=None) -> EigenSystem:
     Splits along the first operator (rational and quadratic eigenvalues),
     refines multi-dimensional spaces with the remaining operators, and
     reports any residual common eigenspace of dimension > 1.  Of a pair of
-    Galois-conjugate systems only one is solved; the other holds the
-    conjugate eigenvalues and the conjugate reduced vector.  Labels follow
+    Galois-conjugate systems only one is solved, and its kernel vector is
+    scaled to coprime integral rational and surd parts; the other holds the
+    conjugate eigenvalues and the conjugate vector.  Labels follow
     `reference` rows (matched by eigenvalue tuple) when given, else are
-    assigned in decreasing eigenvalue order of the first operator.
+    assigned in decreasing real order of the first operator's eigenvalue,
+    ties broken by the next operator, compared exactly.
     """
     mats = [_as_int_matrix(m) for m in matrices]
     if not mats:
@@ -320,7 +249,7 @@ def eigensystem(matrices, operator_names=None, reference=None) -> EigenSystem:
                 split([list(v) for v in ker], [QuadExtElem.of(lam)], 1)
             continue
         # a Galois-conjugate pair: solve for the first root only; the mate's
-        # eigenvalues and reduced vector are the conjugates of its own
+        # eigenvalues and primitive vector are the conjugates of its own
         root = roots[0]
         A = [[rational(x) - (root if i == j else rational(0))
               for j, x in enumerate(row)] for i, row in enumerate(mats[0])]
@@ -334,7 +263,7 @@ def eigensystem(matrices, operator_names=None, reference=None) -> EigenSystem:
             img = mat_vec(M, vec)
             k = next(i for i, x in enumerate(vec) if not x.is_zero())
             eigs.append(img[k] / vec[k])
-        vec = tuple(_content_reduce_quadratic(vec, root.D))
+        vec = tuple(_primitive_quadratic(vec))
         records.append((tuple(eigs), vec, 1, root.D, False))
         records.append((tuple(e.conjugate() for e in eigs),
                         tuple(x.conjugate() for x in vec), 1, root.D, False))
@@ -367,8 +296,38 @@ def _saturate_block(M0, eigs, basis):
     return ker
 
 
-def _sort_key(eigs):
-    return tuple((-e.rational_part, -e.surd_part) for e in eigs)
+def _real_sign(a, b, D: int) -> int:
+    """Exact sign of a + b*sqrt(D) for rationals a, b and a positive
+    non-square D."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    return sa if a * a > D * b * b else sb
+
+
+def _compare_real(x: QuadExtElem, y: QuadExtElem) -> int:
+    """Exact sign of x - y for elements of real quadratic fields."""
+    if 1 in (x.D, y.D) or x.D == y.D:
+        d = x - y
+        return _real_sign(d.rational_part, d.surd_part, d.D)
+    # x - y = u - w with u = (a - c) + b*sqrt(D) and w = d*sqrt(E): when u and
+    # w share a sign, compare u^2 = (a - c)^2 + b^2 D + 2(a - c)b sqrt(D)
+    # with w^2 = d^2 E
+    a, b, D = x.rational_part - y.rational_part, x.surd_part, x.D
+    d, E = y.surd_part, y.D
+    su, sw = _real_sign(a, b, D), (d > 0) - (d < 0)
+    if su * sw <= 0:
+        return su or -sw
+    return su * _real_sign(a * a + b * b * D - d * d * E, 2 * a * b, D)
+
+
+def _decreasing(rec1, rec2) -> int:
+    """Order records by decreasing eigenvalue tuple, compared exactly."""
+    for x, y in zip(rec1[0], rec2[0]):
+        sign = _compare_real(x, y)
+        if sign:
+            return -sign
+    return 0
 
 
 def _assign_labels(records, names, reference):
@@ -376,7 +335,7 @@ def _assign_labels(records, names, reference):
     `reference` row with the same eigenvalue tuple, else 1, 2, ... in
     decreasing eigenvalue order.  Returns {label: EigenLabel}."""
     if reference is None:
-        ordered = list(enumerate(sorted(records, key=lambda r: _sort_key(r[0])), start=1))
+        ordered = list(enumerate(sorted(records, key=cmp_to_key(_decreasing)), start=1))
     else:
         pool = list(records)
         ordered = []
@@ -432,29 +391,43 @@ def expand_in_eigenbasis(v, system: EigenSystem):
             for lab, c in zip(sorted(system.labels), sol)}
 
 
-def _denominator_primes(c: QuadExtElem, q_min: int):
-    """Primes q >= q_min at which some valuation of c is negative, with tags."""
+def _local_content(vec, q: int, D: int) -> dict:
+    """The valuations of the content ideal of an integral vector over
+    Q(sqrt(D)) at the primes above q, as {tag: min_i v(vec_i)}."""
+    vals = [dict(ideal_valuation(x, q, D)) for x in vec if not x.is_zero()]
+    return {tag: min(v[tag] for v in vals) for tag in vals[0]}
+
+
+def _denominator_primes(c: QuadExtElem, q_min: int, D: int, content):
+    """Primes q >= q_min at which some valuation of c is negative, with tags.
+
+    c is a coefficient on a vector over Q(sqrt(D)).  For D != 1, content(q)
+    gives that vector's local content at q; adding it to the valuations of c
+    gives those of the coefficient on the content-free vector.  Rational
+    vectors are primitive, so their content is 1.  The stored vectors are
+    integral, so the correction only raises valuations and the candidate
+    primes are those of c's denominator."""
     if c.is_zero():
         return []
+    from sympy import factorint
     den = math.lcm(c.rational_part.denominator, c.surd_part.denominator)
     out = []
-    for q in sympy.factorint(den):
+    for q in factorint(den):
         if q < q_min:
             continue
-        if c.is_rational():
+        if D == 1:
             out.append((q, ""))
             continue
         try:
-            vals = ideal_valuation(c, q, c.D)
+            shift = content(q)
         except UnsupportedCaseError:
             continue
+        vals = [(tag, v + shift[tag]) for tag, v in ideal_valuation(c, q, D)]
         if len(vals) == 1:
             if vals[0][1] < 0:
                 out.append((q, ""))
         else:
-            for tag, v in vals:
-                if v < 0:
-                    out.append((q, tag))
+            out.extend((q, tag) for tag, v in vals if v < 0)
     return out
 
 
@@ -487,8 +460,10 @@ def scan_congruences_lemma(system: EigenSystem, probes=None, q_min: int = 11):
     For each probe vector, expand in the eigenbasis; any prime q >= q_min
     with a negative-valuation coefficient nominates candidate label pairs
     (both labels must show the negative valuation), which are then verified
-    against every stored operator.  Pairs involving residual-block labels
-    are reported as candidates for the whole block.
+    against every stored operator.  A quadratic label's valuations are those
+    on its content-free vector: the stored vector's local content at q is
+    added, once computed per label and q.  Pairs involving residual-block
+    labels are reported as candidates for the whole block.
     """
     if probes is None:
         n = system.size
@@ -498,12 +473,22 @@ def scan_congruences_lemma(system: EigenSystem, probes=None, q_min: int = 11):
     for blk in blocks:
         for lab in blk:
             block_of[lab] = blk
+    contents = {}
+
+    def content(lab, q):
+        if (lab, q) not in contents:
+            rec = system.labels[lab]
+            contents[lab, q] = _local_content(rec.vector, q, rec.field_tag)
+        return contents[lab, q]
+
     found = {}
     for probe in probes:
         coeffs = expand_in_eigenbasis(probe, system)
         neg = {}
         for lab, c in coeffs.items():
-            for q, tag in _denominator_primes(c, q_min):
+            D = system.labels[lab].field_tag
+            for q, tag in _denominator_primes(c, q_min, D,
+                                              lambda q: content(lab, q)):
                 neg.setdefault((q, tag), set()).add(lab)
         # a rational denominator is negative at every prime above q, so the
         # untagged bucket feeds each tagged bucket at the same q
@@ -581,7 +566,8 @@ def difference_gcd(system: EigenSystem, i: int, j: int) -> GcdReport:
             g = math.gcd(g, abs(int(nrm)))
     if g == 0:
         return GcdReport(i, j, None, {}, True)
-    return GcdReport(i, j, g, {int(p): int(e) for p, e in sympy.factorint(g).items()},
+    from sympy import factorint
+    return GcdReport(i, j, g, {int(p): int(e) for p, e in factorint(g).items()},
                      False)
 
 

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +11,7 @@ from hermhecke.linalg import (charpoly_coeffs, charpoly_factors,
                               mat_mul, mat_vec, matrix_rank,
                               normalize_primitive, roots_of_factor,
                               saturate_columns, solve_right)
+import hermhecke
 from hermhecke.quadfield import QuadExtElem, rational
 
 mat3 = st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
@@ -127,3 +131,21 @@ def test_inverse_singular():
     r = QuadExtElem.of(1, 1, 193)
     row = [rational(1), r, rational(3)]
     assert inverse([row, [r * x for x in row], [rational(0), rational(1), r]]) is None
+
+
+def test_lattice_paths_do_not_load_sympy():
+    # sympy is imported on first use by linalg and spectra; a fresh
+    # interpreter that imports the lattice-only modules and walks a small
+    # genus must not load it
+    code = ("import sys\n"
+            "from hermhecke import fixtures, hecke, neighbour, theta\n"
+            "from hermhecke.eisenstein import ideal_above\n"
+            "from hermhecke.lattice import HermitianLattice\n"
+            "fixtures.FixtureSet.load()\n"
+            "neighbour.enumerate_genus(HermitianLattice.standard(3), ideal_above(2))\n"
+            "assert 'sympy' not in sys.modules, 'sympy was loaded'\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hermhecke.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from hermhecke.quadfield import (QuadExtElem, UnsupportedCaseError,
                                  ideal_valuation, parse_quad, rational)
 
-small = st.fractions(max_denominator=20).filter(lambda f: abs(f) <= 30)
+small = st.fractions(min_value=-30, max_value=30, max_denominator=20)
 
 
 @given(small, small, small, small)

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -51,13 +53,20 @@ def test_vector_content_reduced(system):
             assert math.gcd(*[int(x) for x in vec]) == 1
 
 
-def test_content_reduce_quadratic_unit():
-    # (3 + sqrt(193))/2 and 2 generate a content ideal of norm > 1 at 2? no:
-    # use a vector with an obvious rational content
+def test_primitive_quadratic_unit():
+    # a vector with an obvious rational content
     vec = [QuadExtElem.of(6, 0, 193), QuadExtElem.of(0, 6, 193)]
-    out = spectra._content_reduce_quadratic(vec, 193)
+    out = spectra._primitive_quadratic(vec)
     assert out[0] == QuadExtElem.of(1, 0, 193)
     assert out[1] == QuadExtElem.of(0, 1, 193)
+
+
+def test_quadratic_vector_primitive(system):
+    # coprime integral rational and surd parts; label 13 holds the conjugate
+    v12 = system.labels[12].vector
+    parts = [x.rational_part for x in v12] + [x.surd_part for x in v12]
+    assert all(p.denominator == 1 for p in parts)
+    assert math.gcd(*[int(p) for p in parts]) == 1
 
 
 @pytest.fixture(scope="module")
@@ -146,24 +155,51 @@ def test_scan_below_eleven(system, q_min, count):
         assert spectra._eig_congruent(system, r.i, j, r.q, r.prime_tag)
 
 
+KEYS_AT_ELEVEN = [
+    (1, 4, 1847, ""), (1, 9, 809, ""), (2, 8, 809, ""), (3, 7, 809, ""),
+    (1, 2, 691, ""), (1, 3, 73, ""), (2, 5, 61, ""), (7, 12, 59, "q1"),
+    (7, 13, 59, "q2"), (4, 6, 41, ""), (9, 12, 23, "q1"), (9, 13, 23, "q2"),
+    (2, 3, 17, ""), (7, 8, 17, ""), (14, 15, 17, ""), (17, (19, 20), 13, ""),
+    (11, 16, 11, "")]
+
+
 def test_scan_keys_at_eleven(system):
-    assert [r.key() for r in spectra.scan_congruences_lemma(system, q_min=11)] == [
-        (1, 4, 1847, ""), (1, 9, 809, ""), (2, 8, 809, ""), (3, 7, 809, ""),
-        (1, 2, 691, ""), (1, 3, 73, ""), (2, 5, 61, ""), (7, 12, 59, "q1"),
-        (7, 13, 59, "q2"), (4, 6, 41, ""), (9, 12, 23, "q1"), (9, 13, 23, "q2"),
-        (2, 3, 17, ""), (7, 8, 17, ""), (14, 15, 17, ""), (17, (19, 20), 13, ""),
-        (11, 16, 11, "")]
+    assert [r.key() for r in spectra.scan_congruences_lemma(system, q_min=11)] == KEYS_AT_ELEVEN
+
+
+@pytest.mark.parametrize("seed", [2, 3, 13])
+def test_full_class_permutation(fx, seed):
+    # every class moves, the last one included; the eigenvector normalization
+    # must not depend on the order
+    n = len(fx.t2_20x20)
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    assert perm[-1] != n - 1
+
+    def conj(M):
+        return [[M[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+    start = time.perf_counter()
+    system = spectra.eigensystem([conj(fx.t2_20x20), conj(fx.t3_20x20)],
+                                 operator_names=("t2", "t3"),
+                                 reference=fx.eigen_table)
+    assert time.perf_counter() - start < 30
+    for row in fx.eigen_table:
+        assert system.eigenvalue(row["label"], "t2") == row["t2"]
+        assert system.eigenvalue(row["label"], "t3") == row["t3"]
+    assert system.residual_blocks() == [(19, 20)]
+    assert [r.key() for r in spectra.scan_congruences_lemma(system, q_min=11)] == KEYS_AT_ELEVEN
 
 
 @pytest.fixture(scope="module")
 def unreferenced(fx):
     """The fixture system labelled without a reference, and the number of
-    content reductions its construction ran."""
+    quadratic vector normalizations its construction ran."""
     calls = []
-    reduce = spectra._content_reduce_quadratic
+    normalize = spectra._primitive_quadratic
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectra, "_content_reduce_quadratic",
-                   lambda vec, D: calls.append(D) or reduce(vec, D))
+        mp.setattr(spectra, "_primitive_quadratic",
+                   lambda vec: calls.append(vec) or normalize(vec))
         system = spectra.eigensystem([fx.t2_20x20, fx.t3_20x20],
                                      operator_names=("t2", "t3"))
     return system, len(calls)
@@ -172,12 +208,33 @@ def unreferenced(fx):
 def test_unreferenced_labels_follow_eigenvalue_order(unreferenced):
     system, _ = unreferenced
     assert sorted(system.labels) == list(range(1, 21))
-    # (rational part, surd part) order: 23319 + 162*sqrt(193) comes after 23805
-    order = [[(system.eigenvalue(lab, op).rational_part, system.eigenvalue(lab, op).surd_part)
-              for op in ("t2", "t3")] for lab in range(1, 21)]
+    # real order: 23319 + 162*sqrt(193) (about 25570) comes before 23805
+    def real(x):
+        return float(x.rational_part) + float(x.surd_part) * math.sqrt(x.D)
+
+    order = [[real(system.eigenvalue(lab, op)) for op in ("t2", "t3")]
+             for lab in range(1, 21)]
     assert order == sorted(order, reverse=True)
+    first = [system.eigenvalue(lab, "t2") for lab in range(1, 21)]
+    assert first.index(parse_quad("23319+162*sqrt(193)")) < first.index(rational(23805))
     blocks = system.residual_blocks()
     assert len(blocks) == 1 and len(blocks[0]) == 2
+
+
+def test_compare_real_is_exact():
+    # solutions of x^2 - 2y^2 = 1, so x - y*sqrt(2) = 1/(x + y*sqrt(2)) > 0:
+    # about 7.5e-7 for the first, and 1.7e-14 for the second, where doubles
+    # give the wrong sign
+    for x, y in [(665857, 470832), (30122754096401, 21300003689580)]:
+        big, small = rational(x), QuadExtElem.of(0, y, 2)
+        assert spectra._compare_real(big, small) == 1
+        assert spectra._compare_real(small, big) == -1
+    # 1 + sqrt(2) (about 2.414) against 3 - sqrt(3) (about 1.268) and
+    # 2 + sqrt(3)/2 (about 2.866)
+    one_two = QuadExtElem.of(1, 1, 2)
+    assert spectra._compare_real(one_two, QuadExtElem.of(3, -1, 3)) == 1
+    assert spectra._compare_real(QuadExtElem.of(2, Fraction(1, 2), 3), one_two) == 1
+    assert spectra._compare_real(one_two, one_two) == 0
 
 
 def test_conjugate_pair_built_once(unreferenced):
@@ -211,6 +268,15 @@ def test_unnamed_labels_sorted():
     sys2 = spectra.eigensystem([[[2, 0], [0, 5]], [[1, 0], [0, 1]]])
     assert sys2.eigenvalue(1, "T0").as_fraction() == 5
     assert sys2.eigenvalue(2, "T0").as_fraction() == 2
+
+
+def test_unnamed_labels_sorted_across_fields():
+    # eigenvalues +-sqrt(2) and +-sqrt(3) lie in two quadratic fields
+    M = [[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 3], [0, 0, 1, 0]]
+    system = spectra.eigensystem([M])
+    assert [system.eigenvalue(lab, "T0") for lab in range(1, 5)] == [
+        QuadExtElem.of(0, 1, 3), QuadExtElem.of(0, 1, 2),
+        QuadExtElem.of(0, -1, 2), QuadExtElem.of(0, -1, 3)]
 
 
 def test_difference_gcd_sentinel(system):
