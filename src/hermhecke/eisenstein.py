@@ -54,14 +54,8 @@ class EisensteinInt:
 
     def divmod(self, other: "EisensteinInt"):
         """Euclidean division: q, r with self = q*other + r, N(r) < N(other)."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero Eisenstein integer")
-        n = other.norm()
-        num = self * other.conj()
-        qa = _round_div(num.a, n)
-        qb = _round_div(num.b, n)
-        q = EisensteinInt(qa, qb)
-        return q, self - q * other
+        q, r = _pdivmod((self.a, self.b), (other.a, other.b))
+        return EisensteinInt(*q), EisensteinInt(*r)
 
     def __divmod__(self, other):
         return self.divmod(_coerce(other))
@@ -108,11 +102,6 @@ def _coerce(x) -> EisensteinInt:
     raise TypeError(f"cannot coerce {x!r} to EisensteinInt")
 
 
-def _round_div(n: int, d: int) -> int:
-    """Nearest integer to n/d, ties toward +infinity (deterministic)."""
-    return (2 * n + d) // (2 * d)
-
-
 def eis(a: int, b: int = 0) -> EisensteinInt:
     return EisensteinInt(a, b)
 
@@ -135,26 +124,86 @@ def canonical_associate(x: EisensteinInt) -> EisensteinInt:
     """
     if x.is_zero():
         return x
-    for u in UNITS:
-        z = u * x
-        if z.a > 0 and 0 <= z.b < z.a:
-            return z
-    raise AssertionError(f"no sector associate for {x}")
+    return EisensteinInt(*_pmul(_associate_unit((x.a, x.b)), (x.a, x.b)))
 
 
 def canonical_residue(x: EisensteinInt, g: EisensteinInt) -> EisensteinInt:
     """Deterministic representative of x mod g of minimal norm."""
-    q, r = x.divmod(g)
+    return EisensteinInt(*_reduce((x.a, x.b), (g.a, g.b))[1])
+
+
+# --- int pairs --------------------------------------------------------------
+# The hot loops (the neighbour line walk, Hermite and Smith forms, the
+# integral LLL) hold a + b*w as a plain (a, b) tuple of ints, several times
+# cheaper than the frozen dataclass.  These helpers are their arithmetic.
+# They are private: every public function takes and returns EisensteinInt.
+
+_UNIT_PAIRS = tuple((u.a, u.b) for u in UNITS)
+
+
+def _pmul(x, y):
+    a, b = x
+    c, d = y
+    # (a+bw)(c+dw) = ac + (ad+bc)w + bd w^2,  w^2 = -1-w
+    return a * c - b * d, a * d + b * c - b * d
+
+
+def _pnorm(x) -> int:
+    a, b = x
+    return a * a - a * b + b * b
+
+
+def _pdivmod(x, y):
+    """Euclidean division: q, r with x = q*y + r, N(r) < N(y); q is x/y
+    rounded coordinatewise, ties toward +infinity."""
+    a, b = x
+    c, d = y
+    n = c * c - c * d + d * d
+    if not n:
+        raise ZeroDivisionError("division by zero Eisenstein integer")
+    # x * conj(y), conj(c + d w) = (c - d) - d w
+    na, nb = a * c - a * d + b * d, b * c - a * d
+    qa, qb = (2 * na + n) // (2 * n), (2 * nb + n) // (2 * n)
+    return (qa, qb), (a - qa * c + qb * d, b - qa * d - qb * c + qb * d)
+
+
+def _sub_multiple(X, q, Y):
+    """The pair vector X - q*Y."""
+    qa, qb = q
+    return [(xa - qa * ya + qb * yb, xb - qa * yb - qb * ya + qb * yb)
+            for (xa, xb), (ya, yb) in zip(X, Y)]
+
+
+def _associate_unit(x):
+    """The unit u with u*x in the sector a > 0, 0 <= b < a; x nonzero."""
+    for u in _UNIT_PAIRS:
+        a, b = _pmul(u, x)
+        if a > 0 and 0 <= b < a:
+            return u
+    raise AssertionError(f"no sector associate for {x}")
+
+
+def _reduce(x, g):
+    """(q, r) with x = q*g + r and r the representative of x mod g of
+    minimal norm, ties broken by (a, b).
+
+    The minimal-norm coset representative is always within +-1 in each
+    coordinate of the rounded quotient, so the nine neighbours of the
+    Euclidean remainder r0 are scanned: r0 - da*g - db*(w g).
+    """
+    (qa, qb), (ra, rb) = _pdivmod(x, g)
+    ga, gb = g
+    wa, wb = -gb, ga - gb       # w*g
     best = None
-    # scan quotients adjacent to the rounded one; the minimal-norm coset
-    # representative is always within +-1 in each coordinate.
     for da in (-1, 0, 1):
         for db in (-1, 0, 1):
-            cand = x - (q + EisensteinInt(da, db)) * g
-            key = (cand.norm(), cand.a, cand.b)
+            a = ra - da * ga - db * wa
+            b = rb - da * gb - db * wb
+            key = (a * a - a * b + b * b, a, b)
             if best is None or key < best[0]:
-                best = (key, cand)
-    return best[1]
+                best = (key, da, db)
+    (_, a, b), da, db = best
+    return (qa + da, qb + db), (a, b)
 
 
 def from_sqrt3_form(u: Fraction, v: Fraction) -> EisensteinInt:

@@ -3,13 +3,17 @@
 Matrices are lists of lists of EisensteinInt.  Column convention: a module
 is the O-span of the columns.  Hermite form is lower triangular with
 canonical-associate pivots and canonically reduced entries to the right of
-each pivot, so equal modules get identical forms.
+each pivot, so equal modules get identical forms.  The Hermite and Smith
+eliminations run on private (a, b) int pairs and convert only their input
+and output.
 """
 
 from __future__ import annotations
 
-from .eisenstein import (EisensteinInt, ZERO, ONE, canonical_associate,
-                         canonical_residue)
+from .eisenstein import (EisensteinInt, ZERO, ONE, _associate_unit,
+                         _pdivmod, _pmul, _pnorm, _reduce, _sub_multiple)
+
+_ZERO = (0, 0)
 
 
 def emat_mul(A, B):
@@ -68,20 +72,20 @@ def column_hermite_form(M):
     """Canonical column Hermite form of an n x m matrix of rank n.
 
     Returns an n x n lower-triangular matrix whose columns span the same
-    O-module as the columns of M.
+    O-module as the columns of M.  The elimination runs on int pairs.
     """
     n = len(M)
-    cols = [list(c) for c in zip(*M)]  # work on columns as rows
+    cols = [[(x.a, x.b) for x in c] for c in zip(*M)]  # columns as rows
     basis = []
     for pivot_row in range(n):
         # gcd out the pivot_row entries of all remaining columns
-        live = [c for c in cols if any(x != ZERO for x in c)]
-        cols = live
+        cols = [c for c in cols if any(a or b for a, b in c)]
         piv = None
         for idx, c in enumerate(cols):
-            if c[pivot_row] != ZERO:
-                if piv is None or c[pivot_row].norm() < cols[piv][pivot_row].norm():
-                    piv = idx
+            if c[pivot_row] != _ZERO:
+                norm = _pnorm(c[pivot_row])
+                if piv is None or norm < piv_norm:
+                    piv, piv_norm = idx, norm
         if piv is None:
             raise ValueError("matrix does not have full row rank")
         cols[0], cols[piv] = cols[piv], cols[0]
@@ -89,47 +93,36 @@ def column_hermite_form(M):
         while changed:
             changed = False
             for idx in range(1, len(cols)):
-                while cols[idx][pivot_row] != ZERO:
-                    if cols[idx][pivot_row].norm() < cols[0][pivot_row].norm():
+                while cols[idx][pivot_row] != _ZERO:
+                    if _pnorm(cols[idx][pivot_row]) < _pnorm(cols[0][pivot_row]):
                         cols[0], cols[idx] = cols[idx], cols[0]
                         changed = True
-                    q, _ = divmod(cols[idx][pivot_row], cols[0][pivot_row])
-                    cols[idx] = [x - q * y for x, y in zip(cols[idx], cols[0])]
+                    q, _ = _pdivmod(cols[idx][pivot_row], cols[0][pivot_row])
+                    cols[idx] = _sub_multiple(cols[idx], q, cols[0])
         pivot_col = cols.pop(0)
         # normalize pivot to canonical associate
-        p = pivot_col[pivot_row]
-        cp = canonical_associate(p)
-        u = cp.exact_div(p)
-        pivot_col = [u * x for x in pivot_col]
-        basis.append(pivot_col)
-    # reduce earlier pivots' entries against later ones?  Column HNF with
-    # lower-triangular shape: reduce entries below each pivot using later
-    # pivot columns (which have zeros above their own pivot row).
+        u = _associate_unit(pivot_col[pivot_row])
+        basis.append([_pmul(u, x) for x in pivot_col])
+    # Lower-triangular shape: reduce the entries below each pivot modulo
+    # the later pivots, whose columns are zero above their own pivot row.
     for j in range(n - 1, -1, -1):
         for i in range(j + 1, n):
-            # entry basis[j][i] reduced modulo pivot basis[i][i]
-            q = reduction_quotient(basis[j][i], basis[i][i])
-            if q != ZERO:
-                basis[j] = [x - q * y for x, y in zip(basis[j], basis[i])]
+            q, _ = _reduce(basis[j][i], basis[i][i])
+            if q != _ZERO:
+                basis[j] = _sub_multiple(basis[j], q, basis[i])
     # return as matrix with basis vectors as columns
-    return [[basis[j][i] for j in range(n)] for i in range(n)]
-
-
-def reduction_quotient(x: EisensteinInt, d: EisensteinInt) -> EisensteinInt:
-    """The q nearest to x / d: x - q*d is canonical_residue(x, d)."""
-    r = canonical_residue(x, d)
-    return (x - r).exact_div(d)
+    return [[EisensteinInt(*basis[j][i]) for j in range(n)] for i in range(n)]
 
 
 def smith_invariants(M):
     """Invariant factors of the O-module O^n / (columns of M), rank n.
 
     Returned as canonical-associate EisensteinInts, each dividing the next.
+    The elimination runs on int pairs.
     """
     n = len(M)
-    A = [list(row) for row in M]
+    A = [[(x.a, x.b) for x in row] for row in M]
     invariants = []
-    size = n
     top = 0
     while top < n:
         m = len(A[0])
@@ -138,8 +131,10 @@ def smith_invariants(M):
         for i in range(top, n):
             for j in range(m):
                 x = A[i][j]
-                if x != ZERO and (best is None or x.norm() < A[best[0]][best[1]].norm()):
-                    best = (i, j)
+                if x != _ZERO:
+                    norm = _pnorm(x)
+                    if best is None or norm < best_norm:
+                        best, best_norm = (i, j), norm
         if best is None:
             raise ValueError("matrix not of full rank")
         bi, bj = best
@@ -152,21 +147,24 @@ def smith_invariants(M):
             dirty = False
             p = A[top][0]
             for i in range(top + 1, n):
-                if A[i][0] != ZERO:
-                    q, r = divmod(A[i][0], p)
-                    A[i] = [x - q * y for x, y in zip(A[i], A[top])]
-                    if A[i][0] != ZERO:
+                if A[i][0] != _ZERO:
+                    q, _ = _pdivmod(A[i][0], p)
+                    A[i] = _sub_multiple(A[i], q, A[top])
+                    if A[i][0] != _ZERO:
                         A[top], A[i] = A[i], A[top]
                         dirty = True
                         break
             if dirty:
                 continue
             for j in range(1, len(A[0])):
-                if A[top][j] != ZERO:
-                    q, r = divmod(A[top][j], p)
-                    for i in range(top, n):
-                        A[i][j] = A[i][j] - q * A[i][0]
-                    if A[top][j] != ZERO:
+                if A[top][j] != _ZERO:
+                    q, _ = _pdivmod(A[top][j], p)
+                    rows = A[top:n]
+                    col = _sub_multiple([row[j] for row in rows], q,
+                                        [row[0] for row in rows])
+                    for row, x in zip(rows, col):
+                        row[j] = x
+                    if A[top][j] != _ZERO:
                         for i in range(top, n):
                             A[i][0], A[i][j] = A[i][j], A[i][0]
                         dirty = True
@@ -177,12 +175,14 @@ def smith_invariants(M):
             # of the remaining block
             for i in range(top + 1, n):
                 bad = next((j for j in range(1, len(A[0]))
-                            if not p.divides(A[i][j])), None)
+                            if _pdivmod(A[i][j], p)[1] != _ZERO), None)
                 if bad is not None:
-                    A[top] = [x + y for x, y in zip(A[top], A[i])]
+                    A[top] = [(xa + ya, xb + yb)
+                              for (xa, xb), (ya, yb) in zip(A[top], A[i])]
                     dirty = True
                     break
-        invariants.append(canonical_associate(A[top][0]))
+        p = A[top][0]
+        invariants.append(EisensteinInt(*_pmul(_associate_unit(p), p)))
         A = [row[1:] for row in A[top + 1:]]
         n -= top + 1
         top = 0

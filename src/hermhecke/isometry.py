@@ -94,7 +94,10 @@ def is_isometric(L1: HermitianLattice, L2: HermitianLattice):
     if full is None:
         return None
     cert = IsometryCertificate(tuple(full))
-    assert cert.verify(L1, L2)
+    if not cert.verify(L1, L2):
+        raise AssertionError(
+            f"isometry certificate between rank-{L1.rank} lattices of "
+            f"determinant {L1.det} fails its Gram check")
     return cert
 
 

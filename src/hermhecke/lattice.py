@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .eisenstein import EisensteinInt, ZERO, ONE, OMEGA, eis, canonical_associate
+from .eisenstein import (EisensteinInt, ZERO, ONE, OMEGA, eis,
+                         canonical_associate, _pmul, _pnorm, _reduce,
+                         _sub_multiple)
 from . import eismat
 
 
@@ -213,39 +215,50 @@ def hermitian_lll(L: HermitianLattice) -> HermitianLattice:
     of the leading i x i block and lam[k][j] = d[j+1] * mu_{k,j} lies in
     Z[w], with mu_{k,j} = <b_j*, b_k> / <b_j*, b_j*>.  Gram-Schmidt row k
     is computed from G and the rows above it; after a swap the rows from
-    k-1 on are computed again when the loop reaches them.
+    k-1 on are computed again when the loop reaches them.  G and lam hold
+    (a, b) int pairs; only the input and the result are EisensteinInt.
     """
     n = L.rank
-    G = [list(r) for r in L.gram]
+    G = [[(x.a, x.b) for x in r] for r in L.gram]
     d = [1] + [0] * n
-    lam = [[ZERO] * n for _ in range(n)]
+    lam = [[(0, 0)] * n for _ in range(n)]
 
     def gram_schmidt_row(k):
         for j in range(k + 1):
-            u = G[j][k]
+            ua, ub = G[j][k]
             for i in range(j):
-                u = (d[i + 1] * u - lam[j][i].conj() * lam[k][i]).exact_div(d[i])
+                # u <- (d[i+1] u - conj(lam[j][i]) lam[k][i]) / d[i], exact
+                (pa, pb), (qa, qb) = lam[j][i], lam[k][i]
+                e, di = d[i + 1], d[i]
+                ua, ra = divmod(e * ua - pa * qa + pb * qa - pb * qb, di)
+                ub, rb = divmod(e * ub - pa * qb + pb * qa, di)
+                if ra or rb:
+                    raise ValueError(f"{di} does not divide the Gram-Schmidt "
+                                     f"numerator in row {k}")
             if j < k:
-                lam[k][j] = u
-            elif u.b != 0 or u.a <= 0:
+                lam[k][j] = (ua, ub)
+            elif ub != 0 or ua <= 0:
                 raise ValueError("gram is not positive definite")
             else:
-                d[k + 1] = u.a
+                d[k + 1] = ua
 
     def size_reduce(k, l):
         # b_k <- b_k - r b_l with r the nearest integer to mu_{k,l}
-        r = eismat.reduction_quotient(lam[k][l], EisensteinInt(d[l + 1], 0))
-        if r == ZERO:
+        r, _ = _reduce(lam[k][l], (d[l + 1], 0))
+        if r == (0, 0):
             return
-        for i in range(n):
-            G[i][k] = G[i][k] - G[i][l] * r
-        G[k][k] = G[k][k] - r.conj() * G[l][k]
+        column = _sub_multiple([row[k] for row in G], r, [row[l] for row in G])
+        for row, x in zip(G, column):
+            row[k] = x
+        ra, rb = r
+        (a, b), (c, e) = G[k][k], _pmul((ra - rb, -rb), G[l][k])
+        G[k][k] = (a - c, b - e)
         for j in range(n):
             if j != k:
-                G[k][j] = G[j][k].conj()
-        lam[k][l] = lam[k][l] - r * d[l + 1]
-        for i in range(l):
-            lam[k][i] = lam[k][i] - r * lam[l][i]
+                a, b = G[j][k]
+                G[k][j] = (a - b, -b)
+        lam[k][l] = (lam[k][l][0] - ra * d[l + 1], lam[k][l][1] - rb * d[l + 1])
+        lam[k][:l] = _sub_multiple(lam[k][:l], r, lam[l][:l])
 
     done = 0        # Gram-Schmidt rows 0 .. done-1 are current
     k = 1
@@ -258,7 +271,7 @@ def hermitian_lll(L: HermitianLattice) -> HermitianLattice:
             gram_schmidt_row(done)
             done += 1
         size_reduce(k, k - 1)
-        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1].norm():
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * _pnorm(lam[k][k - 1]):
             G[k - 1], G[k] = G[k], G[k - 1]
             for row in G:
                 row[k - 1], row[k] = row[k], row[k - 1]
@@ -268,7 +281,8 @@ def hermitian_lll(L: HermitianLattice) -> HermitianLattice:
             for l in range(k - 2, -1, -1):
                 size_reduce(k, l)
             k += 1
-    return HermitianLattice(tuple(tuple(r) for r in G))
+    return HermitianLattice(tuple(tuple(EisensteinInt(a, b) for a, b in r)
+                                  for r in G))
 
 
 def direct_sum(*lattices) -> HermitianLattice:

@@ -15,20 +15,27 @@ lifts, lattices are handled through canonical Hermite bases of pibar * L'
 in L-coordinates.  Distinct (line, adjustment) pairs give distinct
 neighbours (the intersection L cap L' recovers the line, the adjustment
 class recovers the lift), which the rank-2 exhaustive oracle confirms.
+
+The line walk and the kernel columns hold Eisenstein integers as private
+(a, b) int pairs; keys and lattices are EisensteinInt.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
+from operator import add, mul
 
-from .eisenstein import EisensteinInt, ZERO, ONE, eis, EisIdeal, \
-    canonical_associate
+from .eisenstein import EisensteinInt, ONE, EisIdeal, canonical_associate, \
+    _pmul
 from . import eismat
 from .lattice import HermitianLattice, hermitian_lll
 from .isometry import Classifier
 from .errors import PreconditionError, UnsupportedCaseError
+
+_ZERO = (0, 0)
 
 
 @dataclass
@@ -59,39 +66,51 @@ class GenusEnumeration:
         return len(self.representatives)
 
 
-def _residue_reps(ideal: EisIdeal):
-    """Small lifts of O/P."""
-    if ideal.split_type == "inert":
-        p = ideal.p
-        return [EisensteinInt(a, b) for a in range(p) for b in range(p)]
-    if ideal.split_type == "ramified":
-        return [eis(0), eis(1), eis(2)]
-    return [eis(a) for a in range(ideal.p)]
+class _Residues:
+    """Tables of O/P for the line walk, in int pairs.
+
+    reps lists small lifts of O/P, zero first.  A pair (a, b) lies in the
+    class index((a, b)) = ((a + b*w0) mod p) * p + (b*e mod p): at a split
+    or ramified prime w = w0 mod P and e = 0; at an inert prime w0 = 0 and
+    e = 1, so the index reads (a mod p, b mod p).  inverse[index] is the
+    lift in reps of the inverse of the class (None for zero), and
+    adjustments[c0 mod N] the tuple of t in reps with
+    c0 + Tr(pibar*t) = 0 mod N.
+    """
+
+    def __init__(self, ideal: EisIdeal):
+        self.p = p = ideal.p
+        if ideal.split_type == "inert":
+            self.reps = tuple((a, b) for a in range(p) for b in range(p))
+            self.w0, self.e = 0, 1
+        else:
+            self.reps = tuple((a, 0) for a in range(p))
+            self.w0 = next(w for w in range(p)
+                           if ideal.generator.divides(EisensteinInt(-w, 1)))
+            self.e = 0
+        one = self.index((1, 0))
+        inverse = [None] * (p * p)
+        for r in self.reps[1:]:
+            inverse[self.index(r)] = next(
+                t for t in self.reps if self.index(_pmul(r, t)) == one)
+        self.inverse = tuple(inverse)
+        pibar = ideal.generator.conj()
+        shifts = [_pmul((pibar.a, pibar.b), t) for t in self.reps]
+        N = ideal.residue_norm
+        self.adjustments = tuple(
+            tuple(t for t, (a, b) in zip(self.reps, shifts)
+                  if (c0 + 2 * a - b) % N == 0)
+            for c0 in range(N))
+
+    def index(self, x) -> int:
+        p = self.p
+        return (x[0] + x[1] * self.w0) % p * p + x[1] * self.e % p
 
 
-def _inverse_mod(x: EisensteinInt, ideal: EisIdeal):
-    """A lift of x^-1 in O/(ideal); None if x reduces to zero."""
-    if ideal.generator.divides(x):
-        return None
-    for t in _residue_reps(ideal):
-        if ideal.generator.divides(x * t - ONE):
-            return t
-    raise AssertionError("residue ring is a field; inverse must exist")
-
-
-def _lines(n: int, ideal: EisIdeal):
-    """Normalized line representatives of (O/P)^n: first nonzero coord = 1."""
-    reps = _residue_reps(ideal)
-    for lead in range(n):
-        tail = n - lead - 1
-
-        def rec(pos, acc):
-            if pos == tail:
-                yield tuple([ZERO] * lead + [ONE] + acc)
-                return
-            for r in reps:
-                yield from rec(pos + 1, acc + [r])
-        yield from rec(0, [])
+@functools.cache
+def _residues(ideal: EisIdeal) -> _Residues:
+    """The residue tables of P, built once per prime."""
+    return _Residues(ideal)
 
 
 def _check_precondition(L: HermitianLattice, ideal: EisIdeal):
@@ -101,104 +120,173 @@ def _check_precondition(L: HermitianLattice, ideal: EisIdeal):
             f"prime {ideal} divides the discriminant of the lattice")
 
 
-def _admissible_adjustments(c0: int, ideal: EisIdeal):
-    """Residue parameters t = <x, z> mod P with
-    <x + pibar z, x + pibar z> = c0 + Tr(pibar t) = 0 mod N(pi)."""
-    pibar = ideal.generator.conj()
-    N = ideal.residue_norm
-    out = []
-    for t in _residue_reps(ideal):
-        shift = pibar * t
-        if (c0 + 2 * shift.a - shift.b) % N == 0:
-            out.append(t)
-    return out
-
-
 def _kernel_columns(xg, ideal, n):
     """(piv, ginv, cols): a pivot j with xg_j invertible mod P, a lift ginv
     of its inverse, and lifted O-generators cols of
     L_x = { y in L : <x, y> in P } (mod refinement: n-1 kernel lifts of the
-    functional y -> sum xg_j y_j plus pi e_piv)."""
-    pi = ideal.generator
-    piv = ginv = None
-    for j in range(n):
-        ginv = _inverse_mod(xg[j], ideal)
+    functional y -> sum xg_j y_j plus pi e_piv).  Int pairs throughout."""
+    res = _residues(ideal)
+    for piv in range(n):
+        ginv = res.inverse[res.index(xg[piv])]
         if ginv is not None:
-            piv = j
             break
-    if piv is None:
-        raise PreconditionError("degenerate line: form singular mod P")
+    else:
+        raise PreconditionError(
+            f"degenerate line: form singular mod P (rank {n} at {ideal})")
     cols = []
     for k in range(n):
         if k == piv:
             continue
-        c = xg[k] * ginv
-        col = [ZERO] * n
-        col[k] = ONE
-        col[piv] = -c
+        ca, cb = _pmul(xg[k], ginv)
+        col = [_ZERO] * n
+        col[k] = (1, 0)
+        col[piv] = (-ca, -cb)
         cols.append(col)
-    col = [ZERO] * n
-    col[piv] = pi
+    col = [_ZERO] * n
+    col[piv] = (ideal.generator.a, ideal.generator.b)
     cols.append(col)
     return piv, ginv, cols
 
 
 def _hermite_key(cols, n):
-    M = [[cols[c][i] for c in range(len(cols))] for i in range(n)]
+    """Canonical Hermite basis (EisensteinInt) of the span of the int-pair
+    columns cols."""
+    M = [[EisensteinInt(*col[i]) for col in cols] for i in range(n)]
     H = eismat.column_hermite_form(M)
     return tuple(tuple(row) for row in H)
 
 
 def _neighbour_from_key(L, key, N):
     """Gram of L' where key is a basis of pibar L' in L-coordinates."""
-    H = [list(row) for row in key]
-    Hh = eismat.conj_transpose(H)
-    Gp = eismat.emat_mul(Hh, eismat.emat_mul([list(r) for r in L.gram], H))
+    n = len(key)
+    H = [[(x.a, x.b) for x in row] for row in key]
+    G = [[(x.a, x.b) for x in row] for row in L.gram]
+    # GH = G H, then H^dagger GH, entry by entry in int pairs
+    GH = [[_ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for t in range(n):
+            ga, gb = G[i][t]
+            if not (ga or gb):
+                continue
+            row = GH[i]
+            for j, (ha, hb) in enumerate(H[t]):
+                if ha or hb:
+                    sa, sb = row[j]
+                    row[j] = (sa + ga * ha - gb * hb,
+                              sb + ga * hb + gb * ha - gb * hb)
     gram = []
-    for row in Gp:
+    for i in range(n):
         out = []
-        for v in row:
-            if v.a % N or v.b % N:
-                raise AssertionError("neighbour gram is not integral")
-            out.append(EisensteinInt(v.a // N, v.b // N))
+        for j in range(n):
+            va = vb = 0
+            for s in range(n):
+                ha, hb = H[s][i]
+                if ha or hb:
+                    # conj(h) * GH[s][j]
+                    ya, yb = GH[s][j]
+                    va += ha * ya - hb * ya + hb * yb
+                    vb += ha * yb - hb * ya
+            if va % N or vb % N:
+                raise AssertionError(f"neighbour gram is not integral "
+                                     f"(rank {n}, N(P) = {N})")
+            out.append(EisensteinInt(va // N, vb // N))
         gram.append(tuple(out))
     return hermitian_lll(HermitianLattice(tuple(gram)))
 
 
 def iter_lines_with_data(L: HermitianLattice, ideal: EisIdeal):
-    """Yields (x, xg, adjustments) for every admissible line of L/PL."""
+    """Yields (x, xg, c0, ts) for every admissible line [x] of L/PL.
+
+    Everything is in private int pairs (a, b) for a + b*w, not
+    EisensteinInt.  x is the line's representative: a tuple of pairs whose
+    first nonzero coordinate is 1 and whose later coordinates are lifts
+    from the residue table of P.  xg is the tuple of pairs
+    xg_j = sum_i conj(x_i) G_ij, c0 = <x, x> is an int, and ts is the tuple
+    of adjustment parameters t (pairs, residue lifts mod P) with
+    c0 + Tr(pibar*t) = 0 mod N(P); lines without one are skipped.
+
+    Lines come by leading position, then with the tail in lexicographic
+    order of residue lifts, the last coordinate running fastest.  The walk
+    keeps xg and updates it as it goes: when coordinate i changes from r
+    to r', xg gains conj(r' - r) * G[i].
+    """
     _check_precondition(L, ideal)
     n = L.rank
-    G = L.gram
-    for x in _lines(n, ideal):
-        xg = [sum((x[i].conj() * G[i][j] for i in range(n) if x[i] != ZERO),
-                  ZERO) for j in range(n)]
-        c0 = sum((xg[j] * x[j] for j in range(n) if x[j] != ZERO), ZERO)
-        assert c0.b == 0
-        ts = _admissible_adjustments(c0.a, ideal)
-        if ts:
-            yield x, xg, ts
+    res = _residues(ideal)
+    reps, adjustments = res.reps, res.adjustments
+    N, m = ideal.residue_norm, len(res.reps)
+    G = [[(g.a, g.b) for g in row] for row in L.gram]
+    # steps[i][d] = conj(reps[d] - reps[d-1]) * G[i] as two int lists;
+    # d = 0 wraps from the last lift back to zero
+    steps = []
+    for i in range(n):
+        row = []
+        for d in range(m):
+            (a, b), (c, e) = reps[d], reps[d - 1]
+            delta = (a - c - b + e, e - b)          # conj(reps[d] - reps[d-1])
+            prods = [_pmul(delta, g) for g in G[i]]
+            row.append(([u for u, _ in prods], [v for _, v in prods]))
+        steps.append(row)
+    for lead in range(n):
+        x = [_ZERO] * n
+        x[lead] = (1, 0)
+        xa = [0] * n                            # x as two int lists
+        xb = [0] * n
+        xa[lead] = 1
+        digits = [0] * n
+        ga = [a for a, _ in G[lead]]            # xg for x = e_lead
+        gb = [b for _, b in G[lead]]
+        while True:
+            # <x, x> = sum_j xg_j x_j; its w-part must vanish
+            bb = sum(map(mul, gb, xb))
+            c0 = sum(map(mul, ga, xa)) - bb
+            if sum(map(mul, ga, xb)) + sum(map(mul, gb, xa)) != bb:
+                raise AssertionError(
+                    f"<x, x> is not rational on a rank-{n} lattice at "
+                    f"{ideal}: the Gram matrix is not Hermitian")
+            ts = adjustments[c0 % N]
+            if ts:
+                yield tuple(x), tuple(zip(ga, gb)), c0, ts
+            # next line: advance the tail like an odometer
+            i = n - 1
+            while i > lead:
+                d = digits[i] + 1
+                if d == m:
+                    d = 0
+                digits[i] = d
+                x[i] = reps[d]
+                xa[i], xb[i] = reps[d]
+                da, db = steps[i][d]
+                ga = list(map(add, ga, da))
+                gb = list(map(add, gb, db))
+                if d:
+                    break
+                i -= 1
+            else:
+                break
 
 
 def _line_neighbours(L: HermitianLattice, ideal: EisIdeal, x, ts, kernel):
     """Yields (hermite_key, lattice) for the neighbours of one line, where
     kernel = _kernel_columns(xg, ideal, n)."""
     n = L.rank
-    pibar = ideal.generator.conj()
+    g = ideal.generator.conj()
+    pibar = (g.a, g.b)
     N = ideal.residue_norm
     piv, ginv, cols = kernel
-    scaled_kernel = [[pibar * v for v in col] for col in cols]
+    scaled_kernel = [[_pmul(pibar, v) for v in col] for col in cols]
     for t in ts:
         # z = t * ginv * e_piv has <x, z> = t mod P
         xt = list(x)
-        xt[piv] = xt[piv] + pibar * t * ginv
+        a, b = _pmul(_pmul(pibar, t), ginv)
+        xt[piv] = (xt[piv][0] + a, xt[piv][1] + b)
         key = _hermite_key([xt] + scaled_kernel, n)
         yield key, _neighbour_from_key(L, key, N)
 
 
 def iter_neighbours(L: HermitianLattice, ideal: EisIdeal):
     """Yields (hermite_key, lattice) for every neighbour, streaming."""
-    for x, xg, ts in iter_lines_with_data(L, ideal):
+    for x, xg, _, ts in iter_lines_with_data(L, ideal):
         yield from _line_neighbours(L, ideal, x, ts,
                                     _kernel_columns(xg, ideal, L.rank))
 
@@ -207,16 +295,18 @@ def neighbours(L: HermitianLattice, ideal: EisIdeal) -> NeighbourSet:
     """The complete neighbour set N(L, P), materialized."""
     n = L.rank
     result = NeighbourSet(L, ideal, [], [], [])
-    for x, xg, ts in iter_lines_with_data(L, ideal):
+    for x, xg, _, ts in iter_lines_with_data(L, ideal):
         kernel = _kernel_columns(xg, ideal, n)
         result.intersections.append(_hermite_key(kernel[2], n))
         for key, lat in _line_neighbours(L, ideal, x, ts, kernel):
             result.hermite_keys.append(key)
             result.neighbours.append(lat)
-    assert len(set(result.hermite_keys)) == len(result.hermite_keys), \
-        "neighbour keys are not distinct"
-    assert len(set(result.intersections)) == len(result.intersections), \
-        "intersection keys are not distinct"
+    for name, keys in (("neighbour", result.hermite_keys),
+                       ("intersection", result.intersections)):
+        if len(set(keys)) != len(keys):
+            raise AssertionError(
+                f"{name} keys are not distinct: {len(set(keys))} of "
+                f"{len(keys)} for a rank-{n} lattice at {ideal}")
     return result
 
 
@@ -224,7 +314,7 @@ def count_neighbours(L: HermitianLattice, ideal: EisIdeal):
     """(number of admissible lines, number of neighbours), without
     constructing any lattice."""
     lines = nbrs = 0
-    for _, _, ts in iter_lines_with_data(L, ideal):
+    for _, _, _, ts in iter_lines_with_data(L, ideal):
         lines += 1
         nbrs += len(ts)
     return lines, nbrs
@@ -299,7 +389,7 @@ def sublattice_genus(L_genus: GenusEnumeration, ideal: EisIdeal):
     for L in L_genus.representatives:
         n = L.rank
         counts = {}
-        for x, xg, ts in iter_lines_with_data(L, ideal):
+        for _, xg, _, _ in iter_lines_with_data(L, ideal):
             key = _hermite_key(_kernel_columns(xg, ideal, n)[2], n)
             idx, _ = classes.classify(intersection_lattice(L, key))
             counts[idx] = counts.get(idx, 0) + 1

@@ -1,20 +1,31 @@
+import hashlib
+import itertools
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 
-from hermhecke.eisenstein import classify_prime, eis, ideal_above
-from hermhecke.eismat import smith_invariants
+import hermhecke
+from hermhecke import fixtures
+from hermhecke.eisenstein import (ONE, UNITS, ZERO, classify_prime, eis,
+                                  ideal_above)
+from hermhecke.eismat import column_hermite_form, smith_invariants
 from hermhecke.isometry import automorphism_order, is_isometric
 from hermhecke.lattice import HermitianLattice
 from hermhecke.neighbour import (UnsupportedCaseError, count_neighbours,
                                  enumerate_genus, intersection_lattice,
-                                 iter_neighbours, neighbours, verify_neighbour,
-                                 load_genus, save_genus)
+                                 iter_lines_with_data, iter_neighbours,
+                                 neighbours, verify_neighbour, load_genus,
+                                 save_genus)
 
 
 def exhaustive_neighbour_oracle(L, ideal):
     """All P-neighbours of a rank-2 lattice by brute force: every index-N^2
     sublattice M = pibar*L' of L (Hermite-form columns), kept when the
     invariant factors are (1, pibar*pi) and L' = (1/pibar)M is integral."""
-    from hermhecke.neighbour import _hermite_key, _neighbour_from_key
+    from hermhecke.neighbour import _neighbour_from_key
     N = ideal.residue_norm
     found = {}
     # column-Hermite candidates: col1 = (d1, 0), col2 = (c, d2),
@@ -24,7 +35,8 @@ def exhaustive_neighbour_oracle(L, ideal):
     for d1, d2 in divisor_pairs:
         seen_c = set()
         for c in box:
-            key = _hermite_key([[d1, eis(0)], [c, d2]], 2)
+            key = tuple(tuple(r) for r in
+                        column_hermite_form([[d1, c], [eis(0), d2]]))
             if key in seen_c:
                 continue
             seen_c.add(key)
@@ -59,13 +71,176 @@ def test_every_neighbour_verifies():
         assert lat.det == L.det
 
 
+def unit_shear(L, rng, steps=6):
+    """L in a seeded basis e_a <- e_a + u e_b, u a unit of Z[w]."""
+    n = L.rank
+    cols = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        a, b = rng.sample(range(n), 2)
+        u = rng.choice(UNITS)
+        for i in range(n):
+            cols[i][a] = cols[i][a] + u * cols[i][b]
+    return L.rebase(cols)
+
+
+def is_diagonal(L):
+    return all(L.gram[i][j] == ZERO for i in range(L.rank)
+               for j in range(L.rank) if i != j)
+
+
+# (prime, ranks, admissible lines of I_n, neighbours per line): at (2) the
+# isotropic lines of the Hermitian form on F_4^n, at (sqrt-3) for odd n the
+# lines of F_3^n isotropic for the reduced quadratic form, at either prime
+# above 7 every line of F_7^n
+COUNT_FORMULAS = [
+    (ideal_above(2), range(3, 7),
+     lambda n: (2 ** n - (-1) ** n) * (2 ** (n - 1) - (-1) ** (n - 1)) // 3, 2),
+    (ideal_above(3), (1, 3, 5), lambda n: (3 ** (n - 1) - 1) // 2, 3),
+    (classify_prime(7)[1][0], range(1, 5), lambda n: (7 ** n - 1) // 6, 1),
+    (classify_prime(7)[1][1], range(1, 5), lambda n: (7 ** n - 1) // 6, 1),
+]
+
+
 def test_neighbour_count_formula_rank3():
-    # unimodular rank 3 at inert p: every line is isotropic-adjustable;
-    # the counts match the materialized set
+    # unimodular rank 3 at inert p: the counts match the materialized set
     L = HermitianLattice.standard(3)
     P = ideal_above(2)
     lines, total = count_neighbours(L, P)
     assert total == len(neighbours(L, P))
+    # closed-form counts of I_n, on the standard basis and after seeded unit
+    # shears, whose Gram matrices are not diagonal
+    rng = random.Random(3)
+    for P, ranks, formula, per_line in COUNT_FORMULAS:
+        for n in ranks:
+            I = HermitianLattice.standard(n)
+            want = (formula(n), per_line * formula(n))
+            assert count_neighbours(I, P) == want, (str(P), n)
+            for _ in range(2 if n > 1 else 0):
+                S = unit_shear(I, rng)
+                assert not is_diagonal(S)
+                assert count_neighbours(S, P) == want, (str(P), n, S.gram)
+
+
+def direct_lines(L, P):
+    """The admissible lines of iter_lines_with_data, from the definition in
+    EisensteinInt arithmetic: (x, xg, c0, ts) with xg_j = sum_i conj(x_i)
+    G_ij, c0 = <x, x> and ts the residue lifts t with
+    c0 + Tr(pibar t) = 0 mod N, for the normalized x in walk order."""
+    n, G, N = L.rank, L.gram, P.residue_norm
+    p = P.p
+    reps = ([eis(a, b) for a in range(p) for b in range(p)]
+            if P.split_type == "inert" else [eis(a) for a in range(p)])
+    pibar = P.generator.conj()
+    for lead in range(n):
+        for tail in itertools.product(reps, repeat=n - lead - 1):
+            x = [ZERO] * lead + [ONE] + list(tail)
+            xg = [sum((x[i].conj() * G[i][j] for i in range(n)), ZERO)
+                  for j in range(n)]
+            c0 = sum((xg[j] * x[j] for j in range(n)), ZERO)
+            assert c0.b == 0
+            ts = [t for t in reps
+                  if (c0.a + 2 * (pibar * t).a - (pibar * t).b) % N == 0]
+            if ts:
+                yield x, xg, c0.a, ts
+
+
+@pytest.mark.parametrize("d", [5, 7])
+def test_line_data_matches_direct_formula(d):
+    # sheared <1,1,d>: every off-diagonal Gram entry takes part in the
+    # incremental update of xg
+    L = HermitianLattice.from_gram([[1, 0, 0], [0, 1, 0], [0, 0, d]])
+    primes = [ideal_above(2), ideal_above(3)]
+    if d != 7:
+        primes += classify_prime(7)[1]
+    rng = random.Random(d)
+    for _ in range(3):
+        S = unit_shear(L, rng)
+        assert not is_diagonal(S)
+        for P in primes:
+            got = [([eis(*v) for v in x], [eis(*v) for v in xg], c0,
+                    [eis(*t) for t in ts])
+                   for x, xg, c0, ts in iter_lines_with_data(S, P)]
+            assert got == list(direct_lines(S, P))
+            assert got
+
+
+def sha256_of_repr(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def neighbour_digest(L, P):
+    ns = neighbours(L, P)
+    return sha256_of_repr((ns.hermite_keys, ns.intersections,
+                           [M.gram for M in ns.neighbours]))
+
+
+# sha256 of repr((hermite_keys, intersections, neighbour Grams)), pinned
+# from the EisensteinInt implementation: keys, intersections, their order
+# and the reduced neighbour bases must not change
+PINNED_NEIGHBOURS = {
+    (3, "2"): "1453e2047b63408390e4e6b7d9b3e0962ae099b614bc03844670c93f2be3fac7",
+    (4, "2"): "690af1ba1c400a984991f21ea426085d9db19012587e9164c55bef65df155446",
+    (3, "sqrt-3"): "0ae224dddc0a439517512e9326739f6cdcfb7f6d4dcc87def0b10fc622219366",
+    (5, "sqrt-3"): "86d9cdbde1bcabd523fd65134ec474773434b28f2f05f418276cdf8b4e911c99",
+    (3, "P7"): "7844ffe6ae80bf2fe3a7f4bad41643e61336311566cfb0696e378ae087614608",
+    (3, "Pbar7"): "4b07d2f8829eb22a4d0b50efd1d928d2994fbc5d695d35032f5df7842fa600ab",
+}
+PRIMES = {"2": ideal_above(2), "sqrt-3": ideal_above(3),
+          "P7": classify_prime(7)[1][0], "Pbar7": classify_prime(7)[1][1]}
+
+
+@pytest.mark.parametrize("rank,prime", sorted(PINNED_NEIGHBOURS))
+def test_pinned_neighbour_digests(rank, prime):
+    digest = neighbour_digest(HermitianLattice.standard(rank), PRIMES[prime])
+    assert digest == PINNED_NEIGHBOURS[rank, prime]
+
+
+def test_pinned_hecke_rows_117():
+    L = HermitianLattice.from_gram([[1, 0, 0], [0, 1, 0], [0, 0, 7]])
+    g = enumerate_genus(L, ideal_above(3))
+    assert sha256_of_repr(g.hecke_rows) == \
+        "4d4e38abd4a611a08700913bfe20210b407b0a9c72b59830616e30cbf138cb8f"
+
+
+@pytest.mark.long
+def test_rank12_count_at_2():
+    # every line of the rank-12 seed at (2): two neighbours per admissible line
+    L = fixtures.seed_sqrt3_rank12()
+    assert count_neighbours(L, ideal_above(2)) == (2796885, 5593770) == \
+        (fixtures.D_INTERSECTIONS, fixtures.T2_ROW_SUM)
+
+
+def test_exact_checks_survive_optimize():
+    # python -O strips assert statements; the exact checks on the lattice
+    # path raise AssertionError explicitly
+    code = (
+        "from types import SimpleNamespace\n"
+        "from hermhecke import isometry, neighbour\n"
+        "from hermhecke.eisenstein import OMEGA, ONE, ideal_above\n"
+        "from hermhecke.lattice import HermitianLattice\n"
+        "assert False, 'asserts are not stripped'\n"
+        "isometry.IsometryCertificate.verify = lambda self, a, b: False\n"
+        "I3 = HermitianLattice.standard(3)\n"
+        "try:\n"
+        "    isometry.is_isometric(I3, I3)\n"
+        "    raise SystemExit('is_isometric accepted a failed certificate')\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+        "# a non-Hermitian Gram matrix makes <x, x> irrational\n"
+        "L = SimpleNamespace(rank=2, det=1, gram=((ONE, OMEGA), (OMEGA, ONE)))\n"
+        "try:\n"
+        "    list(neighbour.iter_lines_with_data(L, ideal_above(2)))\n"
+        "    raise SystemExit('irrational <x, x> passed')\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hermhecke.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr + done.stdout
+    cert_msg, line_msg = done.stdout.splitlines()
+    assert "rank-3" in cert_msg and "Gram check" in cert_msg
+    assert "rank-2" in line_msg and "(2)" in line_msg and "not rational" in line_msg
 
 
 def test_genus_O4_trivial(genus_o4):
