@@ -148,6 +148,29 @@ def _pmul(x, y):
     return a * c - b * d, a * d + b * c - b * d
 
 
+def _pconj(x):
+    a, b = x
+    # conj(w) = w^2 = -1-w
+    return a - b, -b
+
+
+def _pconj_mul(x, y):
+    """conj(x) * y, the term of a Hermitian inner product."""
+    a, b = x
+    c, d = y
+    return a * c - b * c + b * d, a * d - b * c
+
+
+def _pdot(X, Y):
+    """sum_k X_k * Y_k over two pair vectors."""
+    ac = bd = adbc = 0
+    for (a, b), (c, d) in zip(X, Y):
+        ac += a * c
+        bd += b * d
+        adbc += a * d + b * c
+    return ac - bd, adbc - bd
+
+
 def _pnorm(x) -> int:
     a, b = x
     return a * a - a * b + b * b

@@ -4,34 +4,35 @@ Matrices are lists of lists of EisensteinInt.  Column convention: a module
 is the O-span of the columns.  Hermite form is lower triangular with
 canonical-associate pivots and canonically reduced entries to the right of
 each pivot, so equal modules get identical forms.  The Hermite and Smith
-eliminations run on private (a, b) int pairs and convert only their input
-and output.
+eliminations and the basis change B^dagger G B run on private (a, b) int
+pairs and convert only their input and output.
 """
 
 from __future__ import annotations
 
-from .eisenstein import (EisensteinInt, ZERO, ONE, _associate_unit,
+from .eisenstein import (EisensteinInt, ZERO, ONE, _associate_unit, _pconj,
                          _pdivmod, _pmul, _pnorm, _reduce, _sub_multiple)
 
 _ZERO = (0, 0)
 
 
-def emat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = ZERO
-            for t in range(k):
-                s = s + A[i][t] * B[t][j]
-            row.append(s)
-        out.append(row)
+def _congruence(G, B):
+    """B^dagger G B for EisensteinInt matrices G (n x n) and B (n x m),
+    computed in int pairs; the m x m result is a list of rows of pairs."""
+    B = [[(x.a, x.b) for x in row] for row in B]
+    zero = [_ZERO] * len(B[0])
+    GB = [_combine(((x.a, x.b) for x in row), B, zero) for row in G]
+    return [_combine(map(_pconj, col), GB, zero) for col in zip(*B)]
+
+
+def _combine(coeffs, rows, zero):
+    """sum_t coeffs[t] * rows[t] over pair rows, skipping zero coefficients
+    (Gram matrices and Hermite bases are mostly zeros)."""
+    out = zero
+    for (a, b), row in zip(coeffs, rows):
+        if a or b:
+            out = _sub_multiple(out, (-a, -b), row)
     return out
-
-
-def conj_transpose(A):
-    return [[A[j][i].conj() for j in range(len(A))] for i in range(len(A[0]))]
 
 
 def is_hermitian(G) -> bool:

@@ -14,8 +14,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .eisenstein import (EisensteinInt, ZERO, ONE, OMEGA, eis,
-                         canonical_associate, _pmul, _pnorm, _reduce,
-                         _sub_multiple)
+                         canonical_associate, _pconj, _pconj_mul, _pnorm,
+                         _reduce, _sub_multiple)
 from . import eismat
 
 
@@ -158,17 +158,14 @@ class HermitianLattice:
 
         Columns are coordinates in the current basis; entries EisensteinInt.
         """
-        B = [[cols[i][j] for j in range(len(cols[0]))] for i in range(len(cols))]
-        Bh = eismat.conj_transpose(B)
-        G = eismat.emat_mul(Bh, eismat.emat_mul([list(r) for r in self.gram], B))
         d2 = denominator * denominator
         out = []
-        for row in G:
+        for row in eismat._congruence(self.gram, cols):
             orow = []
-            for x in row:
-                if x.a % d2 or x.b % d2:
+            for a, b in row:
+                if a % d2 or b % d2:
                     raise ValueError("rebased gram is not integral")
-                orow.append(EisensteinInt(x.a // d2, x.b // d2))
+                orow.append(EisensteinInt(a // d2, b // d2))
             out.append(tuple(orow))
         return HermitianLattice(tuple(out))
 
@@ -228,10 +225,10 @@ def hermitian_lll(L: HermitianLattice) -> HermitianLattice:
             ua, ub = G[j][k]
             for i in range(j):
                 # u <- (d[i+1] u - conj(lam[j][i]) lam[k][i]) / d[i], exact
-                (pa, pb), (qa, qb) = lam[j][i], lam[k][i]
+                pa, pb = _pconj_mul(lam[j][i], lam[k][i])
                 e, di = d[i + 1], d[i]
-                ua, ra = divmod(e * ua - pa * qa + pb * qa - pb * qb, di)
-                ub, rb = divmod(e * ub - pa * qb + pb * qa, di)
+                ua, ra = divmod(e * ua - pa, di)
+                ub, rb = divmod(e * ub - pb, di)
                 if ra or rb:
                     raise ValueError(f"{di} does not divide the Gram-Schmidt "
                                      f"numerator in row {k}")
@@ -250,13 +247,12 @@ def hermitian_lll(L: HermitianLattice) -> HermitianLattice:
         column = _sub_multiple([row[k] for row in G], r, [row[l] for row in G])
         for row, x in zip(G, column):
             row[k] = x
-        ra, rb = r
-        (a, b), (c, e) = G[k][k], _pmul((ra - rb, -rb), G[l][k])
+        (a, b), (c, e) = G[k][k], _pconj_mul(r, G[l][k])
         G[k][k] = (a - c, b - e)
         for j in range(n):
             if j != k:
-                a, b = G[j][k]
-                G[k][j] = (a - b, -b)
+                G[k][j] = _pconj(G[j][k])
+        ra, rb = r
         lam[k][l] = (lam[k][l][0] - ra * d[l + 1], lam[k][l][1] - rb * d[l + 1])
         lam[k][:l] = _sub_multiple(lam[k][:l], r, lam[l][:l])
 

@@ -26,10 +26,10 @@ import functools
 import json
 import os
 from dataclasses import dataclass, field
-from operator import add, mul
+from operator import add
 
 from .eisenstein import EisensteinInt, ONE, EisIdeal, canonical_associate, \
-    _pmul
+    _pconj, _pdot, _pmul
 from . import eismat
 from .lattice import HermitianLattice, hermitian_lll
 from .isometry import Classifier
@@ -159,33 +159,10 @@ def _hermite_key(cols, n):
 def _neighbour_from_key(L, key, N):
     """Gram of L' where key is a basis of pibar L' in L-coordinates."""
     n = len(key)
-    H = [[(x.a, x.b) for x in row] for row in key]
-    G = [[(x.a, x.b) for x in row] for row in L.gram]
-    # GH = G H, then H^dagger GH, entry by entry in int pairs
-    GH = [[_ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for t in range(n):
-            ga, gb = G[i][t]
-            if not (ga or gb):
-                continue
-            row = GH[i]
-            for j, (ha, hb) in enumerate(H[t]):
-                if ha or hb:
-                    sa, sb = row[j]
-                    row[j] = (sa + ga * ha - gb * hb,
-                              sb + ga * hb + gb * ha - gb * hb)
     gram = []
-    for i in range(n):
+    for row in eismat._congruence(L.gram, key):
         out = []
-        for j in range(n):
-            va = vb = 0
-            for s in range(n):
-                ha, hb = H[s][i]
-                if ha or hb:
-                    # conj(h) * GH[s][j]
-                    ya, yb = GH[s][j]
-                    va += ha * ya - hb * ya + hb * yb
-                    vb += ha * yb - hb * ya
+        for va, vb in row:
             if va % N or vb % N:
                 raise AssertionError(f"neighbour gram is not integral "
                                      f"(rank {n}, N(P) = {N})")
@@ -223,30 +200,27 @@ def iter_lines_with_data(L: HermitianLattice, ideal: EisIdeal):
         row = []
         for d in range(m):
             (a, b), (c, e) = reps[d], reps[d - 1]
-            delta = (a - c - b + e, e - b)          # conj(reps[d] - reps[d-1])
+            delta = _pconj((a - c, b - e))
             prods = [_pmul(delta, g) for g in G[i]]
             row.append(([u for u, _ in prods], [v for _, v in prods]))
         steps.append(row)
     for lead in range(n):
         x = [_ZERO] * n
         x[lead] = (1, 0)
-        xa = [0] * n                            # x as two int lists
-        xb = [0] * n
-        xa[lead] = 1
         digits = [0] * n
         ga = [a for a, _ in G[lead]]            # xg for x = e_lead
         gb = [b for _, b in G[lead]]
         while True:
             # <x, x> = sum_j xg_j x_j; its w-part must vanish
-            bb = sum(map(mul, gb, xb))
-            c0 = sum(map(mul, ga, xa)) - bb
-            if sum(map(mul, ga, xb)) + sum(map(mul, gb, xa)) != bb:
+            xg = tuple(zip(ga, gb))
+            c0, w_part = _pdot(xg, x)
+            if w_part:
                 raise AssertionError(
                     f"<x, x> is not rational on a rank-{n} lattice at "
                     f"{ideal}: the Gram matrix is not Hermitian")
             ts = adjustments[c0 % N]
             if ts:
-                yield tuple(x), tuple(zip(ga, gb)), c0, ts
+                yield tuple(x), xg, c0, ts
             # next line: advance the tail like an odometer
             i = n - 1
             while i > lead:
@@ -255,7 +229,6 @@ def iter_lines_with_data(L: HermitianLattice, ideal: EisIdeal):
                     d = 0
                 digits[i] = d
                 x[i] = reps[d]
-                xa[i], xb[i] = reps[d]
                 da, db = steps[i][d]
                 ga = list(map(add, ga, da))
                 gb = list(map(add, gb, db))

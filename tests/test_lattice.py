@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from hermhecke.eisenstein import OMEGA, eis, ideal_above
 from hermhecke.isometry import is_isometric
-from hermhecke.lattice import HermitianLattice, direct_sum, herm_norm, hermitian_lll
+from hermhecke.lattice import (HermitianLattice, direct_sum, herm_inner,
+                               herm_norm, hermitian_lll)
 from hermhecke.neighbour import enumerate_genus, iter_neighbours
 from hermhecke.theta import theta_degree1
 from hermhecke.eismat import eis_det, smith_invariants
@@ -47,6 +48,22 @@ def test_rebasing_invariants():
         M = L5.rebase([[cols[j][i] for j in range(3)] for i in range(3)])
         assert M.fingerprint() == L5.fingerprint()
         assert theta_degree1(M, 6) == theta_degree1(L5, 6)
+
+
+def test_rebase_matches_inner_products():
+    # the Gram in a new basis, entry by entry: <b_i, b_j> / d^2, for square
+    # and rectangular bases on a Gram matrix with off-diagonal entries
+    rng = random.Random(11)
+    G = sheared_117()
+    for m, d in ((3, 1), (2, 1), (3, 2)):
+        cols = [[eis(d * rng.randint(-3, 3), d * rng.randint(-3, 3))
+                 for _ in range(3)] for _ in range(m)]
+        M = G.rebase([[cols[j][i] for j in range(m)] for i in range(3)], d)
+        assert M.gram == tuple(
+            tuple(eis((v := herm_inner(G.gram, x, y)).a // (d * d),
+                      v.b // (d * d)) for y in cols) for x in cols)
+    with pytest.raises(ValueError, match="not integral"):
+        G.rebase([[eis(1), eis(0)], [eis(0), eis(1)], [eis(0), eis(0)]], 2)
 
 
 def sheared_117():
