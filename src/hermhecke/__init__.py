@@ -5,6 +5,6 @@ reconstruction, and degree-1 Hermitian theta series."""
 __version__ = "0.1.0"
 
 from .eisenstein import (EisensteinInt, EisIdeal, classify_prime, eis,
-                         eis_norm, ideal_above)
+                         ideal_above)
 from .lattice import HermitianLattice
 from .quadfield import QuadExtElem

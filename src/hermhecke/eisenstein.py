@@ -8,17 +8,23 @@ ideal arithmetic below is done with single generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class EisensteinInt:
+class EisensteinInt(NamedTuple):
+    """a + b*w as the int pair (a, b).
+
+    The operators take EisensteinInt or int operands (never a plain tuple,
+    so no tuple concatenation or repetition can slip through) and defer to
+    the pair helpers below, which hold the ring's arithmetic.
+    """
+
     a: int
     b: int
 
     def __add__(self, other):
-        other = _coerce(other)
-        return EisensteinInt(self.a + other.a, self.b + other.b)
+        c, d = _coerce(other)
+        return EisensteinInt(self.a + c, self.b + d)
 
     __radd__ = __add__
 
@@ -26,35 +32,33 @@ class EisensteinInt:
         return EisensteinInt(-self.a, -self.b)
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        c, d = _coerce(other)
+        return EisensteinInt(self.a - c, self.b - d)
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        c, d = _coerce(other)
+        return EisensteinInt(c - self.a, d - self.b)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        # (a+bw)(c+dw) = ac + (ad+bc)w + bd w^2,  w^2 = -1-w
-        a, b, c, d = self.a, self.b, other.a, other.b
-        return EisensteinInt(a * c - b * d, a * d + b * c - b * d)
+        return EisensteinInt(*_pmul(self, _coerce(other)))
 
     __rmul__ = __mul__
 
     def conj(self):
-        # conj(w) = w^2 = -1-w
-        return EisensteinInt(self.a - self.b, -self.b)
+        return EisensteinInt(*_pconj(self))
 
     def norm(self) -> int:
-        return self.a * self.a - self.a * self.b + self.b * self.b
+        return _pnorm(self)
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self == ZERO
 
     def is_unit(self) -> bool:
-        return self.norm() == 1
+        return _pnorm(self) == 1
 
     def divmod(self, other: "EisensteinInt"):
         """Euclidean division: q, r with self = q*other + r, N(r) < N(other)."""
-        q, r = _pdivmod((self.a, self.b), (other.a, other.b))
+        q, r = _pdivmod(self, other)
         return EisensteinInt(*q), EisensteinInt(*r)
 
     def __divmod__(self, other):
@@ -68,13 +72,6 @@ class EisensteinInt:
 
     def divides(self, other: "EisensteinInt") -> bool:
         return (not self.is_zero()) and (other % self).is_zero()
-
-    def exact_div(self, other) -> "EisensteinInt":
-        other = _coerce(other)
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError(f"{other} does not divide {self}")
-        return q
 
     def __str__(self):
         return f"{self.a}{self.b:+d}*w"
@@ -106,16 +103,6 @@ def eis(a: int, b: int = 0) -> EisensteinInt:
     return EisensteinInt(a, b)
 
 
-def eis_norm(x: EisensteinInt) -> int:
-    return x.norm()
-
-
-def eis_gcd(x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:
-    while not y.is_zero():
-        x, y = y, x % y
-    return canonical_associate(x)
-
-
 def canonical_associate(x: EisensteinInt) -> EisensteinInt:
     """Deterministic representative of x up to units.
 
@@ -124,21 +111,15 @@ def canonical_associate(x: EisensteinInt) -> EisensteinInt:
     """
     if x.is_zero():
         return x
-    return EisensteinInt(*_pmul(_associate_unit((x.a, x.b)), (x.a, x.b)))
+    return EisensteinInt(*_pmul(_associate_unit(x), x))
 
 
-def canonical_residue(x: EisensteinInt, g: EisensteinInt) -> EisensteinInt:
-    """Deterministic representative of x mod g of minimal norm."""
-    return EisensteinInt(*_reduce((x.a, x.b), (g.a, g.b))[1])
-
-
-# --- int pairs --------------------------------------------------------------
-# The hot loops (the neighbour line walk, Hermite and Smith forms, the
-# integral LLL) hold a + b*w as a plain (a, b) tuple of ints, several times
-# cheaper than the frozen dataclass.  These helpers are their arithmetic.
-# They are private: every public function takes and returns EisensteinInt.
-
-_UNIT_PAIRS = tuple((u.a, u.b) for u in UNITS)
+# --- pair arithmetic --------------------------------------------------------
+# The ring's arithmetic on (a, b) pairs: an EisensteinInt or a plain tuple
+# of two ints.  EisensteinInt's operators call these; the hot loops (the
+# neighbour line walk, Hermite and Smith forms, the integral LLL, the
+# isometry search) call them directly and keep their intermediate values
+# as plain tuples, which are cheaper to build.
 
 
 def _pmul(x, y):
@@ -199,7 +180,7 @@ def _sub_multiple(X, q, Y):
 
 def _associate_unit(x):
     """The unit u with u*x in the sector a > 0, 0 <= b < a; x nonzero."""
-    for u in _UNIT_PAIRS:
+    for u in UNITS:
         a, b = _pmul(u, x)
         if a > 0 and 0 <= b < a:
             return u
@@ -227,20 +208,6 @@ def _reduce(x, g):
                 best = (key, da, db)
     (_, a, b), da, db = best
     return (qa + da, qb + db), (a, b)
-
-
-def from_sqrt3_form(u: Fraction, v: Fraction) -> EisensteinInt:
-    """Convert u + v*sqrt(-3) to a + b*w; raises if not in Z[w]."""
-    # u + v*sqrt(-3) = u + v(1 + 2w) = (u+v) + 2v*w
-    a, b = u + v, 2 * v
-    if a.denominator != 1 or b.denominator != 1:
-        raise ValueError(f"{u}+{v}*sqrt(-3) is not an Eisenstein integer")
-    return EisensteinInt(int(a), int(b))
-
-
-def to_sqrt3_form(x: EisensteinInt):
-    """Return (u, v) with x = u + v*sqrt(-3); half-integers appear as Fractions."""
-    return Fraction(2 * x.a - x.b, 2), Fraction(x.b, 2)
 
 
 @dataclass(frozen=True)
@@ -332,15 +299,3 @@ def _is_prime(n: int) -> bool:
             return False
     return True
 
-
-def parse_eis(text: str) -> EisensteinInt:
-    """Parse the canonical rendering 'a+b*w' (also accepts bare integers)."""
-    t = text.replace(" ", "")
-    if "w" not in t:
-        return EisensteinInt(int(t), 0)
-    head, _, _ = t.partition("*w")
-    # split into a and b at the last sign that separates the two terms
-    for i in range(len(head) - 1, 0, -1):
-        if head[i] in "+-" and head[i - 1] not in "+-*":
-            return EisensteinInt(int(head[:i]), int(head[i:] or "1"))
-    return EisensteinInt(0, int(head))

@@ -1,11 +1,10 @@
 """Matrix utilities over the Eisenstein integers.
 
-Matrices are lists of lists of EisensteinInt.  Column convention: a module
-is the O-span of the columns.  Hermite form is lower triangular with
-canonical-associate pivots and canonically reduced entries to the right of
-each pivot, so equal modules get identical forms.  The Hermite and Smith
-eliminations and the basis change B^dagger G B run on private (a, b) int
-pairs and convert only their input and output.
+Matrices are lists of rows of (a, b) pairs: EisensteinInt, or plain int
+tuples inside the eliminations.  Column convention: a module is the O-span
+of the columns.  Hermite form is lower triangular with canonical-associate
+pivots and canonically reduced entries to the right of each pivot, so equal
+modules get identical forms.  The public results are EisensteinInt.
 """
 
 from __future__ import annotations
@@ -13,15 +12,12 @@ from __future__ import annotations
 from .eisenstein import (EisensteinInt, ZERO, ONE, _associate_unit, _pconj,
                          _pdivmod, _pmul, _pnorm, _reduce, _sub_multiple)
 
-_ZERO = (0, 0)
-
 
 def _congruence(G, B):
-    """B^dagger G B for EisensteinInt matrices G (n x n) and B (n x m),
-    computed in int pairs; the m x m result is a list of rows of pairs."""
-    B = [[(x.a, x.b) for x in row] for row in B]
-    zero = [_ZERO] * len(B[0])
-    GB = [_combine(((x.a, x.b) for x in row), B, zero) for row in G]
+    """B^dagger G B for G (n x n) and B (n x m); the m x m result is a list
+    of rows of plain pairs."""
+    zero = [ZERO] * len(B[0])
+    GB = [_combine(row, B, zero) for row in G]
     return [_combine(map(_pconj, col), GB, zero) for col in zip(*B)]
 
 
@@ -37,7 +33,7 @@ def _combine(coeffs, rows, zero):
 
 def is_hermitian(G) -> bool:
     n = len(G)
-    return all(G[i][j] == G[j][i].conj() for i in range(n) for j in range(n))
+    return all(G[i][j] == _pconj(G[j][i]) for i in range(n) for j in range(n))
 
 
 def eis_det(A) -> EisensteinInt:
@@ -73,17 +69,17 @@ def column_hermite_form(M):
     """Canonical column Hermite form of an n x m matrix of rank n.
 
     Returns an n x n lower-triangular matrix whose columns span the same
-    O-module as the columns of M.  The elimination runs on int pairs.
+    O-module as the columns of M.
     """
     n = len(M)
-    cols = [[(x.a, x.b) for x in c] for c in zip(*M)]  # columns as rows
+    cols = [list(c) for c in zip(*M)]  # columns as rows
     basis = []
     for pivot_row in range(n):
         # gcd out the pivot_row entries of all remaining columns
         cols = [c for c in cols if any(a or b for a, b in c)]
         piv = None
         for idx, c in enumerate(cols):
-            if c[pivot_row] != _ZERO:
+            if c[pivot_row] != ZERO:
                 norm = _pnorm(c[pivot_row])
                 if piv is None or norm < piv_norm:
                     piv, piv_norm = idx, norm
@@ -94,7 +90,7 @@ def column_hermite_form(M):
         while changed:
             changed = False
             for idx in range(1, len(cols)):
-                while cols[idx][pivot_row] != _ZERO:
+                while cols[idx][pivot_row] != ZERO:
                     if _pnorm(cols[idx][pivot_row]) < _pnorm(cols[0][pivot_row]):
                         cols[0], cols[idx] = cols[idx], cols[0]
                         changed = True
@@ -109,7 +105,7 @@ def column_hermite_form(M):
     for j in range(n - 1, -1, -1):
         for i in range(j + 1, n):
             q, _ = _reduce(basis[j][i], basis[i][i])
-            if q != _ZERO:
+            if q != ZERO:
                 basis[j] = _sub_multiple(basis[j], q, basis[i])
     # return as matrix with basis vectors as columns
     return [[EisensteinInt(*basis[j][i]) for j in range(n)] for i in range(n)]
@@ -119,10 +115,9 @@ def smith_invariants(M):
     """Invariant factors of the O-module O^n / (columns of M), rank n.
 
     Returned as canonical-associate EisensteinInts, each dividing the next.
-    The elimination runs on int pairs.
     """
     n = len(M)
-    A = [[(x.a, x.b) for x in row] for row in M]
+    A = [list(row) for row in M]
     invariants = []
     top = 0
     while top < n:
@@ -132,7 +127,7 @@ def smith_invariants(M):
         for i in range(top, n):
             for j in range(m):
                 x = A[i][j]
-                if x != _ZERO:
+                if x != ZERO:
                     norm = _pnorm(x)
                     if best is None or norm < best_norm:
                         best, best_norm = (i, j), norm
@@ -148,24 +143,24 @@ def smith_invariants(M):
             dirty = False
             p = A[top][0]
             for i in range(top + 1, n):
-                if A[i][0] != _ZERO:
+                if A[i][0] != ZERO:
                     q, _ = _pdivmod(A[i][0], p)
                     A[i] = _sub_multiple(A[i], q, A[top])
-                    if A[i][0] != _ZERO:
+                    if A[i][0] != ZERO:
                         A[top], A[i] = A[i], A[top]
                         dirty = True
                         break
             if dirty:
                 continue
             for j in range(1, len(A[0])):
-                if A[top][j] != _ZERO:
+                if A[top][j] != ZERO:
                     q, _ = _pdivmod(A[top][j], p)
                     rows = A[top:n]
                     col = _sub_multiple([row[j] for row in rows], q,
                                         [row[0] for row in rows])
                     for row, x in zip(rows, col):
                         row[j] = x
-                    if A[top][j] != _ZERO:
+                    if A[top][j] != ZERO:
                         for i in range(top, n):
                             A[i][0], A[i][j] = A[i][j], A[i][0]
                         dirty = True
@@ -176,7 +171,7 @@ def smith_invariants(M):
             # of the remaining block
             for i in range(top + 1, n):
                 bad = next((j for j in range(1, len(A[0]))
-                            if _pdivmod(A[i][j], p)[1] != _ZERO), None)
+                            if _pdivmod(A[i][j], p)[1] != ZERO), None)
                 if bad is not None:
                     A[top] = [(xa + ya, xb + yb)
                               for (xa, xb), (ya, yb) in zip(A[top], A[i])]

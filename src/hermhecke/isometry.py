@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .eisenstein import EisensteinInt, ZERO
-from .lattice import HermitianLattice, herm_inner
+from .eisenstein import ONE, ZERO, _pconj, _pdot
+from .eismat import _congruence
+from .lattice import HermitianLattice
 
 
 @dataclass(frozen=True)
@@ -21,13 +22,9 @@ class IsometryCertificate:
     columns: tuple
 
     def verify(self, source: HermitianLattice, target: HermitianLattice) -> bool:
-        n = source.rank
-        for i in range(n):
-            for j in range(n):
-                if herm_inner(target.gram, self.columns[i], self.columns[j]) \
-                        != source.gram[i][j]:
-                    return False
-        return True
+        """Whether the images have the source's Gram matrix in the target."""
+        images = _congruence(target.gram, list(zip(*self.columns)))
+        return images == [list(row) for row in source.gram]
 
 
 class _Searcher:
@@ -38,31 +35,25 @@ class _Searcher:
         self.target = target
         self.n = source.rank
         self._by_norm = {}
-        self._gw = {}  # w -> target.gram @ w, for O(n) inner products
+        self._wg = {}  # w -> w^dagger G of the target, for O(n) inner products
 
     def candidates(self, norm: int):
         if norm not in self._by_norm:
             self._by_norm[norm] = self.target.vectors_of_norm(norm)
         return self._by_norm[norm]
 
-    def _gram_times(self, w):
-        gw = self._gw.get(w)
-        if gw is None:
-            G = self.target.gram
-            gw = tuple(sum((G[i][j] * w[j] for j in range(self.n)), ZERO)
-                       for i in range(self.n))
-            self._gw[w] = gw
-        return gw
-
-    def inner(self, v, w) -> EisensteinInt:
-        gw = self._gram_times(w)
-        return sum((v[i].conj() * gw[i] for i in range(self.n)), ZERO)
+    def _dagger_gram(self, w):
+        # (w^dagger G)_j = conj((G w)_j), G being Hermitian
+        wg = self._wg.get(w)
+        if wg is None:
+            wg = self._wg[w] = [_pconj(_pdot(row, w)) for row in self.target.gram]
+        return wg
 
     def compatible(self, images, level, w) -> bool:
-        for j in range(level):
-            if self.inner(images[j], w) != self.G1[j][level]:
-                return False
-        return True
+        """Whether <w, images[j]> = <e_level, e_j> of the source for j < level."""
+        wg = self._dagger_gram(w)
+        row = self.G1[level]
+        return all(_pdot(wg, images[j]) == row[j] for j in range(level))
 
     def complete(self, images, level):
         """Extend a partial assignment to a full one; None if impossible."""
@@ -110,8 +101,7 @@ def automorphism_order(L: HermitianLattice) -> int:
     """
     n = L.rank
     searcher = _Searcher(L, L)
-    basis = [tuple(EisensteinInt(1 if i == j else 0, 0) for i in range(n))
-             for j in range(n)]
+    basis = [tuple(ONE if i == j else ZERO for i in range(n)) for j in range(n)]
     order = 1
     prefix = []
     for k in range(n):

@@ -172,18 +172,22 @@ class HermitianLattice:
     # --- JSON -----------------------------------------------------------
     def to_json_dict(self):
         return {"rank": self.rank,
-                "gram": [[[x.a, x.b] for x in row] for row in self.gram]}
+                "gram": [[list(x) for x in row] for row in self.gram]}
 
     @staticmethod
     def from_json_dict(d) -> "HermitianLattice":
+        if not isinstance(d, dict) or not {"rank", "gram"} <= set(d):
+            raise ValueError("a lattice is a JSON object with keys rank and gram")
         extra = set(d) - {"rank", "gram", "label"}
         if extra:
             raise ValueError(f"unexpected keys {sorted(extra)}")
-        gram = tuple(tuple(EisensteinInt(a, b) for a, b in row)
-                     for row in d["gram"])
-        if len(gram) != d["rank"] or any(len(r) != d["rank"] for r in gram):
+        rows, n = d["gram"], d["rank"]
+        if not isinstance(rows, list) or len(rows) != n or \
+                any(not isinstance(r, list) or len(r) != n for r in rows):
             raise ValueError("rank does not match gram dimensions")
-        return HermitianLattice(gram)
+        return HermitianLattice(tuple(
+            tuple(_json_entry(x, i, j) for j, x in enumerate(row))
+            for i, row in enumerate(rows)))
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -204,6 +208,15 @@ class HermitianLattice:
                 tuple(sorted(self.norm_histogram(depth).items())))
 
 
+def _json_entry(x, i, j) -> EisensteinInt:
+    """The Gram entry [a, b] at row i, column j; bool, float and str
+    coordinates are rejected, not converted."""
+    if type(x) is list and len(x) == 2 and all(type(c) is int for c in x):
+        return EisensteinInt(*x)
+    raise ValueError(f"gram row {i}, column {j}: {x!r} is not a pair "
+                     f"[a, b] of ints")
+
+
 def hermitian_lll(L: HermitianLattice) -> HermitianLattice:
     """LLL-reduce the basis over O_E with delta = 3/4, in integers.
 
@@ -212,13 +225,12 @@ def hermitian_lll(L: HermitianLattice) -> HermitianLattice:
     of the leading i x i block and lam[k][j] = d[j+1] * mu_{k,j} lies in
     Z[w], with mu_{k,j} = <b_j*, b_k> / <b_j*, b_j*>.  Gram-Schmidt row k
     is computed from G and the rows above it; after a swap the rows from
-    k-1 on are computed again when the loop reaches them.  G and lam hold
-    (a, b) int pairs; only the input and the result are EisensteinInt.
+    k-1 on are computed again when the loop reaches them.
     """
     n = L.rank
-    G = [[(x.a, x.b) for x in r] for r in L.gram]
+    G = [list(r) for r in L.gram]
     d = [1] + [0] * n
-    lam = [[(0, 0)] * n for _ in range(n)]
+    lam = [[ZERO] * n for _ in range(n)]
 
     def gram_schmidt_row(k):
         for j in range(k + 1):
@@ -242,7 +254,7 @@ def hermitian_lll(L: HermitianLattice) -> HermitianLattice:
     def size_reduce(k, l):
         # b_k <- b_k - r b_l with r the nearest integer to mu_{k,l}
         r, _ = _reduce(lam[k][l], (d[l + 1], 0))
-        if r == (0, 0):
+        if r == ZERO:
             return
         column = _sub_multiple([row[k] for row in G], r, [row[l] for row in G])
         for row, x in zip(G, column):

@@ -83,12 +83,6 @@ def kernel_basis(A):
     return basis
 
 
-def matrix_rank(A):
-    if not A:
-        return 0
-    return len(A[0]) - len(kernel_basis(A))
-
-
 def solve_right(A, b):
     """One solution x of A x = b over a field, or None."""
     n = len(A[0])

@@ -15,9 +15,6 @@ lifts, lattices are handled through canonical Hermite bases of pibar * L'
 in L-coordinates.  Distinct (line, adjustment) pairs give distinct
 neighbours (the intersection L cap L' recovers the line, the adjustment
 class recovers the lift), which the rank-2 exhaustive oracle confirms.
-
-The line walk and the kernel columns hold Eisenstein integers as private
-(a, b) int pairs; keys and lattices are EisensteinInt.
 """
 
 from __future__ import annotations
@@ -28,14 +25,12 @@ import os
 from dataclasses import dataclass, field
 from operator import add
 
-from .eisenstein import EisensteinInt, ONE, EisIdeal, canonical_associate, \
-    _pconj, _pdot, _pmul
+from .eisenstein import EisensteinInt, ONE, ZERO, EisIdeal, \
+    canonical_associate, _pconj, _pdot, _pmul
 from . import eismat
 from .lattice import HermitianLattice, hermitian_lll
 from .isometry import Classifier
 from .errors import PreconditionError, UnsupportedCaseError
-
-_ZERO = (0, 0)
 
 
 @dataclass
@@ -67,7 +62,7 @@ class GenusEnumeration:
 
 
 class _Residues:
-    """Tables of O/P for the line walk, in int pairs.
+    """Tables of O/P for the line walk.
 
     reps lists small lifts of O/P, zero first.  A pair (a, b) lies in the
     class index((a, b)) = ((a + b*w0) mod p) * p + (b*e mod p): at a split
@@ -95,7 +90,7 @@ class _Residues:
                 t for t in self.reps if self.index(_pmul(r, t)) == one)
         self.inverse = tuple(inverse)
         pibar = ideal.generator.conj()
-        shifts = [_pmul((pibar.a, pibar.b), t) for t in self.reps]
+        shifts = [_pmul(pibar, t) for t in self.reps]
         N = ideal.residue_norm
         self.adjustments = tuple(
             tuple(t for t, (a, b) in zip(self.reps, shifts)
@@ -124,7 +119,7 @@ def _kernel_columns(xg, ideal, n):
     """(piv, ginv, cols): a pivot j with xg_j invertible mod P, a lift ginv
     of its inverse, and lifted O-generators cols of
     L_x = { y in L : <x, y> in P } (mod refinement: n-1 kernel lifts of the
-    functional y -> sum xg_j y_j plus pi e_piv).  Int pairs throughout."""
+    functional y -> sum xg_j y_j plus pi e_piv)."""
     res = _residues(ideal)
     for piv in range(n):
         ginv = res.inverse[res.index(xg[piv])]
@@ -138,22 +133,19 @@ def _kernel_columns(xg, ideal, n):
         if k == piv:
             continue
         ca, cb = _pmul(xg[k], ginv)
-        col = [_ZERO] * n
-        col[k] = (1, 0)
+        col = [ZERO] * n
+        col[k] = ONE
         col[piv] = (-ca, -cb)
         cols.append(col)
-    col = [_ZERO] * n
-    col[piv] = (ideal.generator.a, ideal.generator.b)
+    col = [ZERO] * n
+    col[piv] = ideal.generator
     cols.append(col)
     return piv, ginv, cols
 
 
-def _hermite_key(cols, n):
-    """Canonical Hermite basis (EisensteinInt) of the span of the int-pair
-    columns cols."""
-    M = [[EisensteinInt(*col[i]) for col in cols] for i in range(n)]
-    H = eismat.column_hermite_form(M)
-    return tuple(tuple(row) for row in H)
+def _hermite_key(cols):
+    """Canonical Hermite basis of the span of the columns cols."""
+    return tuple(map(tuple, eismat.column_hermite_form(list(zip(*cols)))))
 
 
 def _neighbour_from_key(L, key, N):
@@ -174,10 +166,10 @@ def _neighbour_from_key(L, key, N):
 def iter_lines_with_data(L: HermitianLattice, ideal: EisIdeal):
     """Yields (x, xg, c0, ts) for every admissible line [x] of L/PL.
 
-    Everything is in private int pairs (a, b) for a + b*w, not
-    EisensteinInt.  x is the line's representative: a tuple of pairs whose
-    first nonzero coordinate is 1 and whose later coordinates are lifts
-    from the residue table of P.  xg is the tuple of pairs
+    Scalars are (a, b) pairs for a + b*w, EisensteinInt or plain tuples.
+    x is the line's representative: a tuple of pairs whose first nonzero
+    coordinate is 1 and whose later coordinates are lifts from the residue
+    table of P.  xg is the tuple of pairs
     xg_j = sum_i conj(x_i) G_ij, c0 = <x, x> is an int, and ts is the tuple
     of adjustment parameters t (pairs, residue lifts mod P) with
     c0 + Tr(pibar*t) = 0 mod N(P); lines without one are skipped.
@@ -192,7 +184,7 @@ def iter_lines_with_data(L: HermitianLattice, ideal: EisIdeal):
     res = _residues(ideal)
     reps, adjustments = res.reps, res.adjustments
     N, m = ideal.residue_norm, len(res.reps)
-    G = [[(g.a, g.b) for g in row] for row in L.gram]
+    G = L.gram
     # steps[i][d] = conj(reps[d] - reps[d-1]) * G[i] as two int lists;
     # d = 0 wraps from the last lift back to zero
     steps = []
@@ -205,8 +197,8 @@ def iter_lines_with_data(L: HermitianLattice, ideal: EisIdeal):
             row.append(([u for u, _ in prods], [v for _, v in prods]))
         steps.append(row)
     for lead in range(n):
-        x = [_ZERO] * n
-        x[lead] = (1, 0)
+        x = [ZERO] * n
+        x[lead] = ONE
         digits = [0] * n
         ga = [a for a, _ in G[lead]]            # xg for x = e_lead
         gb = [b for _, b in G[lead]]
@@ -242,9 +234,7 @@ def iter_lines_with_data(L: HermitianLattice, ideal: EisIdeal):
 def _line_neighbours(L: HermitianLattice, ideal: EisIdeal, x, ts, kernel):
     """Yields (hermite_key, lattice) for the neighbours of one line, where
     kernel = _kernel_columns(xg, ideal, n)."""
-    n = L.rank
-    g = ideal.generator.conj()
-    pibar = (g.a, g.b)
+    pibar = ideal.generator.conj()
     N = ideal.residue_norm
     piv, ginv, cols = kernel
     scaled_kernel = [[_pmul(pibar, v) for v in col] for col in cols]
@@ -253,7 +243,7 @@ def _line_neighbours(L: HermitianLattice, ideal: EisIdeal, x, ts, kernel):
         xt = list(x)
         a, b = _pmul(_pmul(pibar, t), ginv)
         xt[piv] = (xt[piv][0] + a, xt[piv][1] + b)
-        key = _hermite_key([xt] + scaled_kernel, n)
+        key = _hermite_key([xt] + scaled_kernel)
         yield key, _neighbour_from_key(L, key, N)
 
 
@@ -270,7 +260,7 @@ def neighbours(L: HermitianLattice, ideal: EisIdeal) -> NeighbourSet:
     result = NeighbourSet(L, ideal, [], [], [])
     for x, xg, _, ts in iter_lines_with_data(L, ideal):
         kernel = _kernel_columns(xg, ideal, n)
-        result.intersections.append(_hermite_key(kernel[2], n))
+        result.intersections.append(_hermite_key(kernel[2]))
         for key, lat in _line_neighbours(L, ideal, x, ts, kernel):
             result.hermite_keys.append(key)
             result.neighbours.append(lat)
@@ -363,7 +353,7 @@ def sublattice_genus(L_genus: GenusEnumeration, ideal: EisIdeal):
         n = L.rank
         counts = {}
         for _, xg, _, _ in iter_lines_with_data(L, ideal):
-            key = _hermite_key(_kernel_columns(xg, ideal, n)[2], n)
+            key = _hermite_key(_kernel_columns(xg, ideal, n)[2])
             idx, _ = classes.classify(intersection_lattice(L, key))
             counts[idx] = counts.get(idx, 0) + 1
         rows.append(counts)

@@ -8,12 +8,7 @@ from hermhecke.fixtures import FixtureSet
 
 def pytest_addoption(parser):
     parser.addoption("--run-long", action="store_true", default=False,
-                     help="run long-running (hour-scale) computations")
-
-
-def pytest_configure(config):
-    config.addinivalue_line("markers", "long: hour-scale computation, off by default")
-    config.addinivalue_line("markers", "stretch: paper-parity milestone, non-gating")
+                     help="run the long and stretch computations")
 
 
 def pytest_collection_modifyitems(config, items):

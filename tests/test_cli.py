@@ -119,3 +119,26 @@ def test_missing_input_path(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.count("\n") == 1 and missing in err
+
+
+def _gram_with(entry, at):
+    gram = [[[int(i == j), 0] for j in range(3)] for i in range(3)]
+    i, j = at
+    gram[i][j] = gram[j][i] = entry
+    return gram
+
+
+@pytest.mark.parametrize("argv, doc, where", [
+    (["theta"], {"rank": 1, "gram": [[[1.5, 0]]]}, "row 0, column 0"),
+    (["theta"], {"rank": 1, "gram": [["10"]]}, "row 0, column 0"),
+    (["neighbours", "--prime", "2", "--count-only"],
+     {"rank": 3, "gram": _gram_with([0.5, 0], (0, 1))}, "row 0, column 1"),
+    (["theta"], {"gram": [[[1, 0]]]}, "keys rank and gram"),
+], ids=["float", "str", "off-diagonal", "no-rank"])
+def test_malformed_lattice_json(tmp_path, capsys, argv, doc, where):
+    p = tmp_path / "l.json"
+    p.write_text(json.dumps(doc))
+    rc = main([argv[0], str(p)] + argv[1:])
+    captured = capsys.readouterr()
+    assert rc == 2 and not captured.out
+    assert captured.err.count("\n") == 1 and where in captured.err

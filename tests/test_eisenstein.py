@@ -1,9 +1,9 @@
+import pytest
 from hypothesis import given, strategies as st
 
-from hermhecke.eisenstein import (EisensteinInt, canonical_associate,
-                                  canonical_residue, classify_prime, eis,
-                                  eis_gcd, ideal_above, parse_eis,
-                                  to_sqrt3_form, from_sqrt3_form)
+from hermhecke.eisenstein import (EisensteinInt, ONE, canonical_associate,
+                                  classify_prime, eis, ideal_above, _pconj,
+                                  _pdivmod, _pmul, _pnorm, _reduce)
 
 small = st.integers(-50, 50)
 nonzero = st.tuples(small, small).filter(lambda t: t != (0, 0))
@@ -28,13 +28,6 @@ def test_divmod_reduces_norm(xt, yt):
     q, r = divmod(x, y)
     assert q * y + r == x
     assert r.norm() < y.norm()
-
-
-@given(st.tuples(small, small), nonzero)
-def test_gcd_divides(xt, yt):
-    x, y = eis(*xt), eis(*yt)
-    g = eis_gcd(x, y)
-    assert g.divides(x) and g.divides(y)
 
 
 @given(nonzero)
@@ -74,24 +67,56 @@ def test_ideal_above():
         canonical_associate(P7.generator.conj())
 
 
-def test_sqrt3_form_roundtrip():
-    # a + b*omega = (a - b/2) + (b/2) sqrt(-3)
-    x = eis(5, 4)
-    u, v = to_sqrt3_form(x)
-    assert (u, v) == (3, 2)
-    assert from_sqrt3_form(u, v) == x
-
-
-def test_parse_eis():
-    assert parse_eis("1+2*w") == eis(1, 2)
-    assert parse_eis("-3") == eis(-3)
-
-
 @given(small, small, nonzero)
 def test_canonical_residue(a, b, gt):
+    # _reduce's minimal-norm residue drives the LLL and Hermite rounding
     g = eis(*gt)
     x = eis(a, b)
-    r = canonical_residue(x, g)
-    assert g.divides(x - r)
+    q, r = _reduce(x, g)
+    assert eis(*q) * g + eis(*r) == x
+    assert g.divides(x - eis(*r))
     # canonical representative is stable on the residue class
-    assert canonical_residue(r, g) == r
+    assert _reduce(r, g) == ((0, 0), r)
+
+
+# --- one representation: EisensteinInt is the (a, b) pair -------------------
+
+@given(st.tuples(small, small), nonzero)
+def test_operators_are_the_pair_helpers(xt, yt):
+    x, y = eis(*xt), eis(*yt)
+    assert x * y == _pmul(xt, yt)
+    assert x + y == (xt[0] + yt[0], xt[1] + yt[1])
+    assert x.conj() == _pconj(xt)
+    assert x.norm() == _pnorm(xt)
+    assert divmod(x, y) == _pdivmod(xt, yt)
+    assert x == xt and hash(x) == hash(xt)
+    assert repr(x) == f"{xt[0]}{xt[1]:+d}*w"
+
+
+def test_no_tuple_concatenation_or_repetition():
+    with pytest.raises(TypeError):
+        (1, 0) + ONE
+    with pytest.raises(TypeError):
+        ONE * (1, 0)
+
+
+def test_public_results_are_eisenstein_ints():
+    from hermhecke.eismat import column_hermite_form, smith_invariants
+    from hermhecke.lattice import HermitianLattice, hermitian_lll
+    from hermhecke.neighbour import neighbours
+
+    def entries(lattice):
+        return [x for row in lattice.gram for x in row]
+
+    I3 = HermitianLattice.standard(3)
+    B = [[ONE, eis(1, 1), eis(0, 0)], [eis(0, 0), ONE, eis(2, -1)],
+         [eis(0, 0), eis(0, 0), ONE]]
+    S = I3.rebase(B)
+    out = entries(S) + entries(hermitian_lll(S))
+    for L in neighbours(I3, ideal_above(2)).neighbours:
+        out += entries(L)
+    M = [[eis(2), eis(1, 1), eis(0, 3)], [eis(0), eis(3, 1), eis(1)],
+         [eis(1, 2), eis(0), eis(4)]]
+    out += [x for row in column_hermite_form(M) for x in row]
+    out += smith_invariants(M)
+    assert out and all(type(x) is EisensteinInt for x in out)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermhecke.eisenstein import OMEGA, eis, ideal_above
-from hermhecke.isometry import is_isometric
+from hermhecke.isometry import IsometryCertificate, is_isometric
 from hermhecke.lattice import (HermitianLattice, direct_sum, herm_inner,
                                herm_norm, hermitian_lll)
 from hermhecke.neighbour import enumerate_genus, iter_neighbours
@@ -202,6 +202,21 @@ def test_lll_of_sheared_bases(name):
         M = hermitian_lll(S)
         assert_lll_reduced(M)
         assert is_isometric(M, L) is not None
+
+
+def test_isometry_certificate_verify():
+    # verify is one Gram product B^dagger G B; it agrees with herm_inner on
+    # a found certificate and rejects images with a wrong inner product
+    L = sheared_117()
+    D = HermitianLattice.from_gram(LLL_INPUTS["<1,1,7>"])
+    cert = is_isometric(L, D)
+    cols = cert.columns
+    assert all(herm_inner(D.gram, x, y) == L.gram[i][j]
+               for i, x in enumerate(cols) for j, y in enumerate(cols))
+    assert cert.verify(L, D)
+    for bad in ((cols[1], cols[0], cols[2]),
+                (cols[0], cols[1], tuple(OMEGA * x for x in cols[2]))):
+        assert not IsometryCertificate(bad).verify(L, D)
 
 
 def test_lll_neighbours_of_a_genus_walk():

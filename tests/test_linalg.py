@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hermhecke.linalg import (charpoly_coeffs, charpoly_factors,
                               integer_kernel_basis, inverse, kernel_basis,
-                              mat_mul, mat_vec, matrix_rank,
+                              mat_mul, mat_vec,
                               normalize_primitive, roots_of_factor,
                               saturate_columns, solve_right)
 import hermhecke
@@ -32,9 +32,14 @@ def test_charpoly_trace_det(A):
 def test_kernel_is_kernel(A):
     F = [[Fraction(x) for x in row] for row in A]
     ker = kernel_basis(F)
-    assert len(ker) == 3 - matrix_rank(F)
     for v in ker:
         assert all(x == 0 for x in mat_vec(F, v))
+    # the kernel vectors are independent: their column matrix has no kernel
+    assert not ker or not kernel_basis([list(row) for row in zip(*ker)])
+    det = sum(A[0][i] * (A[1][(i + 1) % 3] * A[2][(i + 2) % 3]
+                         - A[1][(i + 2) % 3] * A[2][(i + 1) % 3])
+              for i in range(3))
+    assert bool(ker) == (det == 0)
 
 
 def test_integer_kernel_saturated():
@@ -108,7 +113,7 @@ def _identity(n):
 def test_inverse_over_q(A):
     F = [[Fraction(x) for x in row] for row in A]
     inv = inverse(F)
-    if matrix_rank(F) < 3:
+    if kernel_basis(F):
         assert inv is None
     else:
         assert mat_mul(F, inv) == _identity(3)
