@@ -15,9 +15,10 @@ import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .coefficients import CoefficientStore, MissingCoefficientError
+from .coefficients import CoefficientStore
 from .eisenstein import EisIdeal, EisensteinInt
-from .errors import PreconditionError, UnsupportedCaseError
+from .errors import (MissingCoefficientError, PreconditionError,
+                     UnsupportedCaseError)
 from .quadfield import QuadExtElem, ideal_valuation, rational
 
 
@@ -280,7 +281,7 @@ def verify_table(store: CoefficientStore, table_rows, ideals) -> dict:
             expected = row[tag]
             try:
                 got = eigenvalue_at(param, ideal, store)
-            except (UnsupportedCaseError, MissingCoefficientError):
+            except UnsupportedCaseError:
                 col[row["label"]] = "excluded"
                 continue
             col[row["label"]] = "match" if got == expected else "mismatch"
@@ -308,7 +309,7 @@ def verify_parameter_congruence(param_i: ArthurParameter, param_j: ArthurParamet
     for name, ideal in ideals.items():
         try:
             diff = eigenvalue_at(param_i, ideal, store) - eigenvalue_at(param_j, ideal, store)
-        except (MissingCoefficientError, UnsupportedCaseError) as exc:
+        except UnsupportedCaseError as exc:
             report[name] = f"skipped ({exc})"
             continue
         report[name] = _divisible_by(diff, q)

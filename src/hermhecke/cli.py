@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import arthur, spectra, theta
-from .coefficients import CoefficientStore, MissingCoefficientError
+from .coefficients import CoefficientStore
 from .eisenstein import ideal_above
 from .errors import PreconditionError, UnsupportedCaseError
 from .fixtures import FixtureSet, fixture_checksum
@@ -237,7 +237,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UnsupportedCaseError, MissingCoefficientError) as exc:
+    except UnsupportedCaseError as exc:
         print(f"unsupported case: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except (PreconditionError, FileNotFoundError, ValueError,

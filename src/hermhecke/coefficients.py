@@ -11,13 +11,10 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
+from .errors import MissingCoefficientError
 from .quadfield import QuadExtElem, parse_quad
 
 DEFAULT_RESOURCE = "coefficients.json"
-
-
-class MissingCoefficientError(KeyError):
-    pass
 
 
 def eta_product_coefficients(nmax: int) -> list[int]:

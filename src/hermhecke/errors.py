@@ -1,7 +1,7 @@
 """The library's exceptions for inputs it rejects.
 
-The CLI maps PreconditionError to exit code 2 and UnsupportedCaseError to
-exit code 3.  Both are ValueErrors.
+The CLI maps PreconditionError to exit code 2 and UnsupportedCaseError,
+MissingCoefficientError included, to exit code 3.  All are ValueErrors.
 """
 
 
@@ -15,3 +15,7 @@ class OrphanLatticeError(PreconditionError):
 
 class UnsupportedCaseError(ValueError):
     """A well-formed input that this implementation does not handle."""
+
+
+class MissingCoefficientError(UnsupportedCaseError):
+    """An eigenform coefficient or trace that the store does not hold."""

@@ -10,12 +10,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
-from .eisenstein import (EisensteinInt, ZERO, ONE, OMEGA, eis,
-                         canonical_associate, _pconj, _pconj_mul, _pnorm,
-                         _reduce, _sub_multiple)
+from .eisenstein import (EisensteinInt, ZERO, eis, canonical_associate,
+                         _pconj, _pconj_mul, _pnorm, _reduce,
+                         _sub_multiple)
 from . import eismat
 
 
@@ -85,29 +84,12 @@ class HermitianLattice:
         s3 = canonical_associate(EisensteinInt(1, 2))
         return all(canonical_associate(f) == s3 for f in self.invariant_factors)
 
-    def trace_gram(self):
-        """Gram of the rank-2n Z-lattice under Tr<x, y>.
-
-        Z-basis ordering: e_1, w e_1, e_2, w e_2, ...
-        """
-        n = self.rank
-        T = [[0] * (2 * n) for _ in range(2 * n)]
-        pows = (ONE, OMEGA)
-        for i in range(n):
-            for j in range(n):
-                g = self.gram[i][j]
-                for s in range(2):
-                    for t in range(2):
-                        z = pows[s].conj() * pows[t] * g
-                        T[2 * i + s][2 * j + t] = 2 * z.a - z.b
-        return T
-
     @cached_property
     def minimum(self) -> int:
-        m = 1
-        while not (table := self._vectors_by_norm(m)):
-            m *= 2
-        return next(iter(table))
+        # the smallest diagonal entry is the norm of a basis vector, so the
+        # table up to it is not empty
+        return next(iter(self._vectors_by_norm(
+            min(row[i].a for i, row in enumerate(self.gram)))))
 
     def _vectors_by_norm(self, max_norm: int) -> dict:
         """The lattice's short-vector table: norm -> vectors of that norm,
@@ -122,11 +104,8 @@ class HermitianLattice:
         table = self.__dict__.get("_short_vector_table")
         if table is None or table[0] < max_norm:
             by_norm = {}
-            n = self.rank
-            for zvec, q in _fincke_pohst(self.trace_gram(), 2 * max_norm):
-                v = tuple(EisensteinInt(zvec[2 * i], zvec[2 * i + 1])
-                          for i in range(n))
-                by_norm.setdefault(q // 2, []).append(v)
+            for v, m in _fincke_pohst(self.gram, max_norm):
+                by_norm.setdefault(m, []).append(v)
             table = (max_norm, dict(sorted(by_norm.items())))
             self.__dict__["_short_vector_table"] = table
         return table[1]
@@ -217,39 +196,44 @@ def _json_entry(x, i, j) -> EisensteinInt:
                      f"[a, b] of ints")
 
 
+def _gram_schmidt_row(G, d, lam, k):
+    """Integral Gram-Schmidt row k of the Hermitian Gram matrix G, after
+    Cohen, GTM 138, Alg. 2.6.7: sets lam[k][j] = d[j+1] * mu_{k,j} in Z[w]
+    for j < k, with mu_{k,j} = <b_j*, b_k> / <b_j*, b_j*>, and d[k+1], the
+    determinant of the leading (k+1) x (k+1) block.  Rows 0 .. k-1 must be
+    current.  Entries of G and lam are (a, b) pairs.
+    """
+    for j in range(k + 1):
+        ua, ub = G[j][k]
+        for i in range(j):
+            # u <- (d[i+1] u - conj(lam[j][i]) lam[k][i]) / d[i], exact
+            pa, pb = _pconj_mul(lam[j][i], lam[k][i])
+            e, di = d[i + 1], d[i]
+            ua, ra = divmod(e * ua - pa, di)
+            ub, rb = divmod(e * ub - pb, di)
+            if ra or rb:
+                raise ValueError(f"{di} does not divide the Gram-Schmidt "
+                                 f"numerator in row {k}")
+        if j < k:
+            lam[k][j] = (ua, ub)
+        elif ub != 0 or ua <= 0:
+            raise ValueError("gram is not positive definite")
+        else:
+            d[k + 1] = ua
+
+
 def hermitian_lll(L: HermitianLattice) -> HermitianLattice:
     """LLL-reduce the basis over O_E with delta = 3/4, in integers.
 
     Integral LLL after Cohen, GTM 138, Alg. 2.6.7, adapted to Hermitian
-    forms, on a working copy G of the Gram matrix: d[i] is the determinant
-    of the leading i x i block and lam[k][j] = d[j+1] * mu_{k,j} lies in
-    Z[w], with mu_{k,j} = <b_j*, b_k> / <b_j*, b_j*>.  Gram-Schmidt row k
-    is computed from G and the rows above it; after a swap the rows from
-    k-1 on are computed again when the loop reaches them.
+    forms, on a working copy G of the Gram matrix, with the Gram-Schmidt
+    data d and lam of `_gram_schmidt_row`.  After a swap the rows from k-1
+    on are computed again when the loop reaches them.
     """
     n = L.rank
     G = [list(r) for r in L.gram]
     d = [1] + [0] * n
-    lam = [[ZERO] * n for _ in range(n)]
-
-    def gram_schmidt_row(k):
-        for j in range(k + 1):
-            ua, ub = G[j][k]
-            for i in range(j):
-                # u <- (d[i+1] u - conj(lam[j][i]) lam[k][i]) / d[i], exact
-                pa, pb = _pconj_mul(lam[j][i], lam[k][i])
-                e, di = d[i + 1], d[i]
-                ua, ra = divmod(e * ua - pa, di)
-                ub, rb = divmod(e * ub - pb, di)
-                if ra or rb:
-                    raise ValueError(f"{di} does not divide the Gram-Schmidt "
-                                     f"numerator in row {k}")
-            if j < k:
-                lam[k][j] = (ua, ub)
-            elif ub != 0 or ua <= 0:
-                raise ValueError("gram is not positive definite")
-            else:
-                d[k + 1] = ua
+    lam = [[ZERO] * k for k in range(n)]
 
     def size_reduce(k, l):
         # b_k <- b_k - r b_l with r the nearest integer to mu_{k,l}
@@ -276,7 +260,7 @@ def hermitian_lll(L: HermitianLattice) -> HermitianLattice:
         if steps > 10000:
             raise RuntimeError("LLL failed to terminate")
         while done <= k:
-            gram_schmidt_row(done)
+            _gram_schmidt_row(G, d, lam, done)
             done += 1
         size_reduce(k, k - 1)
         if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * _pnorm(lam[k][k - 1]):
@@ -305,56 +289,57 @@ def direct_sum(*lattices) -> HermitianLattice:
     return HermitianLattice(tuple(tuple(r) for r in G))
 
 
-def _fincke_pohst(T, bound: int):
-    """(x, x^T T x) for the nonzero integer vectors x with x^T T x <= bound,
-    up to sign: the last nonzero coordinate is positive.
+def _fincke_pohst(G, bound: int):
+    """(x, <x, x>) for the nonzero x in Z[w]^n with <x, x> <= bound, up to
+    sign: in the order b_{n-1}, a_{n-1}, ..., b_0, a_0 of the coordinates
+    x_i = a_i + b_i w, the first nonzero one is positive.
 
-    T is a positive-definite integer Gram matrix.  The exact Fraction LDL
-    gives Q(x) = sum_i q_ii (x_i + sum_{j>i} q_ij x_j)^2.  The search runs on
-    integers: with d_i a common denominator of q_ij (j > i) and M one of every
-    q_ii / d_i^2, level i adds w_i (d_i x_i + s_i)^2 to M Q(x), where
-    w_i = M q_ii / d_i^2 and s_i = sum_{j>i} (d_i q_ij) x_j are integers.
-    Vectors come in lexicographic order of (x_{n-1}, ..., x_0).
+    G is a positive-definite Hermitian Gram matrix.  With the integral
+    Gram-Schmidt data d, lam of `_gram_schmidt_row`,
+    <x, x> = sum_i N(z_i) / (d_i d_{i+1}), z_i = d_{i+1} x_i + s_i and
+    s_i = sum_{k>i} lam[k][i] x_k, and 4 N(a + b w) = (2a - b)^2 + 3 b^2.
+    Scaled by 4M, M = lcm(d_i d_{i+1}), each level is an integer search,
+    b_i outside and a_i inside: this is the real LDL of the trace form
+    Tr<x, x> on the Z-basis e_0, w e_0, e_1, w e_1, ...  Vectors come in
+    lexicographic order of (b_{n-1}, a_{n-1}, ..., b_0, a_0).
     """
-    n = len(T)
-    q = [[Fraction(T[i][j]) for j in range(n)] for i in range(n)]
-    # q[i][i] = diagonal coefficient, q[i][j] (j>i) = off-diagonal ratios
-    for i in range(n):
-        if q[i][i] <= 0:
-            raise ValueError("gram is not positive definite")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] = q[k][l] - q[k][i] * q[i][l]
-    d = [math.lcm(*(q[i][j].denominator for j in range(i + 1, n)))
-         for i in range(n)]
-    M = math.lcm(*((q[i][i] / (d[i] * d[i])).denominator for i in range(n)))
-    w = [int(M * q[i][i] / (d[i] * d[i])) for i in range(n)]
-    c = [[int(d[i] * q[i][j]) if j > i else 0 for j in range(n)]
-         for i in range(n)]
-    total = M * bound
+    n = len(G)
+    d = [1] + [0] * n
+    lam = [[ZERO] * k for k in range(n)]
+    for k in range(n):
+        _gram_schmidt_row(G, d, lam, k)
+    M = math.lcm(*(d[i] * d[i + 1] for i in range(n)))
+    w = [M // (d[i] * d[i + 1]) for i in range(n)]
+    M4 = 4 * M
+    total = M4 * bound
     results = []
-    x = [0] * n
+    x = [ZERO] * n
 
-    def search(i, remaining, top):
-        # top: every x_j with j > i is zero, so x_i takes the sign
-        ci = c[i]
-        s = sum(ci[j] * x[j] for j in range(i + 1, n))
-        di, wi = d[i], w[i]
-        r = math.isqrt(remaining // wi)
-        lo = 0 if top else -((r + s) // di)
-        for xi in range(lo, (r - s) // di + 1):
-            y = di * xi + s
-            rest = remaining - wi * y * y
-            if i:
-                x[i] = xi
-                search(i - 1, rest, top and xi == 0)
-            elif xi or not top:
-                x[0] = xi
-                results.append((tuple(x), (total - rest) // M))
-        x[i] = 0
+    def search(i, remaining, top, centre):
+        # centre[j] = sum_{k>i} lam[k][j] x_k for j <= i, so s_i = centre[i];
+        # top: every x_k with k > i is zero, so b_i, then a_i, takes the sign
+        sa, sb = centre[i]
+        e, wi = d[i + 1], w[i]
+        e2 = 2 * e
+        r = math.isqrt(remaining // (3 * wi))
+        for b in range(0 if top else -((r + sb) // e), (r - sb) // e + 1):
+            zb = e * b + sb
+            rem_b = remaining - 3 * wi * zb * zb
+            t = 2 * sa - zb         # 2 z_a - z_b = 2e a + t
+            ra = math.isqrt(rem_b // wi)
+            top_b = top and not b
+            lo = 0 if top_b else -((ra + t) // e2)
+            for a in range(lo, (ra - t) // e2 + 1):
+                y = e2 * a + t
+                rest = rem_b - wi * y * y
+                x[i] = EisensteinInt(a, b)
+                if i:
+                    # centre + lam[i][j] (a + b w) for the levels below
+                    search(i - 1, rest, top_b and not a,
+                           [(ca + la * a - lb * b, cb + lb * a + (la - lb) * b)
+                            for (ca, cb), (la, lb) in zip(centre, lam[i])])
+                elif a or not top_b:
+                    results.append((tuple(x), (total - rest) // M4))
 
-    search(n - 1, total, True)
+    search(n - 1, total, True, [(0, 0)] * n)
     return results

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermhecke.eisenstein import OMEGA, eis, ideal_above
+from hermhecke.fixtures import load_seed_sqrt3
 from hermhecke.isometry import IsometryCertificate, is_isometric
 from hermhecke.lattice import (HermitianLattice, direct_sum, herm_inner,
                                herm_norm, hermitian_lll)
@@ -106,8 +108,40 @@ def test_smaller_request_reads_the_larger_table():
     assert M == fresh and hash(M) == hash(fresh)
 
 
+def sheared_i4():
+    cols = random_unimodular_cols(4, random.Random(4))
+    return HermitianLattice.standard(4).rebase(
+        [[cols[j][i] for j in range(4)] for i in range(4)])
+
+
+def neighbour_tables_117(bound):
+    L = HermitianLattice.from_gram([[1, 0, 0], [0, 1, 0], [0, 0, 7]])
+    return [M._vectors_by_norm(bound)
+            for _, M in iter_neighbours(L, ideal_above(3))]
+
+
+TABLE_DIGESTS = {
+    "I4 sheared, 4": (
+        lambda: sheared_i4()._vectors_by_norm(4),
+        "b915bb99e9a7423e34e082cc50b889222822b7d10147abab7dccc202eaf642a8"),
+    "rank-4 seed, 6": (
+        lambda: load_seed_sqrt3()._vectors_by_norm(6),
+        "39b4155a8ede6d3b4091da4d6777f61e340fcef8e41b3a7049cf2cc54d17e370"),
+    "<1,1,7> at (sqrt-3), 9": (
+        lambda: neighbour_tables_117(9),
+        "13c13e1848903f645df50f215b1a2007a02f4fce2d173b29b6cbc71d4b1f8eb9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_DIGESTS))
+def test_pinned_short_vector_tables(name):
+    # the isometry search tries candidates in table order, so the order is
+    # behaviour: the sha256 of repr pins each table, order and signs included
+    table, digest = TABLE_DIGESTS[name]
+    assert hashlib.sha256(repr(table()).encode()).hexdigest() == digest
+
+
 def test_sqrt3_modular_seed():
-    from hermhecke.fixtures import load_seed_sqrt3
     L = load_seed_sqrt3()
     assert L.rank == 4
     assert L.det == 9
@@ -228,9 +262,12 @@ def test_lll_neighbours_of_a_genus_walk():
             assert_lll_reduced(M)
 
 
-def test_lll_rejects_indefinite_gram():
+@pytest.mark.parametrize("call",
+                         [hermitian_lll, lambda L: L.norm_histogram(2)],
+                         ids=["hermitian_lll", "norm_histogram"])
+def test_lll_rejects_indefinite_gram(call):
     with pytest.raises(ValueError, match="not positive definite"):
-        hermitian_lll(HermitianLattice.from_gram([[1, 2], [2, 1]]))
+        call(HermitianLattice.from_gram([[1, 2], [2, 1]]))
 
 
 def test_smith_invariants():

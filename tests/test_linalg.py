@@ -4,6 +4,9 @@ import sys
 from fractions import Fraction
 
 import pytest
+# linalg imports sympy lazily; importing it here keeps that cost out of the
+# first example of test_charpoly_trace_det, which has a deadline
+import sympy  # noqa: F401
 from hypothesis import given, settings, strategies as st
 
 from hermhecke.linalg import (charpoly_coeffs, charpoly_factors,
