@@ -6,6 +6,9 @@ recorded while classifying the neighbours, and the intertwining route.
 This is an hour-scale run in pure Python (millions of isometry
 classifications); pass --allow-long to acknowledge that.  --archive saves
 the representatives so later runs can reload instead of re-enumerating.
+Progress lines give the elapsed seconds, the class whose neighbours are
+being placed, how many are placed and how many classes are known; the
+difference between consecutive end-of-class lines is that class's wall time.
 """
 
 import argparse
@@ -32,7 +35,12 @@ def main():
     P = ideal_above(2)
     L = seed_sqrt3_rank12()
     t0 = time.time()
-    genus = enumerate_genus(L, P, progress=lambda m: print(m, flush=True))
+
+    def progress(i, placed, h):
+        print(f"{time.time() - t0:.0f}s  class {i}: {placed} neighbours "
+              f"placed, {h} classes known", flush=True)
+
+    genus = enumerate_genus(L, P, progress=progress)
     print(f"class number {genus.class_number}  aut orders {genus.aut_orders}")
     print(f"enumeration: {time.time() - t0:.0f}s")
     if args.archive:

@@ -38,6 +38,14 @@ def _emit(payload, out=None):
     print(text)
 
 
+def _progress(args):
+    if not args.verbose:
+        return None
+    return lambda i, placed, h: print(
+        f"class {i}: {placed} neighbours placed, {h} classes known",
+        file=sys.stderr)
+
+
 def _reference_system():
     fx = FixtureSet.load()
     table = fx.eigen_table
@@ -54,9 +62,7 @@ def cmd_genus(args):
     if L.rank >= 8 and not args.allow_long:
         print("rank >= 8 genus enumeration needs --allow-long", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    progress = (lambda n: print(f"classes so far: {n}", file=sys.stderr)) \
-        if args.verbose else None
-    genus = enumerate_genus(L, _ideal(args.prime), progress=progress)
+    genus = enumerate_genus(L, _ideal(args.prime), progress=_progress(args))
     if args.out:
         save_genus(genus, args.out)
     _emit({"class_number": genus.class_number,
@@ -95,9 +101,7 @@ def cmd_hecke(args):
     ideal = _ideal(args.prime)
     genus = load_genus(args.genus, ideal)
     if args.method == "direct":
-        progress = (lambda i, n: print(f"class {i}: {n} neighbours",
-                                       file=sys.stderr)) if args.verbose else None
-        hm = hecke_direct(genus, ideal, progress=progress)
+        hm = hecke_direct(genus, ideal, progress=_progress(args))
     else:
         hm, data, _ = hecke_intertwining(genus, ideal)
         if not data.verify():

@@ -99,11 +99,6 @@ class CoefficientStore:
             raise MissingCoefficientError(f"a_{p}({form_id}) not available")
         return rec.coeffs[p]
 
-    def form(self, form_id: str) -> FormRecord:
-        if form_id not in self.forms:
-            raise MissingCoefficientError(f"unknown form {form_id!r}")
-        return self.forms[form_id]
-
     def u4_trace(self, trace_id: str) -> QuadExtElem:
         if trace_id not in self.u4_traces:
             raise MissingCoefficientError(f"no stored trace for {trace_id!r}")

@@ -12,9 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .eisenstein import EisIdeal
-from .errors import OrphanLatticeError
-from .isometry import Classifier
-from .neighbour import GenusEnumeration, iter_neighbours, sublattice_genus
+from .neighbour import GenusEnumeration, neighbour_rows, sublattice_genus
 
 
 @dataclass
@@ -22,7 +20,6 @@ class HeckeMatrix:
     prime: EisIdeal
     entries: list           # h x h list of lists of int
     method_tag: str         # direct | intertwining | fixture
-    genus: GenusEnumeration = None
 
     @property
     def size(self):
@@ -94,34 +91,15 @@ def hecke_direct(genus: GenusEnumeration, ideal: EisIdeal,
     """T(ideal) by counting neighbours: t_ij = #neighbours of L_i in class j.
 
     The rows that enumerate_genus recorded are used when the genus was
-    walked at this prime; otherwise every class's neighbours are walked.
+    walked at this prime; otherwise neighbour_rows(genus, ideal, progress).
     """
     if genus.hecke_rows is not None and genus.prime == ideal:
         entries = [list(row) for row in genus.hecke_rows]
     else:
-        entries = _walk_rows(genus, ideal, progress)
-    T = HeckeMatrix(ideal, entries, "direct", genus)
+        entries = neighbour_rows(genus, ideal, progress)
+    T = HeckeMatrix(ideal, entries, "direct")
     T.check_row_sums_constant()
     return T
-
-
-def _walk_rows(genus: GenusEnumeration, ideal: EisIdeal, progress) -> list:
-    h = genus.class_number
-    classes = Classifier(genus.representatives, genus.aut_orders)
-    entries = [[0] * h for _ in range(h)]
-    for i, L in enumerate(genus.representatives):
-        done = 0
-        for _, lat in iter_neighbours(L, ideal):
-            j = classes.find(lat)
-            if j is None:
-                raise OrphanLatticeError(
-                    f"neighbour of class {i} matches no representative: "
-                    f"{lat.to_json_dict()}")
-            entries[i][j] += 1
-            done += 1
-            if progress and done % 10000 == 0:
-                progress(i, done)
-    return entries
 
 
 def sprime_from_s(S, aut_L, aut_Lprime):
@@ -174,6 +152,6 @@ def assemble_intertwining(S, aut_L, aut_Lprime):
 def hecke_intertwining(genus: GenusEnumeration, ideal: EisIdeal):
     sub_genus, S = sublattice_genus(genus, ideal)
     T, data = assemble_intertwining(S, genus.aut_orders, sub_genus.aut_orders)
-    M = HeckeMatrix(ideal, T, "intertwining", genus)
+    M = HeckeMatrix(ideal, T, "intertwining")
     M.check_row_sums_constant()
     return M, data, sub_genus

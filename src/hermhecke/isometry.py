@@ -134,13 +134,12 @@ class Classifier:
         """Index of the representative isometric to L, or None."""
         return self._find(L, L.fingerprint())
 
-    def classify(self, L: HermitianLattice):
-        """(index of the class of L, whether L became a new representative)."""
+    def classify(self, L: HermitianLattice) -> int:
+        """Index of the class of L, which becomes a new representative if
+        it matches none."""
         fp = L.fingerprint()
         idx = self._find(L, fp)
-        if idx is not None:
-            return idx, False
-        return self._add(L, fp), True
+        return self._add(L, fp) if idx is None else idx
 
     def _find(self, L, fp):
         for idx in self._buckets.get(fp, ()):

@@ -104,15 +104,6 @@ def inverse(A):
     return [row[n:] for row in M]
 
 
-def charpoly_coeffs(A):
-    """Coefficients [c_0, ..., c_n] of det(X I - A), integer matrix input."""
-    import sympy
-    M = sympy.Matrix([[int(x) for x in row] for row in A])
-    p = M.charpoly()
-    coeffs = list(reversed(p.all_coeffs()))
-    return [int(c) for c in coeffs]
-
-
 def charpoly_factors(A):
     """Irreducible factors of the char poly over Q, as (coeff-list, mult).
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import add
 
 from .eisenstein import EisensteinInt, ONE, ZERO, EisIdeal, \
@@ -30,7 +30,7 @@ from .eisenstein import EisensteinInt, ONE, ZERO, EisIdeal, \
 from . import eismat
 from .lattice import HermitianLattice, hermitian_lll
 from .isometry import Classifier
-from .errors import PreconditionError, UnsupportedCaseError
+from .errors import OrphanLatticeError, PreconditionError, UnsupportedCaseError
 
 
 @dataclass
@@ -50,15 +50,21 @@ class GenusEnumeration:
     representatives: list       # HermitianLattice
     aut_orders: list
     prime: EisIdeal
-    discovery_log: list = field(default_factory=list)
-    # T(prime) rows recorded by a complete walk: hecke_rows[i][j] neighbours
-    # of class i lie in class j.  None when the walk was cut short or the
-    # genus was loaded from an archive.
+    # T(prime) rows recorded by enumerate_genus: hecke_rows[i][j] neighbours
+    # of class i lie in class j.  None for a genus loaded from an archive.
     hecke_rows: list = None
 
     @property
     def class_number(self):
         return len(self.representatives)
+
+    @property
+    def discovery_log(self):
+        """(i, j): class j >= 1 was found on row i, the first row with a
+        neighbour in it (earlier rows were walked before it existed)."""
+        rows = self.hecke_rows or []
+        return [(next(i for i, row in enumerate(rows) if row[j]), j)
+                for j in range(1, len(rows))]
 
 
 class _Residues:
@@ -305,37 +311,70 @@ def verify_neighbour(L: HermitianLattice, key, ideal: EisIdeal) -> bool:
     return [canonical_associate(f) for f in inv] == expect
 
 
-# --- genus enumeration ----------------------------------------------------
+# --- class rows ------------------------------------------------------------
+
+def _iter_intersections(L: HermitianLattice, ideal: EisIdeal):
+    """Yields (key, L cap L') per admissible line, like iter_neighbours."""
+    n = L.rank
+    for _, xg, _, _ in iter_lines_with_data(L, ideal):
+        key = _hermite_key(_kernel_columns(xg, ideal, n)[2])
+        yield key, intersection_lattice(L, key)
+
+
+def _class_rows(classes: Classifier, walked, lattices, ideal: EisIdeal, *,
+                grow: bool, progress=None) -> list:
+    """rows[i][j]: how many of the (key, lattice) pairs that
+    lattices(walked[i], ideal) yields have their lattice in class j.
+
+    With grow, a lattice of no class of classes becomes a new class (walked
+    may be classes.representatives, which then grows as it is walked);
+    without, it raises OrphanLatticeError.  progress(i, placed, h) reports
+    every 10,000 lattices and each row's end, h being the classes known.
+    """
+    place = classes.classify if grow else classes.find
+    rows = []
+    for i, R in enumerate(walked):
+        row, placed = {}, 0
+        for placed, (_, lat) in enumerate(lattices(R, ideal), 1):
+            j = place(lat)
+            if j is None:
+                raise OrphanLatticeError(
+                    f"neighbour of class {i} matches no representative: "
+                    f"{lat.to_json_dict()}")
+            row[j] = row.get(j, 0) + 1
+            if progress and placed % 10000 == 0:
+                progress(i, placed, len(classes.representatives))
+        if progress:
+            progress(i, placed, len(classes.representatives))
+        rows.append(row)
+    h = len(classes.representatives)
+    return [[row.get(j, 0) for j in range(h)] for row in rows]
+
 
 def enumerate_genus(L: HermitianLattice, ideal: EisIdeal,
-                    max_classes: int = None, progress=None) -> GenusEnumeration:
+                    progress=None) -> GenusEnumeration:
     """The classes of the genus of L reached by iterated P-neighbours.
 
-    Every neighbour of every class is classified once; a complete walk
-    also records the rows of T(P) from those classifications.
+    Every neighbour of every class is classified once, which also gives
+    the rows of T(P).
     """
     if L.rank < 3:
         raise UnsupportedCaseError(
             "neighbours need not stay in the genus for rank < 3")
     classes = Classifier([L])
-    reps = classes.representatives
-    log = []
-    counts = []
-    for i, R in enumerate(reps):        # reps grows as classes are found
-        row = {}
-        for _, lat in iter_neighbours(R, ideal):
-            j, new = classes.classify(lat)
-            if new:
-                log.append((i, j))
-                if progress:
-                    progress(len(reps))
-                if max_classes and len(reps) >= max_classes:
-                    return GenusEnumeration(reps, classes.aut_orders, ideal, log)
-            row[j] = row.get(j, 0) + 1
-        counts.append(row)
-    h = len(reps)
-    rows = [[row.get(j, 0) for j in range(h)] for row in counts]
-    return GenusEnumeration(reps, classes.aut_orders, ideal, log, rows)
+    rows = _class_rows(classes, classes.representatives, iter_neighbours,
+                       ideal, grow=True, progress=progress)
+    return GenusEnumeration(classes.representatives, classes.aut_orders,
+                            ideal, rows)
+
+
+def neighbour_rows(genus: GenusEnumeration, ideal: EisIdeal,
+                   progress=None) -> list:
+    """T(ideal) rows of a complete genus: rows[i][j] neighbours of class i
+    lie in class j.  A neighbour of no class raises OrphanLatticeError."""
+    classes = Classifier(genus.representatives, genus.aut_orders)
+    return _class_rows(classes, genus.representatives, iter_neighbours,
+                       ideal, grow=False, progress=progress)
 
 
 def sublattice_genus(L_genus: GenusEnumeration, ideal: EisIdeal):
@@ -348,17 +387,8 @@ def sublattice_genus(L_genus: GenusEnumeration, ideal: EisIdeal):
         raise UnsupportedCaseError(
             "the intertwining method requires an inert or ramified prime")
     classes = Classifier()
-    rows = []
-    for L in L_genus.representatives:
-        n = L.rank
-        counts = {}
-        for _, xg, _, _ in iter_lines_with_data(L, ideal):
-            key = _hermite_key(_kernel_columns(xg, ideal, n)[2])
-            idx, _ = classes.classify(intersection_lattice(L, key))
-            counts[idx] = counts.get(idx, 0) + 1
-        rows.append(counts)
-    h2 = len(classes.representatives)
-    S = [[row.get(j, 0) for j in range(h2)] for row in rows]
+    S = _class_rows(classes, L_genus.representatives, _iter_intersections,
+                    ideal, grow=True)
     return GenusEnumeration(classes.representatives, classes.aut_orders,
                             ideal), S
 

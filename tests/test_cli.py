@@ -5,7 +5,7 @@ import pytest
 from hermhecke.cli import main
 from hermhecke.eisenstein import ideal_above
 from hermhecke.lattice import HermitianLattice
-from hermhecke.neighbour import enumerate_genus, save_genus
+from hermhecke.neighbour import GenusEnumeration, enumerate_genus, save_genus
 
 
 def run(capsys, *argv):
@@ -102,11 +102,37 @@ def test_genus_requires_allow_long(tmp_path, capsys):
 
 def test_hecke_direct_on_incomplete_genus(tmp_path, capsys):
     L = HermitianLattice.from_gram([[1, 0, 0], [0, 1, 0], [0, 0, 7]])
-    save_genus(enumerate_genus(L, ideal_above(3), max_classes=1), tmp_path)
+    g = enumerate_genus(L, ideal_above(3))
+    save_genus(GenusEnumeration(g.representatives[:1], g.aut_orders[:1],
+                                g.prime), tmp_path)
     rc = main(["hecke", "--method", "direct", "--genus", str(tmp_path), "--prime", "3"])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.count("\n") == 1 and "matches no representative" in err
+
+
+def test_verbose_reports_progress_on_stderr(tmp_path, capsys):
+    lattice, genus = tmp_path / "l.json", tmp_path / "genus"
+    HermitianLattice.from_gram([[1, 0, 0], [0, 1, 0], [0, 0, 7]]).save(lattice)
+    # genus finds class 2 on row 1; the loaded genus knows all three
+    runs = [(["genus", str(lattice), "--prime", "3", "--out", str(genus)],
+             (2, 3, 3)),
+            (["hecke", "--method", "direct", "--genus", str(genus),
+              "--prime", "3"], (3, 3, 3))]
+    outs = []
+    for argv, known in runs:
+        assert main(argv) == 0
+        quiet = capsys.readouterr()
+        assert main(["--verbose"] + argv) == 0
+        loud = capsys.readouterr()
+        assert loud.out == quiet.out and quiet.err == ""
+        # one report at the end of each class row
+        assert loud.err.splitlines() == [
+            f"class {i}: 12 neighbours placed, {h} classes known"
+            for i, h in enumerate(known)]
+        outs.append(json.loads(loud.out))
+    assert outs[0]["discovery"] == [[0, 1], [1, 2]]
+    assert outs[1]["rows"] == [[0, 12, 0], [1, 8, 3], [0, 6, 6]]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,16 +1,26 @@
 import pytest
 
+from hermhecke import isometry
 from hermhecke.eisenstein import classify_prime, ideal_above
-from hermhecke.hecke import (HeckeMatrix, OrphanLatticeError,
-                             assemble_intertwining, hecke_direct,
+from hermhecke.errors import OrphanLatticeError
+from hermhecke.hecke import (HeckeMatrix, assemble_intertwining, hecke_direct,
                              hecke_intertwining, s_from_sprime, sprime_from_s)
 from hermhecke.lattice import HermitianLattice
 from hermhecke.linalg import mat_mul
-from hermhecke.neighbour import enumerate_genus, load_genus, save_genus
+from hermhecke.neighbour import (GenusEnumeration, enumerate_genus, load_genus,
+                                 save_genus)
 
-# <1, 1, d> at the prime above p: sorted |Aut| of the classes, and the row
-# sum of T (the neighbour count of a rank-3 class)
-MULTICLASS = {(5, 2): ((72, 432), 18), (7, 3): ((36, 72, 432), 12)}
+# <1, 1, d> at the prime above p: sorted |Aut| of the classes, the row sum
+# of T (the neighbour count of a rank-3 class), the number of sublattice
+# classes, and the discovery log (class j first met among the neighbours
+# of class i)
+MULTICLASS = {
+    (5, 2): ((72, 432), 18, 4, [(0, 1)]),
+    (7, 3): ((36, 72, 432), 12, 3, [(0, 1), (1, 2)]),
+    (11, 3): ((24, 36, 72, 432), 12, 4, [(0, 1), (1, 2), (1, 3)]),
+    (13, 2): ((12, 36, 72, 72, 432), 18, 9,
+              [(0, 1), (1, 2), (1, 3), (2, 4)]),
+}
 
 
 @pytest.fixture(scope="module", params=sorted(MULTICLASS),
@@ -71,9 +81,10 @@ def test_fixture_matrices_self_adjoint(fx):
 
 
 def test_multiclass_genus_records_rows(multiclass):
-    _, P, g, (auts, row_sum) = multiclass
+    _, P, g, (auts, row_sum, _, log) = multiclass
     assert tuple(sorted(g.aut_orders)) == auts
     assert g.prime == P
+    assert g.discovery_log == log
     assert [sum(row) for row in g.hecke_rows] == [row_sum] * len(auts)
     T = hecke_direct(g, P)
     assert T.entries == g.hecke_rows
@@ -84,13 +95,14 @@ def test_stored_rows_equal_a_fresh_walk(multiclass, tmp_path):
     _, P, g, _ = multiclass
     save_genus(g, str(tmp_path / "g"))
     loaded = load_genus(str(tmp_path / "g"), P)
-    assert loaded.hecke_rows is None
+    assert loaded.hecke_rows is None and loaded.discovery_log == []
     assert hecke_direct(loaded, P).entries == g.hecke_rows
 
 
 def test_multiclass_direct_equals_intertwining(multiclass):
-    _, P, g, _ = multiclass
-    Ti, data, _ = hecke_intertwining(g, P)
+    _, P, g, (_, _, sub_classes, _) = multiclass
+    Ti, data, sub = hecke_intertwining(g, P)
+    assert sub.class_number == sub_classes
     assert Ti.entries == hecke_direct(g, P).entries
     assert data.verify()
     assert Ti.check_self_adjoint(g.aut_orders)
@@ -111,16 +123,19 @@ def test_walk_at_another_prime_commutes(multiclass):
     assert TU == UT
 
 
-def test_truncated_genus_stores_no_rows(multiclass):
-    L, P, g, _ = multiclass
-    cut = enumerate_genus(L, P, max_classes=1)
-    assert cut.hecke_rows is None
-    if cut.class_number < g.class_number:
-        with pytest.raises(OrphanLatticeError):
-            hecke_direct(cut, P)
-    else:
-        # the walk stopped at its last class: walking it again finds all rows
-        assert hecke_direct(cut, P).entries == g.hecke_rows
+def test_truncated_genus_stores_no_rows(multiclass, monkeypatch):
+    _, P, g, _ = multiclass
+    cut = GenusEnumeration(g.representatives[:1], g.aut_orders[:1], P)
+    assert cut.hecke_rows is None and cut.discovery_log == []
+
+    def no_aut(L):
+        raise AssertionError("|Aut| of a lattice outside the genus list")
+
+    # an orphan neighbour is reported, never added as a class
+    monkeypatch.setattr(isometry, "automorphism_order", no_aut)
+    with pytest.raises(OrphanLatticeError,
+                       match="neighbour of class 0 matches no representative"):
+        hecke_direct(cut, P)
 
 
 @pytest.fixture(scope="module")
