@@ -6,9 +6,10 @@ recorded while classifying the neighbours, and the intertwining route.
 This is an hour-scale run in pure Python (millions of isometry
 classifications); pass --allow-long to acknowledge that.  --archive saves
 the representatives so later runs can reload instead of re-enumerating.
-Progress lines give the elapsed seconds, the class whose neighbours are
-being placed, how many are placed and how many classes are known; the
-difference between consecutive end-of-class lines is that class's wall time.
+Progress lines give the elapsed seconds, the class whose neighbours (in the
+intertwining phase, whose intersections L cap L') are being placed, how many
+are placed and how many classes are known; the difference between
+consecutive end-of-class lines is that class's wall time.
 """
 
 import argparse
@@ -37,7 +38,7 @@ def main():
     t0 = time.time()
 
     def progress(i, placed, h):
-        print(f"{time.time() - t0:.0f}s  class {i}: {placed} neighbours "
+        print(f"{time.time() - t0:.0f}s  class {i}: {placed} lattices "
               f"placed, {h} classes known", flush=True)
 
     genus = enumerate_genus(L, P, progress=progress)
@@ -47,7 +48,7 @@ def main():
         save_genus(genus, args.archive)
         print(f"archived to {args.archive}")
 
-    Ti, data, sub = hecke_intertwining(genus, P)
+    Ti, data, sub = hecke_intertwining(genus, P, progress=progress)
     print(f"T_(2) via intertwining ({sub.class_number} sublattice classes):")
     for row in Ti.entries:
         print(" ", row)

@@ -42,7 +42,7 @@ def _progress(args):
     if not args.verbose:
         return None
     return lambda i, placed, h: print(
-        f"class {i}: {placed} neighbours placed, {h} classes known",
+        f"class {i}: {placed} lattices placed, {h} classes known",
         file=sys.stderr)
 
 
@@ -103,7 +103,7 @@ def cmd_hecke(args):
     if args.method == "direct":
         hm = hecke_direct(genus, ideal, progress=_progress(args))
     else:
-        hm, data, _ = hecke_intertwining(genus, ideal)
+        hm, data, _ = hecke_intertwining(genus, ideal, progress=_progress(args))
         if not data.verify():
             print("intertwining data failed verification", file=sys.stderr)
             return EXIT_INVARIANT

@@ -149,8 +149,9 @@ def assemble_intertwining(S, aut_L, aut_Lprime):
     return T, data
 
 
-def hecke_intertwining(genus: GenusEnumeration, ideal: EisIdeal):
-    sub_genus, S = sublattice_genus(genus, ideal)
+def hecke_intertwining(genus: GenusEnumeration, ideal: EisIdeal,
+                       progress=None):
+    sub_genus, S = sublattice_genus(genus, ideal, progress)
     T, data = assemble_intertwining(S, genus.aut_orders, sub_genus.aut_orders)
     M = HeckeMatrix(ideal, T, "intertwining")
     M.check_row_sums_constant()

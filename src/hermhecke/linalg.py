@@ -1,17 +1,16 @@
-"""Exact linear algebra over Q and quadratic extensions.
+"""Exact linear algebra over Q.
 
-Matrices are plain lists of lists.  Entries may be int, Fraction, or
-QuadExtElem; everything stays exact.  Characteristic polynomials, their
-factorizations over Q and integer factoring are delegated to sympy, which is
-imported on first use.
+Matrices are plain lists of lists of int or Fraction; everything stays
+exact.  The elimination only uses +, -, *, / and comparison with 0, so it
+also runs over other exact fields (the tests check it over Q(sqrt(D))).
+Characteristic polynomials and their factorizations over Q are delegated to
+sympy, which is imported on first use.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-from .quadfield import QuadExtElem
 
 
 def mat_mul(A, B):
@@ -23,12 +22,6 @@ def mat_mul(A, B):
 
 def mat_vec(A, v):
     return [sum(a * x for a, x in zip(row, v)) for row in A]
-
-
-def _is_zero(x) -> bool:
-    if isinstance(x, QuadExtElem):
-        return x.is_zero()
-    return x == 0
 
 
 def _gauss_jordan(A, rhs):
@@ -46,7 +39,7 @@ def _gauss_jordan(A, rhs):
         row = len(pivots)
         if row == m:
             break
-        piv = next((r for r in range(row, m) if not _is_zero(M[r][col])), None)
+        piv = next((r for r in range(row, m) if M[r][col] != 0), None)
         if piv is None:
             continue
         M[row], M[piv] = M[piv], M[row]
@@ -56,7 +49,7 @@ def _gauss_jordan(A, rhs):
         tail = [x * recip for x in M[row][col:]]
         M[row][col:] = tail
         for r in range(m):
-            if r != row and not _is_zero(M[r][col]):
+            if r != row and M[r][col] != 0:
                 c = M[r][col]
                 M[r][col:] = [x - c * y for x, y in zip(M[r][col:], tail)]
         pivots.append(col)
@@ -87,7 +80,7 @@ def solve_right(A, b):
     """One solution x of A x = b over a field, or None."""
     n = len(A[0])
     M, pivots = _gauss_jordan(A, [[x] for x in b])
-    if any(not _is_zero(row[n]) for row in M[len(pivots):]):
+    if any(row[n] != 0 for row in M[len(pivots):]):
         return None
     x = [0] * n
     for row, pc in zip(M, pivots):
@@ -108,63 +101,25 @@ def charpoly_factors(A):
     """Irreducible factors of the char poly over Q, as (coeff-list, mult).
 
     Entries may be int or Fraction.  Coefficient lists are low-degree first
-    with integer entries, primitive, positive leading coefficient.
+    with integer entries, primitive, positive leading coefficient.  With d
+    the lcm of the denominators, a factor g(y) of the char poly of the
+    integer matrix dA gives the factor g(dx).  sympy's polynomial layer does
+    the work: its matrix and expression layers convert entries through
+    `getattr` on fresh strings, which CPython's type cache keeps alive.
     """
-    import sympy
-    M = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
-                      for row in A])
-    x = sympy.Symbol("x")
-    _, factors = sympy.factor_list(M.charpoly(x).as_expr())
+    from sympy import Poly, Symbol, ZZ
+    from sympy.polys.matrices import DomainMatrix
+    n = len(A)
+    d = math.lcm(*[x.denominator for row in A for x in row])
+    M = DomainMatrix([[ZZ(int(x * d)) for x in row] for row in A], (n, n), ZZ)
+    _, factors = Poly(M.charpoly(), Symbol("x"), domain=ZZ).factor_list()
     out = []
     for poly, mult in factors:
-        cs = [sympy.Rational(c) for c in reversed(sympy.Poly(poly, x).all_coeffs())]
-        den = math.lcm(*[int(c.q) for c in cs])
-        out.append(([int(c * den) for c in cs], int(mult)))
+        cs = [int(c) * d ** k for k, c in enumerate(reversed(poly.all_coeffs()))]
+        g = math.gcd(*cs)
+        out.append(([c // g for c in cs], int(mult)))
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return out
-
-
-def int_sqrt_exact(n: int):
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
-def roots_of_factor(coeffs):
-    """Roots of a degree <= 2 integer polynomial as QuadExtElem pairs.
-
-    Returns a list of roots; for an irreducible quadratic both conjugate
-    roots over Q(sqrt(disc_core)) with squarefree disc_core.
-    """
-    if len(coeffs) == 2:
-        c0, c1 = coeffs
-        return [QuadExtElem.of(Fraction(-c0, c1))]
-    if len(coeffs) == 3:
-        c0, c1, c2 = coeffs
-        disc = c1 * c1 - 4 * c2 * c0
-        s = int_sqrt_exact(disc)
-        if s is not None:
-            return [QuadExtElem.of(Fraction(-c1 + s, 2 * c2)),
-                    QuadExtElem.of(Fraction(-c1 - s, 2 * c2))]
-        core, square = squarefree_decomposition(disc)
-        half = Fraction(1, 2 * c2)
-        return [QuadExtElem.of(Fraction(-c1, 2 * c2), Fraction(square, 2 * c2), core),
-                QuadExtElem.of(Fraction(-c1, 2 * c2), Fraction(-square, 2 * c2), core)]
-    raise ValueError("only degree <= 2 factors supported")
-
-
-def squarefree_decomposition(n: int):
-    """n = core * square^2 with core squarefree (sign carried by core)."""
-    from sympy import factorint
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    core, square = sign, 1
-    for p, e in factorint(n).items():
-        square *= p ** (e // 2)
-        if e % 2:
-            core *= p
-    return core, square
 
 
 def saturate_columns(B):

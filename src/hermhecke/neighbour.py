@@ -377,7 +377,8 @@ def neighbour_rows(genus: GenusEnumeration, ideal: EisIdeal,
                        ideal, grow=False, progress=progress)
 
 
-def sublattice_genus(L_genus: GenusEnumeration, ideal: EisIdeal):
+def sublattice_genus(L_genus: GenusEnumeration, ideal: EisIdeal,
+                     progress=None):
     """Representatives of genus(L cap N') plus the incidence matrix S.
 
     s_{i, j} = number of index-N sublattices X of L_i (arising as L_i cap N')
@@ -388,7 +389,7 @@ def sublattice_genus(L_genus: GenusEnumeration, ideal: EisIdeal):
             "the intertwining method requires an inert or ramified prime")
     classes = Classifier()
     S = _class_rows(classes, L_genus.representatives, _iter_intersections,
-                    ideal, grow=True)
+                    ideal, grow=True, progress=progress)
     return GenusEnumeration(classes.representatives, classes.aut_orders,
                             ideal), S
 

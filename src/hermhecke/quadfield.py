@@ -34,8 +34,6 @@ class QuadExtElem:
     @staticmethod
     def of(a, b=0, D=1) -> "QuadExtElem":
         a, b = _frac(a), _frac(b)
-        if b == 0:
-            D = 1 if D == 1 else D
         return QuadExtElem(a, b, 1 if b == 0 else D)
 
     def _match(self, other) -> "QuadExtElem":
@@ -134,6 +132,48 @@ class QuadExtElem:
 
 def rational(x) -> QuadExtElem:
     return QuadExtElem(_frac(x), Fraction(0), 1)
+
+
+def int_sqrt_exact(n: int):
+    if n < 0:
+        return None
+    r = math.isqrt(n)
+    return r if r * r == n else None
+
+
+def squarefree_decomposition(n: int):
+    """n = core * square^2 with core squarefree (sign carried by core)."""
+    from sympy import factorint
+    sign = -1 if n < 0 else 1
+    n = abs(n)
+    core, square = sign, 1
+    for p, e in factorint(n).items():
+        square *= p ** (e // 2)
+        if e % 2:
+            core *= p
+    return core, square
+
+
+def roots_of_factor(coeffs):
+    """Roots of a degree <= 2 integer polynomial as QuadExtElem pairs.
+
+    Returns a list of roots; for an irreducible quadratic both conjugate
+    roots over Q(sqrt(disc_core)) with squarefree disc_core.
+    """
+    if len(coeffs) == 2:
+        c0, c1 = coeffs
+        return [QuadExtElem.of(Fraction(-c0, c1))]
+    if len(coeffs) == 3:
+        c0, c1, c2 = coeffs
+        disc = c1 * c1 - 4 * c2 * c0
+        s = int_sqrt_exact(disc)
+        if s is not None:
+            return [QuadExtElem.of(Fraction(-c1 + s, 2 * c2)),
+                    QuadExtElem.of(Fraction(-c1 - s, 2 * c2))]
+        core, square = squarefree_decomposition(disc)
+        return [QuadExtElem.of(Fraction(-c1, 2 * c2), Fraction(square, 2 * c2), core),
+                QuadExtElem.of(Fraction(-c1, 2 * c2), Fraction(-square, 2 * c2), core)]
+    raise ValueError("only degree <= 2 factors supported")
 
 
 def parse_quad(text, D_hint=None) -> QuadExtElem:

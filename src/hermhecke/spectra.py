@@ -19,9 +19,10 @@ from importlib import resources
 
 from .linalg import (charpoly_factors, integer_kernel_basis, inverse,
                      kernel_basis, mat_mul, mat_vec, normalize_primitive,
-                     roots_of_factor, solve_right)
+                     saturate_columns, solve_right)
 from .errors import PreconditionError, UnsupportedCaseError
-from .quadfield import QuadExtElem, ideal_valuation, parse_quad, rational
+from .quadfield import (QuadExtElem, ideal_valuation, parse_quad, rational,
+                        roots_of_factor)
 
 
 class UnsupportedFieldError(UnsupportedCaseError):
@@ -36,6 +37,13 @@ def _primitive_quadratic(vec):
                                 + [x.surd_part for x in vec])
     return [QuadExtElem.of(r, s, x.D)
             for r, s, x in zip(parts[:n], parts[n:], vec)]
+
+
+def _parts(vec):
+    """The rational parts r and surd parts s of a vector r + s*sqrt(D) of
+    ints and QuadExtElems."""
+    quad = [x if isinstance(x, QuadExtElem) else rational(x) for x in vec]
+    return [x.rational_part for x in quad], [x.surd_part for x in quad]
 
 
 # ---------------------------------------------------------------------------
@@ -64,45 +72,51 @@ class EigenSystem:
         return self.labels[label].eigenvalues[op]
 
     def residual_blocks(self):
-        seen, out = set(), []
-        for lab in sorted(self.labels):
-            blk = self.labels[lab].block
-            if blk and blk not in seen:
-                seen.add(blk)
-                out.append(blk)
-        return out
+        blocks = (self.labels[lab].block for lab in sorted(self.labels))
+        return list(dict.fromkeys(blk for blk in blocks if blk))
 
     def check_exactness(self) -> bool:
         """Every stored vector is an eigenvector of every stored operator,
-        with its stored eigenvalue.  Integer vectors with rational
-        eigenvalues are checked in integer arithmetic."""
-        quad_mats = {op: [[rational(x) for x in row] for row in M]
-                     for op, M in self.matrices.items()}
+        with its stored eigenvalue.  For a vector r + s*sqrt(D) and an
+        eigenvalue a + b*sqrt(D) of T this is T r = a r + b D s and
+        T s = b r + a s, checked over Q."""
         for rec in self.labels.values():
-            integral = all(isinstance(x, int) for x in rec.vector)
+            D = rec.field_tag
+            if any(getattr(x, "D", 1) not in (1, D)
+                   for x in (*rec.vector, *rec.eigenvalues.values())):
+                return False
+            r, s = _parts(rec.vector)
             for op in self.operator_names:
                 lam = rec.eigenvalues[op]
-                if integral and lam.is_rational():
-                    lam = lam.as_fraction()
-                    img = mat_vec(self.matrices[op], rec.vector)
-                    if img != [lam * x for x in rec.vector]:
-                        return False
-                    continue
-                vec = [x if isinstance(x, QuadExtElem) else rational(x)
-                       for x in rec.vector]
-                img = mat_vec(quad_mats[op], vec)
-                if any((a - lam * b) != 0 for a, b in zip(img, vec)):
+                a, b = lam.rational_part, lam.surd_part
+                M = self.matrices[op]
+                if (mat_vec(M, r) != [a * x + b * D * y for x, y in zip(r, s)]
+                        or mat_vec(M, s) != [b * x + a * y for x, y in zip(r, s)]):
                     return False
         return True
 
     @cached_property
+    def _mates(self):
+        """{i: j} for each conjugate pair of labels i < j: v_j is the Galois
+        conjugate of v_i."""
+        quad = {rec.vector: lab for lab, rec in self.labels.items() if rec.field_tag != 1}
+        mates = {i: quad.get(tuple(x.conjugate() for x in v)) for v, i in quad.items()}
+        if None in mates.values():
+            raise PreconditionError("a quadratic vector lacks its conjugate")
+        return {i: j for i, j in mates.items() if i < j}
+
+    @cached_property
     def eigenbasis_inverse(self):
-        """Inverse of the matrix whose columns are the stored vectors in label
-        order, or None if they are dependent.  Computed on first use and not
-        refreshed if `labels` changes afterwards."""
-        cols = [[x if isinstance(x, QuadExtElem) else rational(x)
-                 for x in self.labels[lab].vector] for lab in sorted(self.labels)]
-        return inverse([list(row) for row in zip(*cols)])
+        """Inverse of the rational matrix whose columns are the stored vectors
+        in label order, a conjugate pair i < j with v_i = r + s*sqrt(D)
+        contributing r at i and s at j; None if they are dependent.
+        Computed on first use and not refreshed if `labels` changes
+        afterwards."""
+        cols = {lab: _parts(rec.vector)[0] for lab, rec in self.labels.items()}
+        for i, j in self._mates.items():
+            cols[j] = _parts(self.labels[i].vector)[1]
+        return inverse([[Fraction(x) for x in row]
+                        for row in zip(*(cols[lab] for lab in sorted(cols)))])
 
     def to_json_dict(self):
         rows = []
@@ -149,15 +163,10 @@ def _commute(A, B) -> bool:
 
 def _restrict(M, basis):
     """Matrix of M acting on span(basis), in that basis (entries Fractions)."""
-    cols = [[Fraction(x) for x in v] for v in basis]
-    A = [[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))]
-    out_cols = []
-    for v in cols:
-        img = mat_vec(M, v)
-        coords = solve_right(A, img)
-        assert coords is not None
-        out_cols.append(coords)
-    return [[out_cols[j][i] for j in range(len(out_cols))] for i in range(len(out_cols[0]))]
+    A = [[Fraction(x) for x in row] for row in zip(*basis)]
+    out_cols = [solve_right(A, mat_vec(M, v)) for v in basis]
+    assert None not in out_cols
+    return [list(row) for row in zip(*out_cols)]
 
 
 def eigensystem(matrices, operator_names=None, reference=None) -> EigenSystem:
@@ -166,8 +175,8 @@ def eigensystem(matrices, operator_names=None, reference=None) -> EigenSystem:
     Splits along the first operator (rational and quadratic eigenvalues),
     refines multi-dimensional spaces with the remaining operators, and
     reports any residual common eigenspace of dimension > 1.  Of a pair of
-    Galois-conjugate systems only one is solved, and its kernel vector is
-    scaled to coprime integral rational and surd parts; the other holds the
+    Galois-conjugate systems only one is solved, over Z, and its eigenvector
+    is scaled to coprime integral rational and surd parts; the other holds the
     conjugate eigenvalues and the conjugate vector.  Labels follow
     `reference` rows (matched by eigenvalue tuple) when given, else are
     assigned in decreasing real order of the first operator's eigenvalue,
@@ -197,8 +206,11 @@ def eigensystem(matrices, operator_names=None, reference=None) -> EigenSystem:
                 records.append((eigs, tuple(normalize_primitive(space_basis[0])),
                                 1, 1, False))
             else:
-                # residual common eigenspace: saturated integer basis
-                sat = _saturate_block(mats[0], eigs, space_basis)
+                # residual common eigenspace: a saturated integer basis, the
+                # first operator's when its eigenspace is the joint one
+                sat = kernels[eigs[0]]
+                if len(sat) != len(space_basis):
+                    sat = saturate_columns([list(row) for row in zip(*space_basis)])
                 records.extend((eigs, tuple(v), len(sat), 1, True) for v in sat)
             return
         M = mats[depth]
@@ -226,44 +238,42 @@ def eigensystem(matrices, operator_names=None, reference=None) -> EigenSystem:
                 ker = kernel_basis(shifted)
                 if not ker:
                     continue
-                sub = []
-                for kv in ker:
-                    w = [sum(Fraction(kv[t]) * Fraction(space_basis[t][i])
-                             for t in range(len(space_basis))) for i in range(n)]
-                    sub.append(normalize_primitive(w))
+                sub = [normalize_primitive([sum(k * v[i] for k, v in zip(kv, space_basis))
+                                            for i in range(n)]) for kv in ker]
                 split(sub, eig_so_far + [QuadExtElem.of(lam)], depth + 1)
 
-    # first operator over Z, supporting quadratic eigenvalues directly
-    quad_mats = [[[rational(x) for x in row] for row in M] for M in mats[1:]]
-    for coeffs, _mult in charpoly_factors(mats[0]):
+    # first operator over Z: for an irreducible factor f of its char poly the
+    # integer kernel of f(T) is an eigenspace (f linear) or the span of a
+    # conjugate pair's two eigenvectors (f quadratic)
+    T = mats[0]
+    powers = ([[int(i == j) for j in range(n)] for i in range(n)], T, mat_mul(T, T))
+    kernels = {}
+    for coeffs, _mult in charpoly_factors(T):
         if len(coeffs) > 3:
             raise UnsupportedFieldError(f"irreducible factor of degree {len(coeffs) - 1}")
-        roots = roots_of_factor(coeffs)
-        if roots[0].D == 1:
-            for root in roots:
-                lam = root.as_fraction()
-                A = [[Fraction(x) - (lam if i == j else 0) for j, x in enumerate(row)]
-                     for i, row in enumerate(mats[0])]
-                ker = integer_kernel_basis(
-                    [[int(x * lam.denominator) for x in row] for row in A])
-                split([list(v) for v in ker], [QuadExtElem.of(lam)], 1)
+        ker = integer_kernel_basis([[sum(c * P[i][j] for c, P in zip(coeffs, powers))
+                                     for j in range(n)] for i in range(n)])
+        root = roots_of_factor(coeffs)[0]
+        if len(coeffs) == 2:
+            kernels[root] = ker
+            split(ker, [root], 1)
             continue
-        # a Galois-conjugate pair: solve for the first root only; the mate's
-        # eigenvalues and primitive vector are the conjugates of its own
-        root = roots[0]
-        A = [[rational(x) - (root if i == j else rational(0))
-              for j, x in enumerate(row)] for i, row in enumerate(mats[0])]
-        ker = kernel_basis(A)
-        if len(ker) != 1:
+        # a Galois-conjugate pair: solve for the root a + b*sqrt(D) only; the
+        # mate's eigenvalues and primitive vector are the conjugates of its
+        # own.  For u in ker, (T - a + b*sqrt(D)) u is an eigenvector, scaled
+        # to 1 at its last nonzero entry k before the content is taken out.
+        if len(ker) != 2:
             raise UnsupportedFieldError(
                 "multi-dimensional quadratic eigenspace not supported")
-        vec = [x if isinstance(x, QuadExtElem) else rational(x) for x in ker[0]]
-        eigs = [root]
-        for M in quad_mats:
-            img = mat_vec(M, vec)
-            k = next(i for i, x in enumerate(vec) if not x.is_zero())
-            eigs.append(img[k] / vec[k])
-        vec = tuple(_primitive_quadratic(vec))
+        u = ker[0]
+        a, b = root.rational_part, root.surd_part
+        vec = [QuadExtElem.of(t - a * x, b * x, root.D)
+               for t, x in zip(mat_vec(T, u), u)]
+        k = max(i for i, x in enumerate(vec) if x != 0)
+        vec = tuple(_primitive_quadratic([x / vec[k] for x in vec]))
+        r, s = _parts(vec)
+        eigs = [root] + [QuadExtElem.of(mat_vec(M, r)[k], mat_vec(M, s)[k], root.D)
+                         / vec[k] for M in mats[1:]]
         records.append((tuple(eigs), vec, 1, root.D, False))
         records.append((tuple(e.conjugate() for e in eigs),
                         tuple(x.conjugate() for x in vec), 1, root.D, False))
@@ -275,25 +285,6 @@ def eigensystem(matrices, operator_names=None, reference=None) -> EigenSystem:
                          operator_names, dict(zip(operator_names, mats)))
     assert system.check_exactness()
     return system
-
-
-def _saturate_block(M0, eigs, basis):
-    lam = eigs[0].as_fraction()
-    A = [[Fraction(x) - (lam if i == j else 0) for j, x in enumerate(row)]
-         for i, row in enumerate(M0)]
-    den = lam.denominator
-    ker = integer_kernel_basis([[int(x * den) for x in row] for row in A])
-    # intersect with the refined span in the (rare) case the first-operator
-    # eigenspace is larger than the joint one
-    if len(ker) != len(basis):
-        B = [[Fraction(x) for x in v] for v in basis]
-        keep = []
-        cols = [[B[j][i] for j in range(len(B))] for i in range(len(B[0]))]
-        for v in ker:
-            if solve_right(cols, [Fraction(x) for x in v]) is not None:
-                keep.append(v)
-        ker = keep
-    return ker
 
 
 def _real_sign(a, b, D: int) -> int:
@@ -380,15 +371,21 @@ def expand_in_eigenbasis(v, system: EigenSystem):
     """Coefficients of v in the stored eigenbasis (block basis vectors count
     as basis elements for their labels).  Returns {label: QuadExtElem}.
 
-    One product with the system's cached eigenbasis inverse."""
+    One product with the system's cached rational eigenbasis inverse: of a
+    conjugate pair i < j with v_i = r + s*sqrt(D), the coordinates x on r and
+    y on s give x/2 + y*sqrt(D)/(2D) on v_i and the conjugate on v_j."""
     if len(v) != system.size:
         raise PreconditionError(f"vector of length {len(v)}, not {system.size}")
     inv = system.eigenbasis_inverse
     if inv is None:
         raise PreconditionError("stored eigenvectors are linearly dependent")
-    sol = mat_vec(inv, [rational(x) for x in v])
-    return {lab: (c if isinstance(c, QuadExtElem) else rational(c))
-            for lab, c in zip(sorted(system.labels), sol)}
+    coords = dict(zip(sorted(system.labels), mat_vec(inv, v)))
+    out = {lab: rational(c) for lab, c in coords.items()}
+    for i, j in system._mates.items():
+        D = system.labels[i].field_tag
+        out[i] = QuadExtElem.of(coords[i] / 2, coords[j] / (2 * D), D)
+        out[j] = out[i].conjugate()
+    return out
 
 
 def _local_content(vec, q: int, D: int) -> dict:
@@ -525,12 +522,10 @@ def _scan_order(r: CongruenceReport):
 
 def verify_vector_reduction(system: EigenSystem, i: int, j: int, q: int):
     """True iff v_i = c * v_j (mod q) for a scalar c != 0 mod q."""
-    vi = system.labels[i].vector
-    vj = system.labels[j].vector
-    if any(isinstance(x, QuadExtElem) and not x.is_rational() for x in vi + vj):
+    (vi, si), (vj, sj) = _parts(system.labels[i].vector), _parts(system.labels[j].vector)
+    if any(si + sj):
         raise PreconditionError("rational-integral eigenvectors required")
-    vi = [int(x.as_fraction()) if isinstance(x, QuadExtElem) else int(x) for x in vi]
-    vj = [int(x.as_fraction()) if isinstance(x, QuadExtElem) else int(x) for x in vj]
+    vi, vj = [int(x) for x in vi], [int(x) for x in vj]
     k = next((t for t, x in enumerate(vj) if x % q), None)
     if k is None:
         raise PreconditionError(f"v_{j} vanishes mod {q}; content not reduced?")

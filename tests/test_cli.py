@@ -114,13 +114,16 @@ def test_hecke_direct_on_incomplete_genus(tmp_path, capsys):
 def test_verbose_reports_progress_on_stderr(tmp_path, capsys):
     lattice, genus = tmp_path / "l.json", tmp_path / "genus"
     HermitianLattice.from_gram([[1, 0, 0], [0, 1, 0], [0, 0, 7]]).save(lattice)
-    # genus finds class 2 on row 1; the loaded genus knows all three
+    # genus finds class 2 on row 1; the loaded genus knows all three; the
+    # sublattice genus grows a class on each row
     runs = [(["genus", str(lattice), "--prime", "3", "--out", str(genus)],
-             (2, 3, 3)),
+             12, (2, 3, 3)),
             (["hecke", "--method", "direct", "--genus", str(genus),
-              "--prime", "3"], (3, 3, 3))]
+              "--prime", "3"], 12, (3, 3, 3)),
+            (["hecke", "--method", "intertwining", "--genus", str(genus),
+              "--prime", "3"], 4, (1, 2, 3))]
     outs = []
-    for argv, known in runs:
+    for argv, placed, known in runs:
         assert main(argv) == 0
         quiet = capsys.readouterr()
         assert main(["--verbose"] + argv) == 0
@@ -128,11 +131,11 @@ def test_verbose_reports_progress_on_stderr(tmp_path, capsys):
         assert loud.out == quiet.out and quiet.err == ""
         # one report at the end of each class row
         assert loud.err.splitlines() == [
-            f"class {i}: 12 neighbours placed, {h} classes known"
+            f"class {i}: {placed} lattices placed, {h} classes known"
             for i, h in enumerate(known)]
         outs.append(json.loads(loud.out))
     assert outs[0]["discovery"] == [[0, 1], [1, 2]]
-    assert outs[1]["rows"] == [[0, 12, 0], [1, 8, 3], [0, 6, 6]]
+    assert outs[1]["rows"] == outs[2]["rows"] == [[0, 12, 0], [1, 8, 3], [0, 6, 6]]
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,10 +12,10 @@ from hypothesis import given, settings, strategies as st
 from hermhecke.linalg import (charpoly_factors,
                               integer_kernel_basis, inverse, kernel_basis,
                               mat_mul, mat_vec,
-                              normalize_primitive, roots_of_factor,
+                              normalize_primitive,
                               saturate_columns, solve_right)
 import hermhecke
-from hermhecke.quadfield import QuadExtElem, rational
+from hermhecke.quadfield import QuadExtElem, rational, roots_of_factor
 
 mat3 = st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
                 min_size=3, max_size=3)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 import time
@@ -39,7 +40,7 @@ def _with_vector(system, lab, vector):
 @pytest.mark.parametrize("lab", [1, 12, 19])
 def test_check_exactness_sees_a_perturbed_entry(system, lab):
     vec = list(system.labels[lab].vector)
-    # label 1 and block label 19 take the integer path, label 12 the quadratic one
+    # label 1 and block label 19 hold integer vectors, label 12 a quadratic one
     assert all(isinstance(x, int) for x in vec) == (lab != 12)
     assert _with_vector(system, lab, vec).check_exactness()
     vec[3] += 1
@@ -71,11 +72,11 @@ def test_quadratic_vector_primitive(system):
 
 @pytest.fixture(scope="module")
 def permuted_system(fx):
-    # a class permutation that keeps class 20 last
+    # a permutation of all classes, so the conjugate pair's vectors have no
+    # fixed zero pattern
     n = len(fx.t2_20x20)
-    perm = list(range(n - 1))
-    random.Random(7).shuffle(perm)
-    perm.append(n - 1)
+    perm = list(range(n))
+    random.Random(2).shuffle(perm)
 
     def conj(M):
         return [[M[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
@@ -102,6 +103,38 @@ def test_expansion_matches_solve_and_reconstructs(which, request):
         image = [sum((coeffs[lab] * basis[k][i] for k, lab in enumerate(labels)),
                      rational(0)) for i in range(n)]
         assert image == probe
+
+
+# sha256 of repr of each label's eigenvalues and vector, and of the scan
+# reports; the scan does not depend on the class order
+LABEL_DIGESTS = {
+    "system": "de11cd13b1d77fdddaa986ddef91409b1fac24dc1a2a5807912255572f7a1c6b",
+    "permuted_system": "b24239b9331328fd5fc7d96b36cf1c7e3b835c328affc4b7d5f414856f384442",
+}
+SCAN_DIGESTS = {
+    2: "92f3ff3ca08d827d938a049b0f2509f78a005418f8e7d3b673cb2d96052ec35e",
+    5: "55565a8a9aae004d86c3652316849dafb65e4504e73423e1bc5e5a0390c9ea48",
+    7: "e57fa3a9ea5f9bb9b38857815fe790ef0fa7c3b0078d39d4e48a4efda66f96e2",
+    11: "beb75cefaa3a2128c77d2e78b2607a78a9afd678298bb7c5699a3fe073ff1e7d",
+}
+
+
+def _digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("which", sorted(LABEL_DIGESTS))
+def test_pinned_labels(which, request):
+    system = request.getfixturevalue(which)
+    assert _digest([(lab, rec.eigenvalues, rec.vector)
+                    for lab, rec in sorted(system.labels.items())]) == LABEL_DIGESTS[which]
+
+
+@pytest.mark.parametrize("q_min", sorted(SCAN_DIGESTS))
+@pytest.mark.parametrize("which", sorted(LABEL_DIGESTS))
+def test_pinned_scans(which, q_min, request):
+    system = request.getfixturevalue(which)
+    assert _digest(spectra.scan_congruences_lemma(system, q_min=q_min)) == SCAN_DIGESTS[q_min]
 
 
 def test_expansion_preconditions(system):
@@ -256,6 +289,19 @@ def test_unreferenced_vectors_match_referenced(unreferenced, system):
         return out
 
     assert vectors(unreferenced[0]) == vectors(system)
+
+
+def test_residual_block_inside_a_larger_first_eigenspace():
+    # the identity's eigenspace is Z^3, the block is the all-ones matrix's
+    # kernel: the sum-zero plane, which holds no standard basis vector
+    system = spectra.eigensystem([[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1] * 3] * 3])
+    assert system.residual_blocks() == [(2, 3)]
+    assert all(sum(system.labels[lab].vector) == 0 for lab in (2, 3))
+    # the block basis spans the plane's integer points
+    for probe in ([1, -1, 0], [0, 1, -1]):
+        coeffs = spectra.expand_in_eigenbasis(probe, system)
+        assert coeffs[1] == 0
+        assert all(coeffs[lab].rational_part.denominator == 1 for lab in (2, 3))
 
 
 def test_commutation_precondition():
