@@ -19,7 +19,7 @@ from .coefficients import CoefficientStore
 from .eisenstein import EisIdeal, EisensteinInt
 from .errors import (MissingCoefficientError, PreconditionError,
                      UnsupportedCaseError)
-from .quadfield import QuadExtElem, ideal_valuation, rational
+from .quadfield import QuadExtElem, divisible_at, rational
 
 
 class ParameterError(PreconditionError):
@@ -289,16 +289,6 @@ def verify_table(store: CoefficientStore, table_rows, ideals) -> dict:
     return report
 
 
-def _divisible_by(x: QuadExtElem, q: int) -> bool:
-    """True iff x = 0 in O_F / q O_F, i.e. v >= 1 at every prime above q."""
-    if x.is_zero():
-        return True
-    if x.is_rational():
-        r = x.as_fraction()
-        return r.denominator % q != 0 and (r.numerator % q == 0)
-    return all(v >= 1 for _, v in ideal_valuation(x, q, x.D))
-
-
 def verify_parameter_congruence(param_i: ArthurParameter, param_j: ArthurParameter,
                                 q: int, ideals, store: CoefficientStore) -> dict:
     """Check eigenvalue_at(A_i) = eigenvalue_at(A_j) mod q at each ideal.
@@ -312,7 +302,7 @@ def verify_parameter_congruence(param_i: ArthurParameter, param_j: ArthurParamet
         except UnsupportedCaseError as exc:
             report[name] = f"skipped ({exc})"
             continue
-        report[name] = _divisible_by(diff, q)
+        report[name] = divisible_at(diff, q)
     return report
 
 

@@ -74,16 +74,12 @@ class IntertwiningData:
     aut_Lprime: list
 
     def verify(self) -> bool:
-        h, h2 = len(self.S), len(self.S[0])
-        for i in range(h):
-            if sum(self.S[i]) != self.d:
-                return False
-        for j in range(h2):
-            for i in range(h):
-                lhs = Fraction(self.aut_Lprime[j] * self.S[i][j], self.aut_L[i])
-                if lhs != self.S_prime[j][i]:
-                    return False
-        return True
+        if any(sum(row) != self.d for row in self.S):
+            return False
+        try:
+            return _scaled_transpose(self.S, self.aut_Lprime, self.aut_L, "S'") == self.S_prime
+        except AssertionError:
+            return False
 
 
 def hecke_direct(genus: GenusEnumeration, ideal: EisIdeal,
@@ -102,37 +98,31 @@ def hecke_direct(genus: GenusEnumeration, ideal: EisIdeal,
     return T
 
 
-def sprime_from_s(S, aut_L, aut_Lprime):
-    """S' = diag(aut_L') . S^T . diag(aut_L)^-1; all entries must be
-    nonnegative integers."""
-    h, h2 = len(S), len(S[0])
+def _scaled_transpose(M, num, den, name):
+    """The matrix with entry (j, i) = num[j] * M[i][j] / den[i]; all entries
+    must be nonnegative integers."""
     out = []
-    for j in range(h2):
+    for j in range(len(M[0])):
         row = []
-        for i in range(h):
-            v = Fraction(aut_Lprime[j] * S[i][j], aut_L[i])
+        for i in range(len(M)):
+            v = Fraction(num[j] * M[i][j], den[i])
             if v.denominator != 1 or v < 0:
                 raise AssertionError(
-                    f"S' entry ({j},{i}) = {v} is not a nonnegative integer")
+                    f"{name} entry ({j},{i}) = {v} is not a nonnegative integer")
             row.append(int(v))
         out.append(row)
     return out
+
+
+def sprime_from_s(S, aut_L, aut_Lprime):
+    """S' = diag(aut_L') . S^T . diag(aut_L)^-1; all entries must be
+    nonnegative integers."""
+    return _scaled_transpose(S, aut_Lprime, aut_L, "S'")
 
 
 def s_from_sprime(S_prime, aut_L, aut_Lprime):
     """Invert the diagonal scaling: s_ij = s'_ji * aut_i / aut'_j."""
-    h2, h = len(S_prime), len(S_prime[0])
-    out = []
-    for i in range(h):
-        row = []
-        for j in range(h2):
-            v = Fraction(S_prime[j][i] * aut_L[i], aut_Lprime[j])
-            if v.denominator != 1 or v < 0:
-                raise AssertionError(
-                    f"S entry ({i},{j}) = {v} is not a nonnegative integer")
-            row.append(int(v))
-        out.append(row)
-    return out
+    return _scaled_transpose(S_prime, aut_L, aut_Lprime, "S")
 
 
 def assemble_intertwining(S, aut_L, aut_Lprime):

@@ -17,6 +17,9 @@ from .eisenstein import (EisensteinInt, ZERO, eis, canonical_associate,
                          _sub_multiple)
 from . import eismat
 
+# the largest norm whose vector count enters a lattice's fingerprint
+FINGERPRINT_DEPTH = 4
+
 
 def herm_inner(gram, x, y) -> EisensteinInt:
     """<x, y> = x^dagger G y (conjugate-linear in x)."""
@@ -177,14 +180,15 @@ class HermitianLattice:
         with open(path) as fh:
             return HermitianLattice.from_json_dict(json.load(fh))
 
-    def fingerprint(self, depth: int = 4):
-        """Cheap isometry invariant: discriminant and short-norm counts.
+    def fingerprint(self):
+        """Cheap isometry invariant: discriminant and the counts of vectors
+        of norm at most FINGERPRINT_DEPTH.
 
         Only basis-independent data may appear here (the genus machinery
         buckets by fingerprint before running full isometry tests).
         """
         return (self.discriminant(),
-                tuple(sorted(self.norm_histogram(depth).items())))
+                tuple(sorted(self.norm_histogram(FINGERPRINT_DEPTH).items())))
 
 
 def _json_entry(x, i, j) -> EisensteinInt:

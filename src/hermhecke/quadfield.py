@@ -176,7 +176,7 @@ def roots_of_factor(coeffs):
     raise ValueError("only degree <= 2 factors supported")
 
 
-def parse_quad(text, D_hint=None) -> QuadExtElem:
+def parse_quad(text) -> QuadExtElem:
     """Parse 'a+b*sqrt(D)' (or a bare rational)."""
     if isinstance(text, int):
         return rational(text)
@@ -185,8 +185,6 @@ def parse_quad(text, D_hint=None) -> QuadExtElem:
         return rational(Fraction(t))
     body, _, tail = t.partition("*sqrt(")
     D = int(tail.rstrip(")"))
-    if D_hint is not None and D != D_hint:
-        raise ValueError(f"expected sqrt({D_hint}), got sqrt({D})")
     for i in range(len(body) - 1, 0, -1):
         if body[i] in "+-" and body[i - 1] not in "+-*/":
             return QuadExtElem.of(Fraction(body[:i]), Fraction(body[i:]), D)
@@ -240,6 +238,21 @@ def ideal_valuation(x: QuadExtElem, q: int, D: int):
     v1 = _split_val(na, nb, D, q, r)
     v2 = _split_val(na, nb, D, q, (q - r) % q)
     return [("q1", v1 - vden), ("q2", v2 - vden)]
+
+
+def divisible_at(x: QuadExtElem, q: int, tag: str = "") -> bool:
+    """True iff x = 0 modulo the prime above q tagged `tag` (as returned by
+    ideal_valuation), or modulo every prime above q when `tag` is empty.  A
+    rational x is 0 modulo one prime above q iff it is 0 modulo q."""
+    if x.is_zero():
+        return True
+    if x.is_rational():
+        r = x.as_fraction()
+        return r.denominator % q != 0 and r.numerator % q == 0
+    vals = dict(ideal_valuation(x, q, x.D))
+    if tag:
+        return vals.get(tag, 0) >= 1
+    return all(v >= 1 for v in vals.values())
 
 
 def _split_val(na: int, nb: int, D: int, q: int, r: int) -> int:

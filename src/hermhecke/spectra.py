@@ -1,8 +1,10 @@
 """Exact simultaneous eigen-decomposition of commuting integer Hecke matrices,
 eigenvector normalization, and congruence detection between eigensystems.
 
-Eigenvalues live in Q or a real quadratic field; irreducible characteristic
-factors of degree >= 3 are rejected.  Congruences are found by the
+The operators are decomposed together through one integer combination of
+them; every eigenvalue is read off the eigenvectors.  Eigenvalues live in Q
+or a real quadratic field; irreducible characteristic factors of degree >= 3
+are rejected.  Congruences are found by the
 denominator lemma (expand a probe vector in the eigenbasis and look for
 primes in coefficient denominators), cross-checked by eigenvalue-difference
 gcds and eigenvector reduction mod q.
@@ -17,12 +19,11 @@ from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from importlib import resources
 
-from .linalg import (charpoly_factors, integer_kernel_basis, inverse,
-                     kernel_basis, mat_mul, mat_vec, normalize_primitive,
-                     saturate_columns, solve_right)
+from .linalg import (charpoly_factors, integer_kernel_basis, inverse, mat_mul,
+                     mat_vec, normalize_primitive)
 from .errors import PreconditionError, UnsupportedCaseError
-from .quadfield import (QuadExtElem, ideal_valuation, parse_quad, rational,
-                        roots_of_factor)
+from .quadfield import (QuadExtElem, divisible_at, ideal_valuation, parse_quad,
+                        rational, roots_of_factor)
 
 
 class UnsupportedFieldError(UnsupportedCaseError):
@@ -79,13 +80,16 @@ class EigenSystem:
         """Every stored vector is an eigenvector of every stored operator,
         with its stored eigenvalue.  For a vector r + s*sqrt(D) and an
         eigenvalue a + b*sqrt(D) of T this is T r = a r + b D s and
-        T s = b r + a s, checked over Q."""
+        T s = b r + a s, checked on the integer vectors dr and ds, d the
+        lcm of the denominators of r and s."""
         for rec in self.labels.values():
             D = rec.field_tag
             if any(getattr(x, "D", 1) not in (1, D)
                    for x in (*rec.vector, *rec.eigenvalues.values())):
                 return False
             r, s = _parts(rec.vector)
+            d = math.lcm(*[x.denominator for x in r + s])
+            r, s = [int(x * d) for x in r], [int(x * d) for x in s]
             for op in self.operator_names:
                 lam = rec.eigenvalues[op]
                 a, b = lam.rational_part, lam.surd_part
@@ -161,26 +165,94 @@ def _commute(A, B) -> bool:
     return mat_mul(A, B) == mat_mul(B, A)
 
 
-def _restrict(M, basis):
-    """Matrix of M acting on span(basis), in that basis (entries Fractions)."""
-    A = [[Fraction(x) for x in row] for row in zip(*basis)]
-    out_cols = [solve_right(A, mat_vec(M, v)) for v in basis]
-    assert None not in out_cols
-    return [list(row) for row in zip(*out_cols)]
+def _common_eigenvalues(mats, basis):
+    """Each operator's eigenvalue on the span of the integer vectors `basis`,
+    read off the first vector at its first nonzero entry k as
+    (M u)_k / u_k; None if u_k M v != (M u)_k v for some operator M and some
+    v in `basis`."""
+    u = basis[0]
+    k = next(i for i, x in enumerate(u) if x)
+    eigs = []
+    for M in mats:
+        p = mat_vec(M, u)[k]
+        if any([u[k] * x for x in mat_vec(M, v)] != [p * x for x in v] for v in basis):
+            return None
+        eigs.append(QuadExtElem.of(Fraction(p, u[k])))
+    return tuple(eigs)
+
+
+def _decompose(mats, T):
+    """Records (eigenvalues, vector, eigenspace dim, field D, in residual
+    block) of the common eigenspaces of `mats`, read off the irreducible
+    factors f of the char poly of the integer matrix T, a combination of
+    them.  None if some rational eigenspace of T is not a common eigenspace
+    or the eigenspaces of T do not fill Q^n.
+
+    For a linear f the integer kernel of f(T) is an eigenspace of T; for a
+    quadratic f with a two-dimensional kernel it is the span of a conjugate
+    pair's eigenvectors, which are common eigenvectors because their
+    eigenspaces of T are lines."""
+    n = len(T)
+    powers = ([[int(i == j) for j in range(n)] for i in range(n)], T, mat_mul(T, T))
+    records = []
+    for coeffs, _mult in charpoly_factors(T):
+        if len(coeffs) > 3:
+            raise UnsupportedFieldError(f"irreducible factor of degree {len(coeffs) - 1}")
+        ker = integer_kernel_basis([[sum(c * P[i][j] for c, P in zip(coeffs, powers))
+                                     for j in range(n)] for i in range(n)])
+        if len(coeffs) == 2:
+            eigs = _common_eigenvalues(mats, ker)
+            if eigs is None:
+                return None
+            if len(ker) == 1:
+                records.append((eigs, tuple(normalize_primitive(ker[0])), 1, 1, False))
+            else:
+                records.extend((eigs, tuple(v), len(ker), 1, True) for v in ker)
+            continue
+        # a Galois-conjugate pair: solve for the root a + b*sqrt(D) of f only;
+        # the mate's eigenvalues and primitive vector are the conjugates of
+        # its own.  For u in ker, (T - a + b*sqrt(D)) u is an eigenvector,
+        # scaled to 1 at its last nonzero entry k before the content is taken
+        # out; each operator's eigenvalue is its image's entry k.
+        if len(ker) != 2:
+            raise UnsupportedFieldError(
+                "multi-dimensional quadratic eigenspace not supported")
+        root = roots_of_factor(coeffs)[0]
+        u = ker[0]
+        a, b = root.rational_part, root.surd_part
+        vec = [QuadExtElem.of(t - a * x, b * x, root.D)
+               for t, x in zip(mat_vec(T, u), u)]
+        k = max(i for i, x in enumerate(vec) if x != 0)
+        vec = tuple(_primitive_quadratic([x / vec[k] for x in vec]))
+        r, s = _parts(vec)
+        eigs = tuple(QuadExtElem.of(mat_vec(M, r)[k], mat_vec(M, s)[k], root.D) / vec[k]
+                     for M in mats)
+        records.append((eigs, vec, 1, root.D, False))
+        records.append((tuple(e.conjugate() for e in eigs),
+                        tuple(x.conjugate() for x in vec), 1, root.D, False))
+    # a residual block adds one record per dimension
+    return records if len(records) == n else None
 
 
 def eigensystem(matrices, operator_names=None, reference=None) -> EigenSystem:
     """Simultaneous eigen-decomposition of commuting integer matrices.
 
-    Splits along the first operator (rational and quadratic eigenvalues),
-    refines multi-dimensional spaces with the remaining operators, and
-    reports any residual common eigenspace of dimension > 1.  Of a pair of
-    Galois-conjugate systems only one is solved, over Z, and its eigenvector
-    is scaled to coprime integral rational and surd parts; the other holds the
-    conjugate eigenvalues and the conjugate vector.  Labels follow
-    `reference` rows (matched by eigenvalue tuple) when given, else are
-    assigned in decreasing real order of the first operator's eigenvalue,
-    ties broken by the next operator, compared exactly.
+    Splits one integer matrix T = sum_t c^t T_t, for the first c = 0, 1, 2,
+    ... at which every rational eigenspace of T is a common eigenspace of
+    all operators and the eigenspaces fill the space; c = 0 is the first
+    operator alone.  Distinct eigenvalue tuples agree on T for at most
+    m - 1 values of c each, so for m operators on n classes one of the first
+    (m - 1) n (n - 1) / 2 + 1 values splits simultaneously diagonalizable
+    operators; past them PreconditionError is raised.  Every operator's
+    eigenvalue is read off the eigenvectors, and a common eigenspace of
+    dimension > 1 is reported as a residual block with a saturated integer
+    basis.  Of a pair of Galois-conjugate systems only one is solved, over
+    Z, and its eigenvector is scaled to coprime integral rational and surd
+    parts; the other holds the conjugate eigenvalues and the conjugate
+    vector.  Labels follow `reference` rows (matched by eigenvalue tuple)
+    when given, else are assigned in decreasing real order of the first
+    operator's eigenvalue, ties broken by the next operator, compared
+    exactly.
     """
     mats = [_as_int_matrix(m) for m in matrices]
     if not mats:
@@ -196,91 +268,14 @@ def eigensystem(matrices, operator_names=None, reference=None) -> EigenSystem:
         operator_names = tuple(f"T{i}" for i in range(len(mats)))
     operator_names = tuple(operator_names)
 
-    records = []  # (eigenvalues, vector, eigenspace dim, field D, in residual block)
-
-    def split(space_basis, eig_so_far, depth):
-        """space_basis: list of rational vectors spanning an invariant space."""
-        if depth == len(mats):
-            eigs = tuple(eig_so_far)
-            if len(space_basis) == 1:
-                records.append((eigs, tuple(normalize_primitive(space_basis[0])),
-                                1, 1, False))
-            else:
-                # residual common eigenspace: a saturated integer basis, the
-                # first operator's when its eigenspace is the joint one
-                sat = kernels[eigs[0]]
-                if len(sat) != len(space_basis):
-                    sat = saturate_columns([list(row) for row in zip(*space_basis)])
-                records.extend((eigs, tuple(v), len(sat), 1, True) for v in sat)
-            return
-        M = mats[depth]
-        if len(space_basis) == 1:
-            v = space_basis[0]
-            img = mat_vec(M, v)
-            k = next(i for i, x in enumerate(v) if x != 0)
-            lam = Fraction(img[k]) / v[k]
-            split(space_basis, eig_so_far + [QuadExtElem.of(lam)], depth + 1)
-            return
-        R = _restrict(M, space_basis)
-        pieces = charpoly_factors(R)
-        for coeffs, _mult in pieces:
-            if len(coeffs) > 3:
-                raise UnsupportedFieldError(
-                    f"irreducible factor of degree {len(coeffs) - 1}")
-            for root in roots_of_factor(coeffs):
-                if root.D != 1:
-                    raise UnsupportedFieldError(
-                        "quadratic refinement inside a rational block is not needed "
-                        "for the shipped spectra and is unsupported")
-                lam = root.as_fraction()
-                shifted = [[Fraction(R[i][j]) - (lam if i == j else 0)
-                            for j in range(len(R))] for i in range(len(R))]
-                ker = kernel_basis(shifted)
-                if not ker:
-                    continue
-                sub = [normalize_primitive([sum(k * v[i] for k, v in zip(kv, space_basis))
-                                            for i in range(n)]) for kv in ker]
-                split(sub, eig_so_far + [QuadExtElem.of(lam)], depth + 1)
-
-    # first operator over Z: for an irreducible factor f of its char poly the
-    # integer kernel of f(T) is an eigenspace (f linear) or the span of a
-    # conjugate pair's two eigenvectors (f quadratic)
-    T = mats[0]
-    powers = ([[int(i == j) for j in range(n)] for i in range(n)], T, mat_mul(T, T))
-    kernels = {}
-    for coeffs, _mult in charpoly_factors(T):
-        if len(coeffs) > 3:
-            raise UnsupportedFieldError(f"irreducible factor of degree {len(coeffs) - 1}")
-        ker = integer_kernel_basis([[sum(c * P[i][j] for c, P in zip(coeffs, powers))
-                                     for j in range(n)] for i in range(n)])
-        root = roots_of_factor(coeffs)[0]
-        if len(coeffs) == 2:
-            kernels[root] = ker
-            split(ker, [root], 1)
-            continue
-        # a Galois-conjugate pair: solve for the root a + b*sqrt(D) only; the
-        # mate's eigenvalues and primitive vector are the conjugates of its
-        # own.  For u in ker, (T - a + b*sqrt(D)) u is an eigenvector, scaled
-        # to 1 at its last nonzero entry k before the content is taken out.
-        if len(ker) != 2:
-            raise UnsupportedFieldError(
-                "multi-dimensional quadratic eigenspace not supported")
-        u = ker[0]
-        a, b = root.rational_part, root.surd_part
-        vec = [QuadExtElem.of(t - a * x, b * x, root.D)
-               for t, x in zip(mat_vec(T, u), u)]
-        k = max(i for i, x in enumerate(vec) if x != 0)
-        vec = tuple(_primitive_quadratic([x / vec[k] for x in vec]))
-        r, s = _parts(vec)
-        eigs = [root] + [QuadExtElem.of(mat_vec(M, r)[k], mat_vec(M, s)[k], root.D)
-                         / vec[k] for M in mats[1:]]
-        records.append((tuple(eigs), vec, 1, root.D, False))
-        records.append((tuple(e.conjugate() for e in eigs),
-                        tuple(x.conjugate() for x in vec), 1, root.D, False))
-
-    # a residual block adds one record per dimension
-    if len(records) != n:
-        raise PreconditionError(f"eigenspace dimensions sum to {len(records)}, not {n}")
+    for c in range((len(mats) - 1) * n * (n - 1) // 2 + 1):
+        T = [[sum(c ** t * M[i][j] for t, M in enumerate(mats)) for j in range(n)]
+             for i in range(n)]
+        records = _decompose(mats, T)
+        if records is not None:
+            break
+    else:
+        raise PreconditionError("the operators are not simultaneously diagonalizable")
     system = EigenSystem(_assign_labels(records, operator_names, reference),
                          operator_names, dict(zip(operator_names, mats)))
     assert system.check_exactness()
@@ -430,25 +425,8 @@ def _denominator_primes(c: QuadExtElem, q_min: int, D: int, content):
 
 def _eig_congruent(system: EigenSystem, i, j, q: int, tag: str) -> bool:
     """lambda_i(T) = lambda_j(T) mod (the prime above) q for all stored T."""
-    for op in system.operator_names:
-        a = system.eigenvalue(i, op)
-        b = system.eigenvalue(j, op)
-        d = a - b
-        if d.is_zero():
-            continue
-        if d.is_rational():
-            r = d.as_fraction()
-            if r.denominator % q == 0 or r.numerator % q != 0:
-                return False
-            continue
-        vals = dict(ideal_valuation(d, q, d.D))
-        if tag:
-            if vals.get(tag, 0) < 1:
-                return False
-        else:
-            if any(v < 1 for v in vals.values()):
-                return False
-    return True
+    return all(divisible_at(system.eigenvalue(i, op) - system.eigenvalue(j, op), q, tag)
+               for op in system.operator_names)
 
 
 def scan_congruences_lemma(system: EigenSystem, probes=None, q_min: int = 11):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from hermhecke import isometry
@@ -49,6 +51,17 @@ def test_assemble_intertwining_matches_fixture(fx):
 def test_sprime_rejects_bad_aut(fx):
     with pytest.raises(AssertionError):
         s_from_sprime(fx.sprime2_25x5, [7] * 5, fx.aut_25)
+
+
+def test_verify_reports_bad_data(fx):
+    S = s_from_sprime(fx.sprime2_25x5, fx.aut_5, fx.aut_25)
+    _, data = assemble_intertwining(S, fx.aut_5, fx.aut_25)
+    # a non-integral scaled entry, then a wrong integral one
+    assert data.verify() is True
+    assert dataclasses.replace(data, aut_L=[7] * 5).verify() is False
+    S_prime = [list(row) for row in data.S_prime]
+    S_prime[0][0] += 1
+    assert dataclasses.replace(data, S_prime=S_prime).verify() is False
 
 
 def test_hecke_direct_rank4(genus_o4):

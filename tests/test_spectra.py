@@ -304,9 +304,36 @@ def test_residual_block_inside_a_larger_first_eigenspace():
         assert all(coeffs[lab].rational_part.denominator == 1 for lab in (2, 3))
 
 
+def test_conjugate_pair_inside_a_rational_first_eigenspace():
+    # the first operator is 1 on the plane of e1, e2, where the second has
+    # eigenvalues +-sqrt(2): the pair splits the sum of both at c = 1
+    system = spectra.eigensystem([[[1, 0, 0], [0, 1, 0], [0, 0, 5]],
+                                  [[0, 2, 0], [1, 0, 0], [0, 0, 7]]])
+    assert [tuple(rec.eigenvalues.values()) for _, rec in sorted(system.labels.items())] == [
+        (5, 7), (1, QuadExtElem.of(0, 1, 2)), (1, QuadExtElem.of(0, -1, 2))]
+    assert system.check_exactness()
+
+
 def test_commutation_precondition():
     with pytest.raises(spectra.PreconditionError):
         spectra.eigensystem([[[1, 1], [0, 1]], [[1, 0], [1, 1]]])
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_not_simultaneously_diagonalizable(flip):
+    # they commute, but no combination of them has eigenspaces filling Q^2
+    mats = [[[1, 0], [0, 1]], [[1, 1], [0, 1]]]
+    with pytest.raises(spectra.PreconditionError):
+        spectra.eigensystem(mats[::-1] if flip else mats)
+
+
+def test_first_operator_separates_the_fixture(fx, monkeypatch):
+    calls = []
+    factors = spectra.charpoly_factors
+    monkeypatch.setattr(spectra, "charpoly_factors",
+                        lambda A: calls.append(A) or factors(A))
+    spectra.eigensystem([fx.t2_20x20, fx.t3_20x20], operator_names=("t2", "t3"))
+    assert calls == [fx.t2_20x20]
 
 
 def test_unnamed_labels_sorted():
