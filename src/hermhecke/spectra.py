@@ -184,14 +184,17 @@ def _common_eigenvalues(mats, basis):
 def _decompose(mats, T):
     """Records (eigenvalues, vector, eigenspace dim, field D, in residual
     block) of the common eigenspaces of `mats`, read off the irreducible
-    factors f of the char poly of the integer matrix T, a combination of
-    them.  None if some rational eigenspace of T is not a common eigenspace
-    or the eigenspaces of T do not fill Q^n.
+    factors f of the char poly of T, an integer combination of them; None
+    if two distinct eigenvalue tuples meet on T.
 
-    For a linear f the integer kernel of f(T) is an eigenspace of T; for a
-    quadratic f with a two-dimensional kernel it is the span of a conjugate
-    pair's eigenvectors, which are common eigenvectors because their
-    eigenspaces of T are lines."""
+    For a linear f the kernel of f(T) is an eigenspace of T; tuples meet
+    there if an operator is not scalar on it.  For a quadratic f a
+    two-dimensional kernel spans a conjugate pair of common eigenvectors,
+    since their eigenspaces of T are lines; a larger one is a meeting of
+    pairs unless every operator acts on it through T as on the first pair,
+    which raises UnsupportedFieldError.  PreconditionError if the
+    eigenspaces of T do not fill Q^n: the operators are then not
+    simultaneously diagonalizable."""
     n = len(T)
     powers = ([[int(i == j) for j in range(n)] for i in range(n)], T, mat_mul(T, T))
     records = []
@@ -214,9 +217,6 @@ def _decompose(mats, T):
         # its own.  For u in ker, (T - a + b*sqrt(D)) u is an eigenvector,
         # scaled to 1 at its last nonzero entry k before the content is taken
         # out; each operator's eigenvalue is its image's entry k.
-        if len(ker) != 2:
-            raise UnsupportedFieldError(
-                "multi-dimensional quadratic eigenspace not supported")
         root = roots_of_factor(coeffs)[0]
         u = ker[0]
         a, b = root.rational_part, root.surd_part
@@ -227,23 +227,36 @@ def _decompose(mats, T):
         r, s = _parts(vec)
         eigs = tuple(QuadExtElem.of(mat_vec(M, r)[k], mat_vec(M, s)[k], root.D) / vec[k]
                      for M in mats)
+        if len(ker) != 2:
+            # one pair of conjugate eigenspaces, not a meeting of pairs, iff
+            # every operator with eigenvalue e = p + q*sqrt(D) on the first
+            # pair acts on the kernel as p + (q/b)(T - a)
+            if all([b * x for x in mat_vec(M, v)]
+                   == [e.rational_part * b * y + e.surd_part * (t - a * y)
+                       for t, y in zip(mat_vec(T, v), v)]
+                   for M, e in zip(mats, eigs) for v in ker):
+                raise UnsupportedFieldError(
+                    "multi-dimensional quadratic eigenspace not supported")
+            return None
         records.append((eigs, vec, 1, root.D, False))
         records.append((tuple(e.conjugate() for e in eigs),
                         tuple(x.conjugate() for x in vec), 1, root.D, False))
     # a residual block adds one record per dimension
-    return records if len(records) == n else None
+    if len(records) != n:
+        raise PreconditionError("the operators are not simultaneously diagonalizable")
+    return records
 
 
 def eigensystem(matrices, operator_names=None, reference=None) -> EigenSystem:
     """Simultaneous eigen-decomposition of commuting integer matrices.
 
     Splits one integer matrix T = sum_t c^t T_t, for the first c = 0, 1, 2,
-    ... at which every rational eigenspace of T is a common eigenspace of
-    all operators and the eigenspaces fill the space; c = 0 is the first
-    operator alone.  Distinct eigenvalue tuples agree on T for at most
-    m - 1 values of c each, so for m operators on n classes one of the first
-    (m - 1) n (n - 1) / 2 + 1 values splits simultaneously diagonalizable
-    operators; past them PreconditionError is raised.  Every operator's
+    ... at which no two distinct eigenvalue tuples meet on T; c = 0 is the
+    first operator alone.  Distinct eigenvalue tuples agree on T for at
+    most m - 1 values of c each, so for m operators on n classes one of the
+    first (m - 1) n (n - 1) / 2 + 1 values splits simultaneously
+    diagonalizable operators; past them, or as soon as T is not
+    diagonalizable, PreconditionError is raised.  Every operator's
     eigenvalue is read off the eigenvectors, and a common eigenspace of
     dimension > 1 is reported as a residual block with a saturated integer
     basis.  Of a pair of Galois-conjugate systems only one is solved, over

@@ -314,6 +314,51 @@ def test_conjugate_pair_inside_a_rational_first_eigenspace():
     assert system.check_exactness()
 
 
+def _diag(*blocks):
+    n = sum(len(blk) for blk in blocks)
+    out, at = [[0] * n for _ in range(n)], 0
+    for blk in blocks:
+        for i, row in enumerate(blk):
+            out[at + i][at:at + len(row)] = row
+        at += len(blk)
+    return out
+
+
+SQRT2 = [[0, 2], [1, 0]]          # eigenvalues +-sqrt(2)
+ONE_SQRT2 = [[1, 2], [1, 1]]      # eigenvalues 1 +- sqrt(2)
+I2, O2 = [[1, 0], [0, 1]], [[0, 0], [0, 0]]
+
+
+def _tuples(system):
+    return [tuple(rec.eigenvalues.values()) for _, rec in sorted(system.labels.items())]
+
+
+def test_conjugate_pairs_meeting_at_one_combination():
+    # at c = 1 both pairs have T-eigenvalues 1 +- sqrt(2) and share one
+    # 4-dimensional kernel; c = 2 separates them
+    system = spectra.eigensystem([_diag(SQRT2, ONE_SQRT2, O2),
+                                  _diag(I2, O2, [[0, 0], [0, 1]])])
+    r2 = QuadExtElem.of(0, 1, 2)
+    assert _tuples(system) == [(1 + r2, 0), (r2, 1), (0, 1), (0, 0), (1 - r2, 0), (-r2, 1)]
+    assert system.check_exactness()
+
+
+def test_conjugate_pairs_meeting_on_the_first_operator():
+    # the first operator is +-sqrt(2) on both pairs; the second separates them
+    system = spectra.eigensystem([_diag(SQRT2, SQRT2), _diag(I2, O2)])
+    r2 = QuadExtElem.of(0, 1, 2)
+    assert _tuples(system) == [(r2, 1), (r2, 0), (-r2, 1), (-r2, 0)]
+    assert system.check_exactness()
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_multi_dimensional_quadratic_eigenspace(flip):
+    # every operator is scalar on the 2-dimensional sqrt(2)-eigenspace
+    mats = [_diag(I2, I2), _diag(SQRT2, SQRT2)]
+    with pytest.raises(spectra.UnsupportedFieldError):
+        spectra.eigensystem(mats[::-1] if flip else mats)
+
+
 def test_commutation_precondition():
     with pytest.raises(spectra.PreconditionError):
         spectra.eigensystem([[[1, 1], [0, 1]], [[1, 0], [1, 1]]])
@@ -325,6 +370,14 @@ def test_not_simultaneously_diagonalizable(flip):
     mats = [[[1, 0], [0, 1]], [[1, 1], [0, 1]]]
     with pytest.raises(spectra.PreconditionError):
         spectra.eigensystem(mats[::-1] if flip else mats)
+
+
+def test_no_combination_splits():
+    # I + E13 and I + E12 commute; every combination is 1 + c^t on the plane
+    # x3 = -c x2, where I + E12 is not scalar, so the loop runs to its bound
+    mats = [[[1, 0, 1], [0, 1, 0], [0, 0, 1]], [[1, 1, 0], [0, 1, 0], [0, 0, 1]]]
+    with pytest.raises(spectra.PreconditionError):
+        spectra.eigensystem(mats)
 
 
 def test_first_operator_separates_the_fixture(fx, monkeypatch):
