@@ -304,16 +304,6 @@ def test_residual_block_inside_a_larger_first_eigenspace():
         assert all(coeffs[lab].rational_part.denominator == 1 for lab in (2, 3))
 
 
-def test_conjugate_pair_inside_a_rational_first_eigenspace():
-    # the first operator is 1 on the plane of e1, e2, where the second has
-    # eigenvalues +-sqrt(2): the pair splits the sum of both at c = 1
-    system = spectra.eigensystem([[[1, 0, 0], [0, 1, 0], [0, 0, 5]],
-                                  [[0, 2, 0], [1, 0, 0], [0, 0, 7]]])
-    assert [tuple(rec.eigenvalues.values()) for _, rec in sorted(system.labels.items())] == [
-        (5, 7), (1, QuadExtElem.of(0, 1, 2)), (1, QuadExtElem.of(0, -1, 2))]
-    assert system.check_exactness()
-
-
 def _diag(*blocks):
     n = sum(len(blk) for blk in blocks)
     out, at = [[0] * n for _ in range(n)], 0
@@ -327,27 +317,25 @@ def _diag(*blocks):
 SQRT2 = [[0, 2], [1, 0]]          # eigenvalues +-sqrt(2)
 ONE_SQRT2 = [[1, 2], [1, 1]]      # eigenvalues 1 +- sqrt(2)
 I2, O2 = [[1, 0], [0, 1]], [[0, 0], [0, 0]]
+R2 = QuadExtElem.of(0, 1, 2)
 
 
-def _tuples(system):
-    return [tuple(rec.eigenvalues.values()) for _, rec in sorted(system.labels.items())]
-
-
-def test_conjugate_pairs_meeting_at_one_combination():
+@pytest.mark.parametrize("mats, tuples", [
+    # the first operator is 1 on the plane of e1, e2, where the second has
+    # eigenvalues +-sqrt(2): the pair splits the sum of both at c = 1
+    ([[[1, 0, 0], [0, 1, 0], [0, 0, 5]], [[0, 2, 0], [1, 0, 0], [0, 0, 7]]],
+     [(5, 7), (1, R2), (1, -R2)]),
+    # the first operator is +-sqrt(2) on both pairs; the second separates them
+    ([_diag(SQRT2, SQRT2), _diag(I2, O2)], [(R2, 1), (R2, 0), (-R2, 1), (-R2, 0)]),
     # at c = 1 both pairs have T-eigenvalues 1 +- sqrt(2) and share one
     # 4-dimensional kernel; c = 2 separates them
-    system = spectra.eigensystem([_diag(SQRT2, ONE_SQRT2, O2),
-                                  _diag(I2, O2, [[0, 0], [0, 1]])])
-    r2 = QuadExtElem.of(0, 1, 2)
-    assert _tuples(system) == [(1 + r2, 0), (r2, 1), (0, 1), (0, 0), (1 - r2, 0), (-r2, 1)]
-    assert system.check_exactness()
-
-
-def test_conjugate_pairs_meeting_on_the_first_operator():
-    # the first operator is +-sqrt(2) on both pairs; the second separates them
-    system = spectra.eigensystem([_diag(SQRT2, SQRT2), _diag(I2, O2)])
-    r2 = QuadExtElem.of(0, 1, 2)
-    assert _tuples(system) == [(r2, 1), (r2, 0), (-r2, 1), (-r2, 0)]
+    ([_diag(SQRT2, ONE_SQRT2, O2), _diag(I2, O2, [[0, 0], [0, 1]])],
+     [(1 + R2, 0), (R2, 1), (0, 1), (0, 0), (1 - R2, 0), (-R2, 1)]),
+], ids=["inside-a-rational-eigenspace", "meeting-at-c-0", "meeting-at-c-1"])
+def test_conjugate_pairs_split_by_a_later_combination(mats, tuples):
+    system = spectra.eigensystem(mats)
+    assert [tuple(rec.eigenvalues.values())
+            for _, rec in sorted(system.labels.items())] == tuples
     assert system.check_exactness()
 
 
@@ -364,18 +352,15 @@ def test_commutation_precondition():
         spectra.eigensystem([[[1, 1], [0, 1]], [[1, 0], [1, 1]]])
 
 
-@pytest.mark.parametrize("flip", [False, True])
-def test_not_simultaneously_diagonalizable(flip):
-    # they commute, but no combination of them has eigenspaces filling Q^2
-    mats = [[[1, 0], [0, 1]], [[1, 1], [0, 1]]]
-    with pytest.raises(spectra.PreconditionError):
-        spectra.eigensystem(mats[::-1] if flip else mats)
-
-
-def test_no_combination_splits():
-    # I + E13 and I + E12 commute; every combination is 1 + c^t on the plane
+@pytest.mark.parametrize("mats", [
+    # they commute, but I + c N has eigenspaces filling only a line of Q^2
+    [[[1, 0], [0, 1]], [[1, 1], [0, 1]]],
+    [[[1, 1], [0, 1]], [[1, 0], [0, 1]]],
+    # I + E13 and I + E12: every combination is 1 + c^t on the plane
     # x3 = -c x2, where I + E12 is not scalar, so the loop runs to its bound
-    mats = [[[1, 0, 1], [0, 1, 0], [0, 0, 1]], [[1, 1, 0], [0, 1, 0], [0, 0, 1]]]
+    [[[1, 0, 1], [0, 1, 0], [0, 0, 1]], [[1, 1, 0], [0, 1, 0], [0, 0, 1]]],
+], ids=["identity-first", "jordan-first", "loop-bound"])
+def test_not_simultaneously_diagonalizable(mats):
     with pytest.raises(spectra.PreconditionError):
         spectra.eigensystem(mats)
 
