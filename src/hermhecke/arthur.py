@@ -293,16 +293,15 @@ def verify_parameter_congruence(param_i: ArthurParameter, param_j: ArthurParamet
                                 q: int, ideals, store: CoefficientStore) -> dict:
     """Check eigenvalue_at(A_i) = eigenvalue_at(A_j) mod q at each ideal.
 
-    Returns {ideal-name: True/False/'skipped (missing coefficient)'} entries.
+    Returns {ideal-name: True/False/'skipped (why unsupported)'} entries.
     """
     report = {}
     for name, ideal in ideals.items():
         try:
             diff = eigenvalue_at(param_i, ideal, store) - eigenvalue_at(param_j, ideal, store)
+            report[name] = divisible_at(diff, q)
         except UnsupportedCaseError as exc:
             report[name] = f"skipped ({exc})"
-            continue
-        report[name] = divisible_at(diff, q)
     return report
 
 

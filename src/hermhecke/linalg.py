@@ -1,14 +1,15 @@
 """Exact linear algebra over Q.
 
 Matrices are plain lists of lists of int or Fraction; everything stays
-exact.  The elimination only uses +, -, *, / and comparison with 0, so it
-also runs over other exact fields (the tests check it over Q(sqrt(D))).
-Characteristic polynomials and their factorizations over Q are delegated to
-sympy, which is imported on first use.
+exact.  The elimination is fraction-free: exact `//` on integer matrices,
+`/` otherwise, so it also runs over other exact fields (the tests check
+it over Q(sqrt(D))).  Characteristic polynomials and their factorizations
+over Q are delegated to sympy, which is imported on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -24,17 +25,21 @@ def mat_vec(A, v):
     return [sum(a * x for a, x in zip(row, v)) for row in A]
 
 
-def _gauss_jordan(A, rhs):
-    """Reduced row echelon form of the augmented matrix [A | rhs].
+def _div(a, b):
+    """a / b exactly: a Fraction for two ints, else the field's quotient."""
+    return Fraction(a, b) if type(a) is type(b) is int else a / b
 
-    `rhs` holds one row of right-hand sides per row of A (rows may be
-    empty).  Pivots are sought in the columns of A only.  Works over any
-    field whose elements support +, -, *, / and compare to 0.  Returns the
-    reduced augmented rows and the pivot column of each leading row.
-    """
+
+def _gauss_jordan(A, rhs):
+    """Bareiss's fraction-free Gauss-Jordan on [A | rhs], rhs one (maybe
+    empty) row per row of A.  With pivot p every other row becomes
+    (p*row - c*pivot_row) // den, c its pivot-column entry and den the last
+    pivot, exact by Sylvester's identity; over a field the pivot row is
+    scaled to p = 1, so den = 1.  Returns M, the pivot columns and den."""
     m, n = len(A), len(A[0])
     M = [list(a) + list(b) for a, b in zip(A, rhs)]
-    pivots = []
+    exact = all(type(x) is int for row in M for x in row)
+    den, pivots = 1, []
     for col in range(n):
         row = len(pivots)
         if row == m:
@@ -43,58 +48,65 @@ def _gauss_jordan(A, rhs):
         if piv is None:
             continue
         M[row], M[piv] = M[piv], M[row]
-        # columns left of `col` are already zero in this row, so the row
-        # operations only touch the tail
-        recip = 1 / M[row][col]
-        tail = [x * recip for x in M[row][col:]]
-        M[row][col:] = tail
+        if not exact:
+            recip = _div(1, M[row][col])
+            M[row][col:] = [x * recip for x in M[row][col:]]
+        p, prow = M[row][col], M[row]
         for r in range(m):
-            if r != row and M[r][col] != 0:
-                c = M[r][col]
-                M[r][col:] = [x - c * y for x, y in zip(M[r][col:], tail)]
+            c = M[r][col]
+            if r == row or (c == 0 and p == den):  # the row stays as it is
+                continue
+            if exact:  # rows below the pivot are zero left of col
+                lo = 0 if r < row else col
+                M[r][lo:] = [(p * x - c * y) // den for x, y in zip(M[r][lo:], prow[lo:])]
+            else:
+                M[r][col:] = [x - c * y for x, y in zip(M[r][col:], prow[col:])]
+        den = p
         pivots.append(col)
-    return M, pivots
+    return M, pivots, den
 
 
-def kernel_basis(A):
-    """Basis of the right kernel of A, by Gauss-Jordan elimination.
-
-    Free variables are set to 1 in turn.
-    """
+def _scaled_kernel(A):
+    """den times the kernel basis of A, integral if A is, and den."""
     if not A:
-        return []
+        return [], 1
     n = len(A[0])
-    M, pivots = _gauss_jordan(A, [[] for _ in A])
-    free = [c for c in range(n) if c not in pivots]
+    M, pivots, den = _gauss_jordan(A, [[] for _ in A])
     basis = []
-    for fc in free:
+    for fc in (c for c in range(n) if c not in pivots):
         v = [0] * n
-        v[fc] = 1
+        v[fc] = den
         for r, pc in enumerate(pivots):
             v[pc] = -M[r][fc]
         basis.append(v)
-    return basis
+    return basis, den
+
+
+def kernel_basis(A):
+    """Basis of the right kernel of A; free variables are set to 1 in turn."""
+    basis, den = _scaled_kernel(A)
+    return [[_div(x, den) for x in v] for v in basis]
 
 
 def solve_right(A, b):
     """One solution x of A x = b over a field, or None."""
     n = len(A[0])
-    M, pivots = _gauss_jordan(A, [[x] for x in b])
+    M, pivots, den = _gauss_jordan(A, [[x] for x in b])
     if any(row[n] != 0 for row in M[len(pivots):]):
         return None
     x = [0] * n
     for row, pc in zip(M, pivots):
-        x[pc] = row[n]
+        x[pc] = _div(row[n], den)
     return x
 
 
 def inverse(A):
     """The inverse of a square matrix over a field, or None if A is singular."""
     n = len(A)
-    M, pivots = _gauss_jordan(A, [[int(i == j) for j in range(n)] for i in range(n)])
+    M, pivots, den = _gauss_jordan(A, [[int(i == j) for j in range(n)] for i in range(n)])
     if len(pivots) < n:
         return None
-    return [row[n:] for row in M]
+    return [[_div(x, den) for x in row[n:]] for row in M]
 
 
 def charpoly_factors(A):
@@ -182,10 +194,9 @@ def saturate_columns(B):
 
 def integer_kernel_basis(A):
     """Saturated basis of {x in Z^n : A x = 0} for an integer matrix A."""
-    rat = kernel_basis([[Fraction(x) for x in row] for row in A])
-    if not rat:
+    cols = [normalize_primitive(v) for v in _scaled_kernel(A)[0]]
+    if not cols:
         return []
-    cols = [normalize_primitive(v) for v in rat]
     B = [[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))]
     sat = saturate_columns(B)
     for v in sat:
@@ -198,10 +209,9 @@ def normalize_primitive(vec):
 
     First nonzero entry is made positive.  Input entries: int/Fraction.
     """
-    fr = [Fraction(x) for x in vec]
-    den = math.lcm(*[f.denominator for f in fr]) if fr else 1
-    ints = [int(f * den) for f in fr]
-    g = math.gcd(*ints) if any(ints) else 1
+    den = functools.reduce(math.lcm, (x.denominator for x in vec), 1)
+    ints = [int(x * den) for x in vec]
+    g = functools.reduce(math.gcd, ints, 0) or 1
     ints = [x // g for x in ints]
     lead = next((x for x in ints if x != 0), 1)
     if lead < 0:

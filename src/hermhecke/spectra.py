@@ -113,14 +113,15 @@ class EigenSystem:
     def eigenbasis_inverse(self):
         """Inverse of the rational matrix whose columns are the stored vectors
         in label order, a conjugate pair i < j with v_i = r + s*sqrt(D)
-        contributing r at i and s at j; None if they are dependent.
+        contributing r at i and s at j; None if they are dependent.  The
+        parts are integral, so one integer elimination inverts it.
         Computed on first use and not refreshed if `labels` changes
         afterwards."""
         cols = {lab: _parts(rec.vector)[0] for lab, rec in self.labels.items()}
         for i, j in self._mates.items():
             cols[j] = _parts(self.labels[i].vector)[1]
-        return inverse([[Fraction(x) for x in row]
-                        for row in zip(*(cols[lab] for lab in sorted(cols)))])
+        assert all(x.denominator == 1 for col in cols.values() for x in col)
+        return inverse([[int(cols[lab][i]) for lab in sorted(cols)] for i in range(self.size)])
 
     def to_json_dict(self):
         rows = []

@@ -47,6 +47,19 @@ def test_arthur_congruence(capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_arthur_congruence_reports_every_ideal(capsys, q):
+    # labels 12 and 13 have quadratic eigenvalues; at the even prime 2 their
+    # difference cannot be tested, which skips that ideal, not the call
+    rc, out = run(capsys, "arthur", "congruence", "12", "13", str(q))
+    assert rc == 0
+    report = out[f"12 = 13 mod {q}"]
+    assert list(report) == ["(2)", "(3)"]
+    assert all(v is True or v.startswith("skipped (") for v in report.values())
+    if q == 2:
+        assert "even or ramified" in report["(2)"]
+
+
 def test_congruences_deterministic(capsys):
     rc1, out1 = run(capsys, "congruences", "--qmin", "11")
     rc2, out2 = run(capsys, "congruences", "--qmin", "11")

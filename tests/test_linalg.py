@@ -50,6 +50,35 @@ def test_kernel_is_kernel(A):
     assert bool(ker) == (det == 0)
 
 
+@st.composite
+def int_matrices(draw):
+    """Integer m x n matrices, 1 <= m <= 6 and 1 <= n <= 7, of rank at most
+    r (a product of m x r and r x n factors, r = 0 giving zero), with some
+    columns zeroed."""
+    m, n, r = draw(st.integers(1, 6)), draw(st.integers(1, 7)), draw(st.integers(0, 6))
+    ints = st.integers(-4, 4)
+    L = draw(st.lists(st.lists(ints, min_size=r, max_size=r), min_size=m, max_size=m))
+    R = draw(st.lists(st.lists(ints, min_size=n, max_size=n), min_size=r, max_size=r))
+    zero = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    return [[0 if j in zero else sum(L[i][k] * R[k][j] for k in range(r))
+             for j in range(n)] for i in range(m)]
+
+
+@given(int_matrices())
+@settings(max_examples=200)
+def test_integer_elimination_matches_field_elimination(A):
+    # an int matrix is eliminated in integers, its Fraction copy over Q
+    F = [[Fraction(x) for x in row] for row in A]
+    ker = kernel_basis(F)
+    assert kernel_basis(A) == ker
+    if len(A) == len(A[0]):
+        assert inverse(A) == inverse(F)
+    # the integer kernel is the saturation of the normalized rational one
+    cols = [normalize_primitive(v) for v in ker]
+    sat = saturate_columns([list(row) for row in zip(*cols)]) if cols else []
+    assert integer_kernel_basis(A) == sat
+
+
 def test_integer_kernel_saturated():
     ker = integer_kernel_basis([[2, 2, 2]])
     # saturated: (1,-1,0),(0,1,-1) up to basis change; index in Z^3 cap ker is 1
