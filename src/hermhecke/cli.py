@@ -15,7 +15,7 @@ from .coefficients import CoefficientStore
 from .eisenstein import ideal_above
 from .errors import PreconditionError, UnsupportedCaseError
 from .fixtures import FixtureSet, fixture_checksum
-from .hecke import HeckeMatrix, hecke_direct, hecke_intertwining
+from .hecke import hecke_direct, hecke_intertwining
 from .lattice import HermitianLattice
 from .neighbour import (count_neighbours, enumerate_genus, load_genus,
                         neighbours, save_genus)
@@ -48,13 +48,9 @@ def _progress(args):
 
 def _reference_system():
     fx = FixtureSet.load()
-    table = fx.eigen_table
-    t2 = HeckeMatrix.from_json_dict({"prime": "2", "size": 20,
-                                     "rows": fx.t2_20x20, "method": "fixture"})
-    t3 = HeckeMatrix.from_json_dict({"prime": "1+2w", "size": 20,
-                                     "rows": fx.t3_20x20, "method": "fixture"})
-    return spectra.eigensystem([t2, t3], operator_names=("t2", "t3"),
-                               reference=table), table, fx
+    return spectra.eigensystem([fx.t2_20x20, fx.t3_20x20],
+                               operator_names=("t2", "t3"),
+                               reference=fx.eigen_table)
 
 
 def cmd_genus(args):
@@ -112,13 +108,13 @@ def cmd_hecke(args):
 
 
 def cmd_eigen(args):
-    system, _, _ = _reference_system()
+    system = _reference_system()
     _emit(system.to_json_dict(), args.out)
     return EXIT_OK
 
 
 def cmd_congruences(args):
-    system, _, _ = _reference_system()
+    system = _reference_system()
     reports = spectra.scan_congruences_lemma(system, q_min=args.qmin)
     _emit(spectra.congruence_report_json(reports), args.out)
     return EXIT_OK

@@ -7,7 +7,6 @@ intersections (T = S S' - d I).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,6 +16,11 @@ from .neighbour import GenusEnumeration, neighbour_rows, sublattice_genus
 
 @dataclass
 class HeckeMatrix:
+    """T(prime) on the classes of a genus, from `hecke_direct`,
+    `hecke_intertwining` or a fixture.  `entries` holds its integer rows,
+    which is what `spectra.eigensystem` takes; `to_json_dict` is what the
+    CLI prints, and nothing reads it back."""
+
     prime: EisIdeal
     entries: list           # h x h list of lists of int
     method_tag: str         # direct | intertwining | fixture
@@ -46,23 +50,6 @@ class HeckeMatrix:
     def to_json_dict(self):
         return {"prime": str(self.prime), "size": self.size,
                 "rows": self.entries, "method": self.method_tag}
-
-    @staticmethod
-    def from_json_dict(d, prime: EisIdeal = None) -> "HeckeMatrix":
-        rows = [[int(x) for x in row] for row in d["rows"]]
-        if len(rows) != d["size"] or any(len(r) != d["size"] for r in rows):
-            raise ValueError("size does not match rows")
-        return HeckeMatrix(prime if prime is not None else d["prime"],
-                           rows, d.get("method", "fixture"))
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
-
-    @staticmethod
-    def load(path) -> "HeckeMatrix":
-        with open(path) as fh:
-            return HeckeMatrix.from_json_dict(json.load(fh))
 
 
 @dataclass

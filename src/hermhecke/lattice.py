@@ -135,19 +135,30 @@ class HermitianLattice:
         return {m: 2 * len(vs) for m, vs in self._vectors_by_norm(max_norm).items()
                 if m <= max_norm}
 
-    def rebase(self, cols, denominator: int = 1) -> "HermitianLattice":
-        """Gram after the basis change with the given columns / denominator.
+    def rebase(self, cols, denominator=1) -> "HermitianLattice":
+        """The lattice with basis the columns of cols divided by denominator.
 
-        Columns are coordinates in the current basis; entries EisensteinInt.
+        cols is the matrix, as a list of rows, whose columns are coordinates
+        in the current basis; its entries are EisensteinInt or (a, b) pairs.
+        The denominator d is an int or an EisensteinInt, and the new Gram is
+        cols^dagger G cols / N(d), N(d) = d^2 for an int.  Every neighbour
+        Gram is built here: a P-neighbour L' is L.rebase(key, pibar) for a
+        basis key of pibar L'.  ValueError if the Gram is not integral.
         """
-        d2 = denominator * denominator
+        if isinstance(denominator, EisensteinInt):
+            norm = denominator.norm()
+        else:
+            norm = denominator * denominator
         out = []
-        for row in eismat._congruence(self.gram, cols):
+        for i, row in enumerate(eismat._congruence(self.gram, cols)):
             orow = []
-            for a, b in row:
-                if a % d2 or b % d2:
-                    raise ValueError("rebased gram is not integral")
-                orow.append(EisensteinInt(a // d2, b // d2))
+            for j, (a, b) in enumerate(row):
+                if a % norm or b % norm:
+                    raise ValueError(
+                        f"rebased gram is not integral: entry ({i}, {j}) = "
+                        f"{EisensteinInt(a, b)} on a rank-{len(row)} basis "
+                        f"is not divisible by N(d) = {norm}")
+                orow.append(EisensteinInt(a // norm, b // norm))
             out.append(tuple(orow))
         return HermitianLattice(tuple(out))
 

@@ -154,21 +154,6 @@ def _hermite_key(cols):
     return tuple(map(tuple, eismat.column_hermite_form(list(zip(*cols)))))
 
 
-def _neighbour_from_key(L, key, N):
-    """Gram of L' where key is a basis of pibar L' in L-coordinates."""
-    n = len(key)
-    gram = []
-    for row in eismat._congruence(L.gram, key):
-        out = []
-        for va, vb in row:
-            if va % N or vb % N:
-                raise AssertionError(f"neighbour gram is not integral "
-                                     f"(rank {n}, N(P) = {N})")
-            out.append(EisensteinInt(va // N, vb // N))
-        gram.append(tuple(out))
-    return hermitian_lll(HermitianLattice(tuple(gram)))
-
-
 def iter_lines_with_data(L: HermitianLattice, ideal: EisIdeal):
     """Yields (x, xg, c0, ts) for every admissible line [x] of L/PL.
 
@@ -239,9 +224,9 @@ def iter_lines_with_data(L: HermitianLattice, ideal: EisIdeal):
 
 def _line_neighbours(L: HermitianLattice, ideal: EisIdeal, x, ts, kernel):
     """Yields (hermite_key, lattice) for the neighbours of one line, where
-    kernel = _kernel_columns(xg, ideal, n)."""
+    kernel = _kernel_columns(xg, ideal, n).  The key is a basis of pibar L'
+    in L-coordinates, so L' is L.rebase(key, pibar)."""
     pibar = ideal.generator.conj()
-    N = ideal.residue_norm
     piv, ginv, cols = kernel
     scaled_kernel = [[_pmul(pibar, v) for v in col] for col in cols]
     for t in ts:
@@ -250,7 +235,7 @@ def _line_neighbours(L: HermitianLattice, ideal: EisIdeal, x, ts, kernel):
         a, b = _pmul(_pmul(pibar, t), ginv)
         xt[piv] = (xt[piv][0] + a, xt[piv][1] + b)
         key = _hermite_key([xt] + scaled_kernel)
-        yield key, _neighbour_from_key(L, key, N)
+        yield key, hermitian_lll(L.rebase(key, pibar))
 
 
 def iter_neighbours(L: HermitianLattice, ideal: EisIdeal):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from importlib import resources
@@ -156,12 +156,6 @@ def load_reference_table(path=None):
     return rows
 
 
-def _as_int_matrix(m):
-    if hasattr(m, "entries"):
-        return [list(row) for row in m.entries]
-    return [list(row) for row in m]
-
-
 def _commute(A, B) -> bool:
     return mat_mul(A, B) == mat_mul(B, A)
 
@@ -249,7 +243,8 @@ def _decompose(mats, T):
 
 
 def eigensystem(matrices, operator_names=None, reference=None) -> EigenSystem:
-    """Simultaneous eigen-decomposition of commuting integer matrices.
+    """Simultaneous eigen-decomposition of commuting integer matrices, each
+    given as a list of rows of ints (HeckeMatrix callers pass `.entries`).
 
     Splits one integer matrix T = sum_t c^t T_t, for the first c = 0, 1, 2,
     ... at which no two distinct eigenvalue tuples meet on T; c = 0 is the
@@ -268,7 +263,7 @@ def eigensystem(matrices, operator_names=None, reference=None) -> EigenSystem:
     operator's eigenvalue, ties broken by the next operator, compared
     exactly.
     """
-    mats = [_as_int_matrix(m) for m in matrices]
+    mats = [[list(row) for row in M] for M in matrices]
     if not mats:
         raise PreconditionError("no matrices")
     n = len(mats[0])
@@ -453,6 +448,10 @@ def scan_congruences_lemma(system: EigenSystem, probes=None, q_min: int = 11):
     on its content-free vector: the stored vector's local content at q is
     added, once computed per label and q.  Pairs involving residual-block
     labels are reported as candidates for the whole block.
+
+    Each pair is reported once per q: untagged when it is congruent modulo
+    q, or modulo both primes above a split q (whose product is q), else once
+    per prime above q at which it is congruent.
     """
     if probes is None:
         n = system.size
@@ -470,7 +469,12 @@ def scan_congruences_lemma(system: EigenSystem, probes=None, q_min: int = 11):
             contents[lab, q] = _local_content(rec.vector, q, rec.field_tag)
         return contents[lab, q]
 
+    # (a, b, q) -> (the untagged report, the tags at which it was verified)
     found = {}
+
+    def add(rep, tag):
+        found.setdefault(rep.key()[:3], (rep, set()))[1].add(tag)
+
     for probe in probes:
         coeffs = expand_in_eigenbasis(probe, system)
         neg = {}
@@ -492,17 +496,20 @@ def scan_congruences_lemma(system: EigenSystem, probes=None, q_min: int = 11):
                     if a >= b:
                         continue
                     if _eig_congruent(system, a, b, q, tag):
-                        rep = CongruenceReport(b, a, q, tag,
-                                               ("denominator-lemma",),
-                                               system.operator_names)
-                        found.setdefault(rep.key(), rep)
+                        add(CongruenceReport(b, a, q, "", ("denominator-lemma",),
+                                             system.operator_names), tag)
                 for blk in sorted(blks):
                     if _eig_congruent(system, a, blk[0], q, tag):
-                        rep = CongruenceReport(a, blk, q, tag,
-                                               ("denominator-lemma", "residual-block-candidate"),
-                                               system.operator_names)
-                        found.setdefault(rep.key(), rep)
-    return sorted(found.values(), key=_scan_order)
+                        add(CongruenceReport(a, blk, q, "",
+                                             ("denominator-lemma", "residual-block-candidate"),
+                                             system.operator_names), tag)
+    reports = []
+    for rep, tags in found.values():
+        if "" in tags or {"q1", "q2"} <= tags:
+            reports.append(rep)
+        else:
+            reports.extend(replace(rep, prime_tag=t) for t in sorted(tags))
+    return sorted(reports, key=_scan_order)
 
 
 def _scan_order(r: CongruenceReport):

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hermhecke
 from hermhecke.cli import main
 from hermhecke.eisenstein import ideal_above
 from hermhecke.lattice import HermitianLattice
@@ -176,7 +180,9 @@ def _gram_with(entry, at):
     (["neighbours", "--prime", "2", "--count-only"],
      {"rank": 3, "gram": _gram_with([0.5, 0], (0, 1))}, "row 0, column 1"),
     (["theta"], {"gram": [[[1, 0]]]}, "keys rank and gram"),
-], ids=["float", "str", "off-diagonal", "no-rank"])
+    (["theta"], {"rank": 2, "gram": [[[1, 0], [0, 1]], [[0, 0], [1, 0]]]},
+     "not Hermitian"),
+], ids=["float", "str", "off-diagonal", "no-rank", "non-hermitian"])
 def test_malformed_lattice_json(tmp_path, capsys, argv, doc, where):
     p = tmp_path / "l.json"
     p.write_text(json.dumps(doc))
@@ -184,3 +190,16 @@ def test_malformed_lattice_json(tmp_path, capsys, argv, doc, where):
     captured = capsys.readouterr()
     assert rc == 2 and not captured.out
     assert captured.err.count("\n") == 1 and where in captured.err
+
+
+def test_genus_script_requires_allow_long():
+    # the rank-12 driver imports the library, then stops before any lattice
+    # work without --allow-long
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hermhecke.__file__)))
+    script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "scripts", "enumerate_sqrt3_genus.py")
+    done = subprocess.run([sys.executable, script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3, done.stderr
+    assert not done.stdout
+    assert "rerun with --allow-long" in done.stderr

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermhecke.eisenstein import OMEGA, eis, ideal_above
+from hermhecke.eisenstein import OMEGA, EisensteinInt, eis, ideal_above
 from hermhecke.fixtures import load_seed_sqrt3
 from hermhecke.isometry import IsometryCertificate, is_isometric
 from hermhecke.lattice import (HermitianLattice, direct_sum, herm_inner,
@@ -53,19 +53,24 @@ def test_rebasing_invariants():
 
 
 def test_rebase_matches_inner_products():
-    # the Gram in a new basis, entry by entry: <b_i, b_j> / d^2, for square
-    # and rectangular bases on a Gram matrix with off-diagonal entries
+    # the Gram in a new basis, entry by entry: <b_i, b_j> / N(d), for square
+    # and rectangular bases on a Gram matrix with off-diagonal entries, and
+    # for int and Eisenstein denominators d (N(d) = d^2 for an int)
     rng = random.Random(11)
     G = sheared_117()
-    for m, d in ((3, 1), (2, 1), (3, 2)):
-        cols = [[eis(d * rng.randint(-3, 3), d * rng.randint(-3, 3))
+    for m, d in ((3, 1), (2, 1), (3, 2), (3, eis(1, 2))):
+        cols = [[d * eis(rng.randint(-3, 3), rng.randint(-3, 3))
                  for _ in range(3)] for _ in range(m)]
+        N = d.norm() if isinstance(d, EisensteinInt) else d * d
         M = G.rebase([[cols[j][i] for j in range(m)] for i in range(3)], d)
         assert M.gram == tuple(
-            tuple(eis((v := herm_inner(G.gram, x, y)).a // (d * d),
-                      v.b // (d * d)) for y in cols) for x in cols)
-    with pytest.raises(ValueError, match="not integral"):
-        G.rebase([[eis(1), eis(0)], [eis(0), eis(1)], [eis(0), eis(0)]], 2)
+            tuple(eis((v := herm_inner(G.gram, x, y)).a // N, v.b // N)
+                  for y in cols) for x in cols)
+    first_two = [[eis(1), eis(0)], [eis(0), eis(1)], [eis(0), eis(0)]]
+    for d, N in ((2, 4), (eis(1, 2), 3)):
+        with pytest.raises(ValueError, match=rf"not integral: entry \(0, 0\)"
+                                             rf".* rank-2 .*N\(d\) = {N}$"):
+            G.rebase(first_two, d)
 
 
 def sheared_117():

@@ -25,7 +25,6 @@ def exhaustive_neighbour_oracle(L, ideal):
     """All P-neighbours of a rank-2 lattice by brute force: every index-N^2
     sublattice M = pibar*L' of L (Hermite-form columns), kept when the
     invariant factors are (1, pibar*pi) and L' = (1/pibar)M is integral."""
-    from hermhecke.neighbour import _neighbour_from_key
     N = ideal.residue_norm
     found = {}
     # column-Hermite candidates: col1 = (d1, 0), col2 = (c, d2),
@@ -46,8 +45,8 @@ def exhaustive_neighbour_oracle(L, ideal):
             if not verify_neighbour(L, key, ideal):
                 continue
             try:
-                lat = _neighbour_from_key(L, key, N)
-            except AssertionError:
+                lat = L.rebase(key, ideal.generator.conj())
+            except ValueError:
                 continue
             found[key] = lat
     return found
