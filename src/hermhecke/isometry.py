@@ -3,8 +3,14 @@
 Backtracking over images of basis vectors (Plesken-Souvignier style,
 adapted to the O_E-linear setting): a candidate image for the k-th basis
 vector must have the right norm and the right inner products with the
-images already chosen.  Group orders come from the orbit-stabilizer chain,
-so huge groups are never enumerated element by element.
+images already chosen.  Candidates are read from the target's stored
+short-vector table, one vector of each +-pair; each chosen image x brings
+the nonzero entries of x^dagger G, the conjugate of G x, computed once, so
+a candidate costs one sparse dot product per earlier image, and the first
+nonzero product fixes which of v, -v can follow.  A unit multiple of an isometry is an isometry, so
+the image of the first basis vector is only sought up to units.  Group
+orders come from the orbit-stabilizer chain, so huge groups are never
+enumerated element by element.
 """
 
 from __future__ import annotations
@@ -27,46 +33,89 @@ class IsometryCertificate:
         return images == [list(row) for row in source.gram]
 
 
+def _up_to_units(vectors):
+    """The vectors whose last nonzero coordinate is a canonical associate
+    (a > 0, 0 <= b < a): one of each orbit of the unit scalars.  The
+    short-vector table stores these with their + sign."""
+    out = []
+    for v in vectors:
+        for a, b in reversed(v):
+            if a or b:
+                if 0 <= b < a:
+                    out.append(v)
+                break
+    return out
+
+
 class _Searcher:
-    """Shared state for backtracking searches into a fixed target lattice."""
+    """Shared state for backtracking searches into a fixed target lattice.
+
+    A partial assignment is the list of images chosen so far and, beside
+    it, the list of their x^dagger G.
+    """
 
     def __init__(self, source: HermitianLattice, target: HermitianLattice):
         self.G1 = source.gram
         self.target = target
         self.n = source.rank
-        self._by_norm = {}
-        self._wg = {}  # w -> w^dagger G of the target, for O(n) inner products
 
     def candidates(self, norm: int):
-        if norm not in self._by_norm:
-            self._by_norm[norm] = self.target.vectors_of_norm(norm)
-        return self._by_norm[norm]
+        """The target's vectors of the given norm, one of each +-pair."""
+        return self.target._vectors_by_norm(norm).get(norm, ())
 
-    def _dagger_gram(self, w):
-        # (w^dagger G)_j = conj((G w)_j), G being Hermitian
-        wg = self._wg.get(w)
-        if wg is None:
-            wg = self._wg[w] = [_pconj(_pdot(row, w)) for row in self.target.gram]
-        return wg
+    def dagger_gram(self, x):
+        """The nonzero entries (k, a, b) of x^dagger G, a + b w its k-th."""
+        # (x^dagger G)_k = conj((G x)_k), G being Hermitian
+        return [(k, *xg) for k, xg in enumerate(
+            _pconj(_pdot(row, x)) for row in self.target.gram) if xg != (0, 0)]
 
-    def compatible(self, images, level, w) -> bool:
-        """Whether <w, images[j]> = <e_level, e_j> of the source for j < level."""
-        wg = self._dagger_gram(w)
-        row = self.G1[level]
-        return all(_pdot(wg, images[j]) == row[j] for j in range(level))
+    def extensions(self, xgs, level, vectors):
+        """The w among vectors and their negatives with <x_j, w> =
+        <e_j, e_level> of the source for the images x_j, j < level, whose
+        x_j^dagger G are xgs; v before -v.
 
-    def complete(self, images, level):
+        <x, -v> = -<x, v>: the first nonzero product fixes the sign, and
+        only when every product is zero are both signs tried.
+        """
+        column = [self.G1[j][level] for j in range(level)]
+        for v in vectors:
+            sign = 0
+            for xg, (ca, cb) in zip(xgs, column):
+                ac = bd = adbc = 0      # <x, v> = sum_k (x^dagger G)_k v_k
+                for k, p, q in xg:
+                    c, d = v[k]
+                    ac += p * c
+                    bd += q * d
+                    adbc += p * d + q * c
+                a, b = ac - bd, adbc - bd
+                if sign:
+                    if sign * a != ca or sign * b != cb:
+                        break
+                elif a == ca and b == cb:
+                    sign = 1 if a or b else 0
+                elif a == -ca and b == -cb:
+                    sign = -1
+                else:
+                    break
+            else:
+                if sign >= 0:
+                    yield v
+                if sign <= 0:
+                    yield tuple(-x for x in v)
+
+    def complete(self, images, xgs, level):
         """Extend a partial assignment to a full one; None if impossible."""
         if level == self.n:
             return list(images)
-        norm = self.G1[level][level].a
-        for w in self.candidates(norm):
-            if self.compatible(images, level, w):
-                images.append(w)
-                full = self.complete(images, level + 1)
-                if full is not None:
-                    return full
-                images.pop()
+        vectors = self.candidates(self.G1[level][level].a)
+        for w in self.extensions(xgs, level, vectors):
+            images.append(w)
+            xgs.append(self.dagger_gram(w))
+            full = self.complete(images, xgs, level + 1)
+            if full is not None:
+                return full
+            images.pop()
+            xgs.pop()
         return None
 
 
@@ -74,15 +123,19 @@ def is_isometric(L1: HermitianLattice, L2: HermitianLattice):
     """An IsometryCertificate mapping L1 onto L2, or None.
 
     Images of a basis with matching Gram span a finite-index sublattice of
-    L2 of the same determinant, hence all of L2.
+    L2 of the same determinant, hence all of L2.  If phi is an isometry, so
+    is u phi for every unit u, so the image of e_0 is sought up to units.
     """
     if L1.rank != L2.rank:
         return None
     if L1.det != L2.det or L1.discriminant() != L2.discriminant():
         return None
     searcher = _Searcher(L1, L2)
-    full = searcher.complete([], 0)
-    if full is None:
+    for w in _up_to_units(searcher.candidates(L1.gram[0][0].a)):
+        full = searcher.complete([w], [searcher.dagger_gram(w)], 1)
+        if full is not None:
+            break
+    else:
         return None
     cert = IsometryCertificate(tuple(full))
     if not cert.verify(L1, L2):
@@ -97,23 +150,28 @@ def automorphism_order(L: HermitianLattice) -> int:
 
     At level k the group under consideration is the stabilizer of the first
     k basis vectors; its order is the orbit size of basis vector k times
-    the order one level down.
+    the order one level down.  The unit scalars are automorphisms and act
+    freely on the orbit of e_0, which is 6 times the vectors of it counted
+    up to units.
     """
     n = L.rank
     searcher = _Searcher(L, L)
-    basis = [tuple(ONE if i == j else ZERO for i in range(n)) for j in range(n)]
     order = 1
-    prefix = []
+    prefix, xgs = [], []
     for k in range(n):
-        orbit = 0
-        for w in searcher.candidates(L.gram[k][k].a):
-            if not searcher.compatible(prefix, k, w):
-                continue
-            # does some automorphism fixing the prefix send e_k to w?
-            if searcher.complete(prefix + [w], k + 1) is not None:
-                orbit += 1
-        order *= orbit
-        prefix.append(basis[k])
+        vectors = searcher.candidates(L.gram[k][k].a)
+        if k:
+            images, units = searcher.extensions(xgs, k, vectors), 1
+        else:
+            images, units = _up_to_units(vectors), 6
+        # how many w does some automorphism fixing the prefix send e_k to?
+        orbit = sum(searcher.complete(prefix + [w],
+                                      xgs + [searcher.dagger_gram(w)], k + 1)
+                    is not None for w in images)
+        order *= units * orbit
+        e_k = tuple(ONE if i == k else ZERO for i in range(n))
+        prefix.append(e_k)
+        xgs.append(searcher.dagger_gram(e_k))
     return order
 
 

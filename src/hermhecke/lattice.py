@@ -123,14 +123,6 @@ class HermitianLattice:
         return [v for m, vs in self._vectors_by_norm(max_norm).items()
                 if m <= max_norm for v in vs]
 
-    def vectors_of_norm(self, m: int):
-        """All vectors of exact Hermitian norm m (including unit multiples)."""
-        out = []
-        for v in self._vectors_by_norm(m).get(m, ()):
-            out.append(v)
-            out.append(tuple(-x for x in v))
-        return out
-
     def norm_histogram(self, max_norm: int):
         return {m: 2 * len(vs) for m, vs in self._vectors_by_norm(max_norm).items()
                 if m <= max_norm}
@@ -357,4 +349,7 @@ def _fincke_pohst(G, bound: int):
                     results.append((tuple(x), (total - rest) // M4))
 
     search(n - 1, total, True, [(0, 0)] * n)
+    # search refers to itself through its cell; without this the cycle
+    # would hold results until the next full collection
+    del search
     return results

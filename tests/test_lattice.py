@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 from fractions import Fraction
@@ -105,12 +106,23 @@ def test_smaller_request_reads_the_larger_table():
     M.short_vectors(6)
     # each request on a lattice that has never enumerated
     assert M.short_vectors(3) == sheared_117().short_vectors(3)
-    assert M.vectors_of_norm(3) == sheared_117().vectors_of_norm(3)
     assert M.norm_histogram(3) == sheared_117().norm_histogram(3)
     assert M.minimum == sheared_117().minimum == 1
     # the cached table is not part of equality or hashing
     fresh = sheared_117()
     assert M == fresh and hash(M) == hash(fresh)
+
+
+def test_short_vector_table_leaves_no_garbage_cycle():
+    # a dropped lattice and its table are freed by reference counting alone,
+    # without waiting for a full collection
+    gc.collect()
+    gc.disable()
+    try:
+        load_seed_sqrt3().short_vectors(6)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def sheared_i4():

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -18,7 +19,7 @@ from hermhecke.neighbour import (UnsupportedCaseError, count_neighbours,
                                  enumerate_genus, intersection_lattice,
                                  iter_lines_with_data, iter_neighbours,
                                  neighbours, verify_neighbour, load_genus,
-                                 save_genus)
+                                 save_genus, sublattice_genus)
 
 
 def exhaustive_neighbour_oracle(L, ideal):
@@ -249,6 +250,39 @@ def test_genus_O4_trivial(genus_o4):
 def test_aut_orders_small():
     assert automorphism_order(HermitianLattice.standard(1)) == 6
     assert automorphism_order(HermitianLattice.standard(2)) == 72
+    # Aut(I_n) is the unit monomial group: 6^n n!
+    for n in range(1, 9):
+        assert automorphism_order(HermitianLattice.standard(n)) == \
+            6 ** n * math.factorial(n)
+    assert automorphism_order(fixtures.load_seed_sqrt3()) == 155520
+
+
+def unit_monomial(n, rng):
+    """Columns: a seeded permutation of the basis with unit scalings."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [[rng.choice(UNITS) if i == perm[j] else ZERO for j in range(n)]
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("d,p", [(5, 2), (7, 3), (11, 2), (13, 3), (13, 2)],
+                         ids=["<1,1,5>@2", "<1,1,7>@sqrt-3", "<1,1,11>@2",
+                              "<1,1,13>@sqrt-3", "<1,1,13>@2"])
+def test_isometry_separates_classes(d, p):
+    # each class in a new basis is isometric to its own class and to no
+    # other, in the genus and in its sublattice genus, and keeps its |Aut|
+    P = ideal_above(p)
+    genus = enumerate_genus(HermitianLattice.from_gram(
+        [[1, 0, 0], [0, 1, 0], [0, 0, d]]), P)
+    rng = random.Random(f"{d}@{p}")
+    for g in (genus, sublattice_genus(genus, P)[0]):
+        assert g.class_number > 1
+        for i, L in enumerate(g.representatives):
+            M = L.rebase(unit_monomial(L.rank, rng))
+            assert [is_isometric(M, R) is not None
+                    for R in g.representatives] == \
+                [i == j for j in range(g.class_number)]
+            assert automorphism_order(M) == g.aut_orders[i]
 
 
 def test_rank2_rejected_for_genus():
