@@ -3,14 +3,17 @@
 Matrices are plain lists of lists of int or Fraction; everything stays
 exact.  The elimination is fraction-free: exact `//` on integer matrices,
 `/` otherwise, so it also runs over other exact fields (the tests check
-it over Q(sqrt(D))).  Characteristic polynomials and their factorizations
-over Q are delegated to sympy, which is imported on first use.
+it over Q(sqrt(D))).  Characteristic polynomials are computed in integers
+(Berkowitz) and split into their linear and quadratic factors over Q by
+`factoring.small_factors`, which is imported on first use, so the lattice
+code, which factors nothing, never loads it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 
@@ -109,27 +112,45 @@ def inverse(A):
     return [[_div(x, den) for x in row[n:]] for row in M]
 
 
+def _charpoly(A):
+    """det(xI - A) for an integer matrix A, lowest degree first, by
+    Berkowitz's division-free algorithm: with A_k the leading k x k block,
+    R and C the rest of its last row and column and a its corner entry, the
+    coefficients of det(xI - A_k), highest first, are the first k + 1
+    terms of the convolution of (1, -a, -RC, -RA_(k-1)C, ...) with those of
+    det(xI - A_(k-1))."""
+    c = [1]
+    for k, row in enumerate(A):
+        t = [1, -row[k]]
+        v = [A[i][k] for i in range(k)]
+        for j in range(k):
+            t.append(-sum(map(operator.mul, row, v)))
+            if j < k - 1:
+                v = [sum(map(operator.mul, A[i], v)) for i in range(k)]
+        c = [sum(t[i - j] * c[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
+    return c[::-1]
+
+
 def charpoly_factors(A):
-    """Irreducible factors of the char poly over Q, as (coeff-list, mult).
+    """Factors of the char poly over Q, as (coeff-list, mult).
 
     Entries may be int or Fraction.  Coefficient lists are low-degree first
-    with integer entries, primitive, positive leading coefficient.  With d
-    the lcm of the denominators, a factor g(y) of the char poly of the
-    integer matrix dA gives the factor g(dx).  sympy's polynomial layer does
-    the work: its matrix and expression layers convert entries through
-    `getattr` on fresh strings, which CPython's type cache keeps alive.
+    with integer entries, primitive, positive leading coefficient, sorted by
+    degree, then coefficients.  Every factor of degree <= 2 is irreducible;
+    for each multiplicity at most one more factor has degree >= 3, the
+    product of the irreducible factors of degree >= 3 with that
+    multiplicity, and it has no factor of degree <= 2.  With d the lcm of
+    the denominators, a factor g(y) of the char poly of the integer matrix
+    dA gives the factor g(dx).
     """
-    from sympy import Poly, Symbol, ZZ
-    from sympy.polys.matrices import DomainMatrix
-    n = len(A)
+    from .factoring import small_factors
     d = math.lcm(*[x.denominator for row in A for x in row])
-    M = DomainMatrix([[ZZ(int(x * d)) for x in row] for row in A], (n, n), ZZ)
-    _, factors = Poly(M.charpoly(), Symbol("x"), domain=ZZ).factor_list()
+    f = _charpoly([[int(x * d) for x in row] for row in A])
     out = []
-    for poly, mult in factors:
-        cs = [int(c) * d ** k for k, c in enumerate(reversed(poly.all_coeffs()))]
-        g = math.gcd(*cs)
-        out.append(([c // g for c in cs], int(mult)))
+    for g, mult in small_factors(f):
+        cs = [c * d ** k for k, c in enumerate(g)]
+        content = math.gcd(*cs)
+        out.append(([c // content for c in cs], mult))
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return out
 

@@ -143,7 +143,7 @@ def int_sqrt_exact(n: int):
 
 def squarefree_decomposition(n: int):
     """n = core * square^2 with core squarefree (sign carried by core)."""
-    from sympy import factorint
+    from .factoring import factorint
     sign = -1 if n < 0 else 1
     n = abs(n)
     core, square = sign, 1

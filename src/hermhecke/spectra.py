@@ -180,7 +180,8 @@ def _decompose(mats, T):
     """Records (eigenvalues, vector, eigenspace dim, field D, in residual
     block) of the common eigenspaces of `mats`, read off the irreducible
     factors f of the char poly of T, an integer combination of them; None
-    if two distinct eigenvalue tuples meet on T.
+    if two distinct eigenvalue tuples meet on T.  A factor of degree >= 3
+    raises UnsupportedFieldError.
 
     For a linear f the kernel of f(T) is an eigenspace of T; tuples meet
     there if an operator is not scalar on it.  For a quadratic f a
@@ -195,7 +196,8 @@ def _decompose(mats, T):
     records = []
     for coeffs, _mult in charpoly_factors(T):
         if len(coeffs) > 3:
-            raise UnsupportedFieldError(f"irreducible factor of degree {len(coeffs) - 1}")
+            raise UnsupportedFieldError(f"characteristic factor of degree {len(coeffs) - 1} "
+                                        "with no linear or quadratic factor")
         ker = integer_kernel_basis([[sum(c * P[i][j] for c, P in zip(coeffs, powers))
                                      for j in range(n)] for i in range(n)])
         if len(coeffs) == 2:
@@ -410,7 +412,7 @@ def _denominator_primes(c: QuadExtElem, q_min: int, D: int, content):
     primes are those of c's denominator."""
     if c.is_zero():
         return []
-    from sympy import factorint
+    from .factoring import factorint
     den = math.lcm(c.rational_part.denominator, c.surd_part.denominator)
     out = []
     for q in factorint(den):
@@ -560,9 +562,8 @@ def difference_gcd(system: EigenSystem, i: int, j: int) -> GcdReport:
             g = math.gcd(g, abs(int(nrm)))
     if g == 0:
         return GcdReport(i, j, None, {}, True)
-    from sympy import factorint
-    return GcdReport(i, j, g, {int(p): int(e) for p, e in factorint(g).items()},
-                     False)
+    from .factoring import factorint
+    return GcdReport(i, j, g, factorint(g), False)
 
 
 def congruence_report_json(reports):

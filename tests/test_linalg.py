@@ -1,12 +1,10 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
-# linalg imports sympy lazily; importing it here keeps that cost out of the
-# first example of test_charpoly_trace_det, which has a deadline
-import sympy  # noqa: F401
 from hypothesis import given, settings, strategies as st
 
 from hermhecke.linalg import (charpoly_factors,
@@ -174,19 +172,47 @@ def test_inverse_singular():
     assert inverse([row, [r * x for x in row], [rational(0), rational(1), r]]) is None
 
 
-def test_lattice_paths_do_not_load_sympy():
-    # sympy is imported on first use by linalg and spectra; a fresh
-    # interpreter that imports the lattice-only modules and walks a small
-    # genus must not load it
-    code = ("import sys\n"
-            "from hermhecke import fixtures, hecke, neighbour, theta\n"
-            "from hermhecke.eisenstein import ideal_above\n"
-            "from hermhecke.lattice import HermitianLattice\n"
-            "fixtures.FixtureSet.load()\n"
-            "neighbour.enumerate_genus(HermitianLattice.standard(3), ideal_above(2))\n"
-            "assert 'sympy' not in sys.modules, 'sympy was loaded'\n")
+def _runs_without_sympy(code):
+    """Run code in a fresh interpreter and check it never imported sympy."""
+    code = "import sys\n" + code + "assert 'sympy' not in sys.modules, 'sympy was loaded'\n"
     src = os.path.dirname(os.path.dirname(os.path.abspath(hermhecke.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_lattice_paths_do_not_load_sympy():
+    # a lattice-only walk factors nothing, so it does not even load the
+    # factoring code, which linalg, quadfield and spectra import on first use
+    _runs_without_sympy(
+        "from hermhecke import fixtures, hecke, neighbour, theta\n"
+        "from hermhecke.eisenstein import ideal_above\n"
+        "from hermhecke.lattice import HermitianLattice\n"
+        "fixtures.FixtureSet.load()\n"
+        "neighbour.enumerate_genus(HermitianLattice.standard(3), ideal_above(2))\n"
+        "assert 'hermhecke.factoring' not in sys.modules, 'factoring was loaded'\n")
+
+
+def test_spectral_paths_do_not_load_sympy():
+    _runs_without_sympy(
+        "from hermhecke import arthur, fixtures, spectra\n"
+        "from hermhecke.eisenstein import ideal_above\n"
+        "fx = fixtures.FixtureSet.load()\n"
+        "system = spectra.eigensystem([fx.t2_20x20, fx.t3_20x20], ('t2', 't3'),\n"
+        "                             fx.eigen_table)\n"
+        "assert spectra.scan_congruences_lemma(system, q_min=11)\n"
+        "assert spectra.difference_gcd(system, 16, 11).factorization == {2: 3, 3: 3, 11: 1}\n"
+        "arthur.verify_table(fx.store, fx.eigen_table,\n"
+        "                    {'t2': ideal_above(2), 't3': ideal_above(3)})\n")
+
+
+@pytest.mark.parametrize("name", ["t2_20x20", "t3_20x20"])
+def test_charpoly_factors_ignore_class_order(fx, name):
+    # P T P^t for seeded permutations P of all 20 classes
+    T = getattr(fx, name)
+    expected = charpoly_factors(T)
+    rng = random.Random(name)
+    for _ in range(3):
+        perm = rng.sample(range(len(T)), len(T))
+        assert charpoly_factors([[T[i][j] for j in perm] for i in perm]) == expected

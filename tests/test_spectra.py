@@ -342,6 +342,16 @@ def test_conjugate_pairs_split_by_a_later_combination(mats, tuples):
     assert system.check_exactness()
 
 
+def test_cubic_factors_rejected():
+    # block-diag of the companions of x^3 - 2 and x^3 - 3: the char poly's
+    # one factor of degree >= 3 is their product, of degree 6
+    M = [[0, 0, 2, 0, 0, 0], [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0],
+         [0, 0, 0, 0, 0, 3], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0]]
+    with pytest.raises(spectra.UnsupportedFieldError,
+                       match="factor of degree 6 with no linear or quadratic factor"):
+        spectra.eigensystem([M])
+
+
 @pytest.mark.parametrize("flip", [False, True])
 def test_multi_dimensional_quadratic_eigenspace(flip):
     # every operator is scalar on the 2-dimensional sqrt(2)-eigenspace
