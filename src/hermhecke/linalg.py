@@ -1,12 +1,13 @@
-"""Exact linear algebra over Q.
+"""Exact linear algebra over Z.
 
-Matrices are plain lists of lists of int or Fraction; everything stays
-exact.  The elimination is fraction-free: exact `//` on integer matrices,
-`/` otherwise, so it also runs over other exact fields (the tests check
-it over Q(sqrt(D))).  Characteristic polynomials are computed in integers
-(Berkowitz) and split into their linear and quadratic factors over Q by
-`factoring.small_factors`, which is imported on first use, so the lattice
-code, which factors nothing, never loads it.
+Matrices are plain lists of lists of int.  The one elimination is
+Bareiss's fraction-free Gauss-Jordan (Cohen, GTM 138, section 2.2): every
+division in it is exact in integers, so no Fraction is made.  On it rest
+`kernel_basis`, the saturated integer kernel, and `solve_right`, which
+solves A X = den B with X integral.  Characteristic polynomials are
+computed in integers (Berkowitz) and split into their linear and quadratic
+factors over Q by `factoring.small_factors`, which is imported on first
+use, so the lattice code, which factors nothing, never loads it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from fractions import Fraction
 
 
 def mat_mul(A, B):
@@ -28,20 +28,14 @@ def mat_vec(A, v):
     return [sum(a * x for a, x in zip(row, v)) for row in A]
 
 
-def _div(a, b):
-    """a / b exactly: a Fraction for two ints, else the field's quotient."""
-    return Fraction(a, b) if type(a) is type(b) is int else a / b
-
-
 def _gauss_jordan(A, rhs):
-    """Bareiss's fraction-free Gauss-Jordan on [A | rhs], rhs one (maybe
-    empty) row per row of A.  With pivot p every other row becomes
-    (p*row - c*pivot_row) // den, c its pivot-column entry and den the last
-    pivot, exact by Sylvester's identity; over a field the pivot row is
-    scaled to p = 1, so den = 1.  Returns M, the pivot columns and den."""
+    """Bareiss's fraction-free Gauss-Jordan on the integer matrix [A | rhs],
+    rhs one (maybe empty) row per row of A.  With pivot p every other row
+    becomes (p*row - c*pivot_row) // den, c its pivot-column entry and den
+    the last pivot, exact by Sylvester's identity.  Returns M, the pivot
+    columns and den; M / den is the reduced row echelon form."""
     m, n = len(A), len(A[0])
     M = [list(a) + list(b) for a, b in zip(A, rhs)]
-    exact = all(type(x) is int for row in M for x in row)
     den, pivots = 1, []
     for col in range(n):
         row = len(pivots)
@@ -51,65 +45,51 @@ def _gauss_jordan(A, rhs):
         if piv is None:
             continue
         M[row], M[piv] = M[piv], M[row]
-        if not exact:
-            recip = _div(1, M[row][col])
-            M[row][col:] = [x * recip for x in M[row][col:]]
         p, prow = M[row][col], M[row]
         for r in range(m):
             c = M[r][col]
             if r == row or (c == 0 and p == den):  # the row stays as it is
                 continue
-            if exact:  # rows below the pivot are zero left of col
-                lo = 0 if r < row else col
-                M[r][lo:] = [(p * x - c * y) // den for x, y in zip(M[r][lo:], prow[lo:])]
-            else:
-                M[r][col:] = [x - c * y for x, y in zip(M[r][col:], prow[col:])]
+            lo = 0 if r < row else col  # rows below the pivot are zero left of col
+            M[r][lo:] = [(p * x - c * y) // den for x, y in zip(M[r][lo:], prow[lo:])]
         den = p
         pivots.append(col)
     return M, pivots, den
 
 
-def _scaled_kernel(A):
-    """den times the kernel basis of A, integral if A is, and den."""
-    if not A:
-        return [], 1
+def kernel_basis(A):
+    """Saturated basis of {x in Z^n : A x = 0} for an integer matrix A.
+
+    Each free column gives the kernel vector with den at that column and
+    minus its reduced entries at the pivot columns; those vectors, made
+    primitive, span the kernel over Q, and `saturate_columns` makes their
+    lattice the whole integer kernel."""
     n = len(A[0])
     M, pivots, den = _gauss_jordan(A, [[] for _ in A])
-    basis = []
+    cols = []
     for fc in (c for c in range(n) if c not in pivots):
         v = [0] * n
         v[fc] = den
         for r, pc in enumerate(pivots):
             v[pc] = -M[r][fc]
-        basis.append(v)
-    return basis, den
+        cols.append(normalize_primitive(v))
+    if not cols:
+        return []
+    sat = saturate_columns([[v[i] for v in cols] for i in range(n)])
+    for v in sat:
+        assert all(x == 0 for x in mat_vec(A, v))
+    return sat
 
 
-def kernel_basis(A):
-    """Basis of the right kernel of A; free variables are set to 1 in turn."""
-    basis, den = _scaled_kernel(A)
-    return [[_div(x, den) for x in v] for v in basis]
-
-
-def solve_right(A, b):
-    """One solution x of A x = b over a field, or None."""
-    n = len(A[0])
-    M, pivots, den = _gauss_jordan(A, [[x] for x in b])
-    if any(row[n] != 0 for row in M[len(pivots):]):
-        return None
-    x = [0] * n
-    for row, pc in zip(M, pivots):
-        x[pc] = _div(row[n], den)
-    return x
-
-
-def inverse(A):
-    """The inverse of a square matrix over a field, or None if A is singular."""
+def solve_right(A, B):
+    """(X, den) with A X = den B and X integral, for a square integer matrix
+    A and an integer matrix B with as many rows; None if A is singular.
+    den is +-det A, so X is +-adj(A) B."""
     n = len(A)
-    M, pivots, den = _gauss_jordan(A, [[int(i == j) for j in range(n)] for i in range(n)])
+    M, pivots, den = _gauss_jordan(A, B)
     if len(pivots) < n:
         return None
-    return [[_div(x, den) for x in row[n:]] for row in M]
+    return [row[n:] for row in M], den
 
 
 def _charpoly(A):
@@ -132,27 +112,17 @@ def _charpoly(A):
 
 
 def charpoly_factors(A):
-    """Factors of the char poly over Q, as (coeff-list, mult).
+    """Factors of the char poly of an integer matrix A over Q, as
+    (coeff-list, mult).
 
-    Entries may be int or Fraction.  Coefficient lists are low-degree first
-    with integer entries, primitive, positive leading coefficient, sorted by
+    Coefficient lists are low-degree first, integral and monic, sorted by
     degree, then coefficients.  Every factor of degree <= 2 is irreducible;
     for each multiplicity at most one more factor has degree >= 3, the
     product of the irreducible factors of degree >= 3 with that
-    multiplicity, and it has no factor of degree <= 2.  With d the lcm of
-    the denominators, a factor g(y) of the char poly of the integer matrix
-    dA gives the factor g(dx).
+    multiplicity, and it has no factor of degree <= 2.
     """
     from .factoring import small_factors
-    d = math.lcm(*[x.denominator for row in A for x in row])
-    f = _charpoly([[int(x * d) for x in row] for row in A])
-    out = []
-    for g, mult in small_factors(f):
-        cs = [c * d ** k for k, c in enumerate(g)]
-        content = math.gcd(*cs)
-        out.append(([c // content for c in cs], mult))
-    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
-    return out
+    return sorted(small_factors(_charpoly(A)), key=lambda fm: (len(fm[0]), fm[0]))
 
 
 def saturate_columns(B):
@@ -211,18 +181,6 @@ def saturate_columns(B):
         if t < n and t < k and M[t][t] != 0:
             rank += 1
     return [[rinv[r][j] for r in range(n)] for j in range(rank)]
-
-
-def integer_kernel_basis(A):
-    """Saturated basis of {x in Z^n : A x = 0} for an integer matrix A."""
-    cols = [normalize_primitive(v) for v in _scaled_kernel(A)[0]]
-    if not cols:
-        return []
-    B = [[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))]
-    sat = saturate_columns(B)
-    for v in sat:
-        assert all(x == 0 for x in mat_vec(A, v))
-    return sat
 
 
 def normalize_primitive(vec):

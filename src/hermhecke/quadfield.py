@@ -229,9 +229,7 @@ def ideal_valuation(x: QuadExtElem, q: int, D: int):
     r = sqrt_mod(D, q)
     if r is None:
         # inert: v(x) = v_q(field norm)/2, and norm has even valuation
-        vn = _valuation(na * na - D * nb * nb, q) if (na, nb) != (0, 0) else 0
-        if (na, nb) == (0, 0):
-            raise ValueError("valuation of 0")
+        vn = _valuation(na * na - D * nb * nb, q)
         assert vn % 2 == 0
         return [("q", vn // 2 - vden)]
     # split: localize at q1 = (q, sqrt(D) - r) and q2 = (q, sqrt(D) + r)
@@ -257,8 +255,6 @@ def divisible_at(x: QuadExtElem, q: int, tag: str = "") -> bool:
 
 def _split_val(na: int, nb: int, D: int, q: int, r: int) -> int:
     """v at the prime where sqrt(D) specializes to the q-adic lift of r."""
-    if na == 0 and nb == 0:
-        raise ValueError("valuation of 0")
     # enough precision to see past v_q(norm)
     norm = na * na - D * nb * nb
     bound = (_valuation(norm, q) if norm % q == 0 else 0) + 2 if norm else 64

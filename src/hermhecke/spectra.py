@@ -19,8 +19,8 @@ from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from importlib import resources
 
-from .linalg import (charpoly_factors, integer_kernel_basis, inverse, mat_mul,
-                     mat_vec, normalize_primitive)
+from .linalg import (charpoly_factors, kernel_basis, mat_mul, mat_vec,
+                     normalize_primitive, solve_right)
 from .errors import PreconditionError, UnsupportedCaseError
 from .quadfield import (QuadExtElem, divisible_at, ideal_valuation, parse_quad,
                         rational, roots_of_factor)
@@ -111,17 +111,18 @@ class EigenSystem:
 
     @cached_property
     def eigenbasis_inverse(self):
-        """Inverse of the rational matrix whose columns are the stored vectors
-        in label order, a conjugate pair i < j with v_i = r + s*sqrt(D)
-        contributing r at i and s at j; None if they are dependent.  The
-        parts are integral, so one integer elimination inverts it.
-        Computed on first use and not refreshed if `labels` changes
-        afterwards."""
+        """(X, den) with P X = den I and X integral, P the integer matrix
+        whose columns are the stored vectors in label order, a conjugate
+        pair i < j with v_i = r + s*sqrt(D) contributing r at i and s at j;
+        None if they are dependent.  P^-1 is X / den.  Computed on first use
+        and not refreshed if `labels` changes afterwards."""
         cols = {lab: _parts(rec.vector)[0] for lab, rec in self.labels.items()}
         for i, j in self._mates.items():
             cols[j] = _parts(self.labels[i].vector)[1]
         assert all(x.denominator == 1 for col in cols.values() for x in col)
-        return inverse([[int(cols[lab][i]) for lab in sorted(cols)] for i in range(self.size)])
+        n = self.size
+        return solve_right([[int(cols[lab][i]) for lab in sorted(cols)] for i in range(n)],
+                           [[int(i == j) for j in range(n)] for i in range(n)])
 
     def to_json_dict(self):
         rows = []
@@ -198,8 +199,8 @@ def _decompose(mats, T):
         if len(coeffs) > 3:
             raise UnsupportedFieldError(f"characteristic factor of degree {len(coeffs) - 1} "
                                         "with no linear or quadratic factor")
-        ker = integer_kernel_basis([[sum(c * P[i][j] for c, P in zip(coeffs, powers))
-                                     for j in range(n)] for i in range(n)])
+        ker = kernel_basis([[sum(c * P[i][j] for c, P in zip(coeffs, powers))
+                             for j in range(n)] for i in range(n)])
         if len(coeffs) == 2:
             eigs = _common_eigenvalues(mats, ker)
             if eigs is None:
@@ -271,6 +272,12 @@ def eigensystem(matrices, operator_names=None, reference=None) -> EigenSystem:
     n = len(mats[0])
     if any(len(M) != n or len(M[0]) != n for M in mats):
         raise PreconditionError("matrices must share one square size")
+    for t, M in enumerate(mats):
+        for i, row in enumerate(M):
+            for j, x in enumerate(row):
+                if not isinstance(x, int):
+                    raise PreconditionError(f"operator {t} has the non-integer entry "
+                                            f"{x!r} at row {i}, column {j}")
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             if not _commute(mats[i], mats[j]):
@@ -377,15 +384,16 @@ def expand_in_eigenbasis(v, system: EigenSystem):
     """Coefficients of v in the stored eigenbasis (block basis vectors count
     as basis elements for their labels).  Returns {label: QuadExtElem}.
 
-    One product with the system's cached rational eigenbasis inverse: of a
-    conjugate pair i < j with v_i = r + s*sqrt(D), the coordinates x on r and
-    y on s give x/2 + y*sqrt(D)/(2D) on v_i and the conjugate on v_j."""
+    One product with the system's cached integer eigenbasis inverse X / den,
+    divided by den once per coordinate: of a conjugate pair i < j with
+    v_i = r + s*sqrt(D), the coordinates x on r and y on s give
+    x/2 + y*sqrt(D)/(2D) on v_i and the conjugate on v_j."""
     if len(v) != system.size:
         raise PreconditionError(f"vector of length {len(v)}, not {system.size}")
-    inv = system.eigenbasis_inverse
-    if inv is None:
+    if system.eigenbasis_inverse is None:
         raise PreconditionError("stored eigenvectors are linearly dependent")
-    coords = dict(zip(sorted(system.labels), mat_vec(inv, v)))
+    X, den = system.eigenbasis_inverse
+    coords = {lab: Fraction(c, den) for lab, c in zip(sorted(system.labels), mat_vec(X, v))}
     out = {lab: rational(c) for lab, c in coords.items()}
     for i, j in system._mates.items():
         D = system.labels[i].field_tag

@@ -2,7 +2,6 @@
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -114,20 +113,17 @@ def test_block_companions_match_sympy(blocks):
 
 def test_random_matrices_match_sympy():
     rng = random.Random(20181)
-    for case in range(320):
+    for case in range(240):
         n = rng.randint(1, 7)
-        kind = case % 4
+        kind = case % 3
         if kind == 0:  # dense: the char poly is mostly irreducible
             A = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
         elif kind == 1:  # triangular: integer roots, often repeated
             A = [[rng.randint(-3, 3) if j >= i else 0 for j in range(n)] for i in range(n)]
             A = shear(A, rng, 2 * n)
-        elif kind == 2:  # random small blocks
+        else:  # random small blocks
             blocks = [rng.choice(LINEAR + QUADRATIC + CUBIC) for _ in range(rng.randint(1, 4))]
             A = shear(block_diag([companion(c) for c in blocks]), rng, 2 * n)
-        else:  # rational entries
-            A = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
-                 for _ in range(n)]
         assert_matches_sympy(A)
 
 

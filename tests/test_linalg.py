@@ -7,13 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermhecke.linalg import (charpoly_factors,
-                              integer_kernel_basis, inverse, kernel_basis,
-                              mat_mul, mat_vec,
-                              normalize_primitive,
-                              saturate_columns, solve_right)
+from hermhecke.linalg import (charpoly_factors, kernel_basis, mat_mul, mat_vec,
+                              normalize_primitive, saturate_columns, solve_right)
 import hermhecke
-from hermhecke.quadfield import QuadExtElem, rational, roots_of_factor
+from hermhecke.quadfield import roots_of_factor
 
 mat3 = st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
                 min_size=3, max_size=3)
@@ -33,19 +30,21 @@ def test_charpoly_trace_det(A):
     assert coeffs[-2] == -(A[0][0] + A[1][1] + A[2][2])
 
 
+def _det3(A):
+    return sum(A[0][i] * (A[1][(i + 1) % 3] * A[2][(i + 2) % 3]
+                          - A[1][(i + 2) % 3] * A[2][(i + 1) % 3])
+               for i in range(3))
+
+
 @given(mat3)
 @settings(max_examples=30)
 def test_kernel_is_kernel(A):
-    F = [[Fraction(x) for x in row] for row in A]
-    ker = kernel_basis(F)
+    ker = kernel_basis(A)
     for v in ker:
-        assert all(x == 0 for x in mat_vec(F, v))
+        assert all(x == 0 for x in mat_vec(A, v))
     # the kernel vectors are independent: their column matrix has no kernel
     assert not ker or not kernel_basis([list(row) for row in zip(*ker)])
-    det = sum(A[0][i] * (A[1][(i + 1) % 3] * A[2][(i + 2) % 3]
-                         - A[1][(i + 2) % 3] * A[2][(i + 1) % 3])
-              for i in range(3))
-    assert bool(ker) == (det == 0)
+    assert bool(ker) == (_det3(A) == 0)
 
 
 @st.composite
@@ -62,29 +61,59 @@ def int_matrices(draw):
              for j in range(n)] for i in range(m)]
 
 
+def _rref(A):
+    """Reduced row echelon form of A over Q by plain Gauss-Jordan in
+    Fractions, and its pivot columns."""
+    M = [[Fraction(x) for x in row] for row in A]
+    pivots = []
+    for col in range(len(M[0])):
+        row = len(pivots)
+        piv = next((r for r in range(row, len(M)) if M[r][col]), None)
+        if piv is None:
+            continue
+        M[row], M[piv] = M[piv], M[row]
+        M[row] = [x / M[row][col] for x in M[row]]
+        for r in range(len(M)):
+            if r != row:
+                M[r] = [x - M[r][col] * y for x, y in zip(M[r], M[row])]
+        pivots.append(col)
+    return M, pivots
+
+
 @given(int_matrices())
 @settings(max_examples=200)
 def test_integer_elimination_matches_field_elimination(A):
-    # an int matrix is eliminated in integers, its Fraction copy over Q
-    F = [[Fraction(x) for x in row] for row in A]
-    ker = kernel_basis(F)
-    assert kernel_basis(A) == ker
-    if len(A) == len(A[0]):
-        assert inverse(A) == inverse(F)
+    n = len(A[0])
+    M, pivots = _rref(A)
+    # the rational kernel, free variables set to 1 in turn
+    ker = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [Fraction(int(c == fc)) for c in range(n)]
+        for r, pc in enumerate(pivots):
+            v[pc] = -M[r][fc]
+        ker.append(v)
     # the integer kernel is the saturation of the normalized rational one
     cols = [normalize_primitive(v) for v in ker]
     sat = saturate_columns([list(row) for row in zip(*cols)]) if cols else []
-    assert integer_kernel_basis(A) == sat
+    assert kernel_basis(A) == sat
+    if len(A) == n:
+        M, pivots = _rref([row + e for row, e in zip(A, _identity(n))])
+        got = solve_right(A, _identity(n))
+        if pivots[:n] != list(range(n)):
+            assert got is None
+        else:
+            X, den = got
+            assert [[Fraction(x, den) for x in row] for row in X] == [row[n:] for row in M]
 
 
 def test_integer_kernel_saturated():
-    ker = integer_kernel_basis([[2, 2, 2]])
+    ker = kernel_basis([[2, 2, 2]])
     # saturated: (1,-1,0),(0,1,-1) up to basis change; index in Z^3 cap ker is 1
     assert len(ker) == 2
     import math
     g2 = [math.gcd(*[v[i] for v in ker]) for i in range(3)]
     assert all(x == 0 for x in mat_vec([[2, 2, 2]], ker[0]))
-    ker2 = integer_kernel_basis([[1, 2, 3], [4, 5, 6]])
+    ker2 = kernel_basis([[1, 2, 3], [4, 5, 6]])
     assert [list(v) for v in ker2] == [[1, -2, 1]] or \
            [list(v) for v in ker2] == [[-1, 2, -1]]
 
@@ -107,11 +136,6 @@ def test_charpoly_factors_quadratic():
     assert sorted(r.rational_part for r in roots) == [Fraction(1, 2)] * 2
 
 
-def test_charpoly_factors_rational_entries():
-    A = [[Fraction(1, 2), Fraction(0)], [Fraction(5), Fraction(1, 3)]]
-    assert charpoly_factors(A) == [([-1, 2], 1), ([-1, 3], 1)]
-
-
 def test_roots_rational():
     roots = roots_of_factor([-6, 1])  # x - 6
     assert len(roots) == 1 and roots[0].as_fraction() == 6
@@ -131,13 +155,6 @@ def test_normalize_primitive(v):
     assert next(x for x in w if x) > 0
 
 
-def test_solve_right():
-    A = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
-    x = solve_right(A, [Fraction(5), Fraction(11)])
-    assert mat_vec(A, x) == [Fraction(5), Fraction(11)]
-    assert solve_right([[Fraction(1), Fraction(1)]], [Fraction(1)]) is not None
-
-
 def _identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -145,31 +162,22 @@ def _identity(n):
 @given(mat3)
 @settings(max_examples=50)
 def test_inverse_over_q(A):
-    F = [[Fraction(x) for x in row] for row in A]
-    inv = inverse(F)
-    if kernel_basis(F):
-        assert inv is None
+    # A X = den I with X integral; None exactly when det A = 0
+    got = solve_right(A, _identity(3))
+    if _det3(A) == 0:
+        assert got is None
     else:
-        assert mat_mul(F, inv) == _identity(3)
-        assert mat_mul(inv, F) == _identity(3)
-
-
-def test_inverse_over_quadratic_field():
-    r = QuadExtElem.of(0, 1, 193)
-    A = [[rational(1), r, rational(2)],
-         [QuadExtElem.of(Fraction(1, 2), Fraction(1, 2), 193), rational(3), rational(0)],
-         [rational(Fraction(1, 2)), rational(1), 1 + r]]
-    inv = inverse(A)
-    assert inv is not None
-    assert mat_mul(A, inv) == _identity(3)
-    assert mat_mul(inv, A) == _identity(3)
+        X, den = got
+        assert all(type(x) is int for row in X for x in row)
+        scaled = [[den * x for x in row] for row in _identity(3)]
+        assert mat_mul(A, X) == scaled
+        assert mat_mul(X, A) == scaled
 
 
 def test_inverse_singular():
-    assert inverse([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) is None
-    r = QuadExtElem.of(1, 1, 193)
-    row = [rational(1), r, rational(3)]
-    assert inverse([row, [r * x for x in row], [rational(0), rational(1), r]]) is None
+    assert solve_right([[1, 2], [2, 4]], _identity(2)) is None
+    # singular only at the last pivot
+    assert solve_right([[1, 2, 3], [4, 5, 6], [7, 8, 9]], _identity(3)) is None
 
 
 def _runs_without_sympy(code):
