@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
+from .eisenstein import is_prime
 from .errors import MissingCoefficientError
 from .quadfield import QuadExtElem, parse_quad
 
@@ -83,7 +84,7 @@ class CoefficientStore:
             return
         coeffs = dict(rec.coeffs)
         for p in range(2, limit + 1):
-            if all(p % d for d in range(2, p)):
+            if is_prime(p):
                 tau = ramanujan_tau(p)
                 if p in coeffs and coeffs[p] != tau:
                     raise ValueError(f"stored a_{p}(Delta) disagrees with eta oracle")

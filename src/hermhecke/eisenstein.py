@@ -7,6 +7,7 @@ ideal arithmetic below is done with single generators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -227,9 +228,7 @@ class EisIdeal:
         """The rational prime below."""
         n = self.residue_norm
         if self.split_type == "inert":
-            r = round(n ** 0.5)
-            assert r * r == n
-            return r
+            return math.isqrt(n)
         return n
 
     def __str__(self):
@@ -247,7 +246,7 @@ def classify_prime(p: int):
     Returns (split_type, [primes above p]).  3 ramifies, p = 1 mod 3
     splits, p = 2 mod 3 is inert.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p == 3:
         return "ramified", [EisIdeal(SQRT_M3, 3, "ramified")]
@@ -276,19 +275,22 @@ def _split_generator(p: int) -> EisensteinInt:
     raise ValueError(f"no element of norm {p}")  # pragma: no cover
 
 
-def _is_prime(n: int) -> bool:
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin to the first twelve prime bases: exact below 3*10^23,
+    a strong probable-prime test above."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    # deterministic Miller-Rabin for 64-bit-and-beyond usage here
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
     d, s = n - 1, 0
     while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
         if x in (1, n - 1):
             continue
         for _ in range(s - 1):
@@ -298,4 +300,3 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
-

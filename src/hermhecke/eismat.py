@@ -36,35 +36,6 @@ def is_hermitian(G) -> bool:
     return all(G[i][j] == _pconj(G[j][i]) for i in range(n) for j in range(n))
 
 
-def eis_det(A) -> EisensteinInt:
-    """Determinant by fraction-free expansion (Bareiss is overkill at n<=12)."""
-    n = len(A)
-    M = [list(row) for row in A]
-    det = ONE
-    for col in range(n):
-        # find a pivot of minimal norm for smaller growth
-        piv = None
-        for r in range(col, n):
-            if M[r][col] != ZERO and (piv is None or
-                                      M[r][col].norm() < M[piv][col].norm()):
-                piv = r
-        if piv is None:
-            return ZERO
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = -det
-        # clear below by Euclidean steps (stay over O)
-        for r in range(col + 1, n):
-            while M[r][col] != ZERO:
-                if M[r][col].norm() < M[col][col].norm():
-                    M[col], M[r] = M[r], M[col]
-                    det = -det
-                q, _ = divmod(M[r][col], M[col][col])
-                M[r] = [x - q * y for x, y in zip(M[r], M[col])]
-        det = det * M[col][col]
-    return det
-
-
 def column_hermite_form(M):
     """Canonical column Hermite form of an n x m matrix of rank n.
 
@@ -111,77 +82,92 @@ def column_hermite_form(M):
     return [[EisensteinInt(*basis[j][i]) for j in range(n)] for i in range(n)]
 
 
-def smith_invariants(M):
-    """Invariant factors of the O-module O^n / (columns of M), rank n.
+def smith(M):
+    """Invariant factors and determinant of an n x m matrix M, m >= n, from
+    one Euclidean elimination (Cohen, GTM 138, §2.4).
 
-    Returned as canonical-associate EisensteinInts, each dividing the next.
+    Returns (invariants, det).  The invariants are those of the O-module
+    O^n / (columns of M), canonical-associate EisensteinInts, each dividing
+    the next.  det is the product of the raw pivots, its sign flipped at
+    every row or column swap (additions keep it): for square M, the
+    determinant.  M without full row rank gives (None, ZERO).
     """
-    n = len(M)
     A = [list(row) for row in M]
-    invariants = []
-    top = 0
-    while top < n:
-        m = len(A[0])
-        # find global minimal-norm nonzero entry in A[top:, :]
-        best = None
-        for i in range(top, n):
-            for j in range(m):
-                x = A[i][j]
-                if x != ZERO:
-                    norm = _pnorm(x)
-                    if best is None or norm < best_norm:
-                        best, best_norm = (i, j), norm
-        if best is None:
-            raise ValueError("matrix not of full rank")
-        bi, bj = best
-        A[top], A[bi] = A[bi], A[top]
-        for row in A:
-            row[0], row[bj] = row[bj], row[0]
+    invariants, det, sign = [], ONE, 1
+    while A:
+        # the first entry of least norm, row by row; no norm is below 1
+        at, least = None, 0
+        for i, row in enumerate(A):
+            for j, x in enumerate(row):
+                if x != ZERO and (at is None or _pnorm(x) < least):
+                    at, least = (i, j), _pnorm(x)
+            if least == 1:
+                break
+        if at is None:
+            return None, ZERO
+        bi, bj = at
+        if bi:
+            A[0], A[bi] = A[bi], A[0]
+            sign = -sign
+        if bj:
+            for row in A:
+                row[0], row[bj] = row[bj], row[0]
+            sign = -sign
         # clear row and column; restart if a remainder shrinks the pivot
         dirty = True
         while dirty:
             dirty = False
-            p = A[top][0]
-            for i in range(top + 1, n):
+            p = A[0][0]
+            for i in range(1, len(A)):
                 if A[i][0] != ZERO:
                     q, _ = _pdivmod(A[i][0], p)
-                    A[i] = _sub_multiple(A[i], q, A[top])
+                    A[i] = _sub_multiple(A[i], q, A[0])
                     if A[i][0] != ZERO:
-                        A[top], A[i] = A[i], A[top]
-                        dirty = True
+                        A[0], A[i] = A[i], A[0]
+                        sign, dirty = -sign, True
                         break
             if dirty:
                 continue
             for j in range(1, len(A[0])):
-                if A[top][j] != ZERO:
-                    q, _ = _pdivmod(A[top][j], p)
-                    rows = A[top:n]
-                    col = _sub_multiple([row[j] for row in rows], q,
-                                        [row[0] for row in rows])
-                    for row, x in zip(rows, col):
+                if A[0][j] != ZERO:
+                    q, _ = _pdivmod(A[0][j], p)
+                    col = _sub_multiple([row[j] for row in A], q,
+                                        [row[0] for row in A])
+                    for row, x in zip(A, col):
                         row[j] = x
-                    if A[top][j] != ZERO:
-                        for i in range(top, n):
-                            A[i][0], A[i][j] = A[i][j], A[i][0]
-                        dirty = True
+                    if A[0][j] != ZERO:
+                        for row in A:
+                            row[0], row[j] = row[j], row[0]
+                        sign, dirty = -sign, True
                         break
             if dirty:
                 continue
             # pivot divides everything in its row/col; enforce divisibility
             # of the remaining block
-            for i in range(top + 1, n):
-                bad = next((j for j in range(1, len(A[0]))
-                            if _pdivmod(A[i][j], p)[1] != ZERO), None)
-                if bad is not None:
-                    A[top] = [(xa + ya, xb + yb)
-                              for (xa, xb), (ya, yb) in zip(A[top], A[i])]
+            for i in range(1, len(A)):
+                if any(_pdivmod(x, p)[1] != ZERO for x in A[i][1:]):
+                    A[0] = [(xa + ya, xb + yb)
+                            for (xa, xb), (ya, yb) in zip(A[0], A[i])]
                     dirty = True
                     break
-        p = A[top][0]
+        p = A[0][0]
+        det = _pmul(det, p)
         invariants.append(EisensteinInt(*_pmul(_associate_unit(p), p)))
-        A = [row[1:] for row in A[top + 1:]]
-        n -= top + 1
-        top = 0
-        if not A or not A[0]:
-            break
+        A = [row[1:] for row in A[1:]]
+    return invariants, EisensteinInt(sign * det[0], sign * det[1])
+
+
+def smith_invariants(M):
+    """Invariant factors of the O-module O^n / (columns of M), rank n.
+
+    Returned as canonical-associate EisensteinInts, each dividing the next.
+    """
+    invariants, _ = smith(M)
+    if invariants is None:
+        raise ValueError("matrix not of full rank")
     return invariants
+
+
+def eis_det(A) -> EisensteinInt:
+    """Determinant of the square matrix A, ZERO if it is singular."""
+    return smith(A)[1]

@@ -19,6 +19,8 @@ import itertools
 import math
 import random
 
+from .eisenstein import is_prime
+
 
 def _trim(f):
     while f and f[-1] == 0:
@@ -243,33 +245,6 @@ def small_factors(f):
     factors of degree >= 3 with that multiplicity, none of degree <= 2."""
     return [(h, mult) for g, mult in _squarefree_parts(f)
             for h in _split_squarefree(g)]
-
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Miller-Rabin to the first twelve prime bases: exact below 3*10^23,
-    a strong probable-prime test above."""
-    if n < 2:
-        return False
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _rho(n):

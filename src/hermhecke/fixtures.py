@@ -16,7 +16,8 @@ from importlib import resources
 
 from .coefficients import CoefficientStore
 from .linalg import mat_mul
-from .spectra import load_reference_table
+from .quadfield import parse_quad
+
 
 def load_seed_sqrt3():
     """The rank-4 sqrt(-3)-modular seed lattice (det 9, minimum 3)."""
@@ -47,6 +48,15 @@ def _load_json(name: str, path=None):
         with open(path) as fh:
             text = fh.read()
     return json.loads(text)
+
+
+def load_reference_table(path=None):
+    """Reference 20-row table: eigenvalues of T_(2), T_(sqrt(-3)) and the
+    conjectured parameter strings."""
+    return [{"label": row["label"], "t2": parse_quad(row["t2"]),
+             "t3": parse_quad(row["t3"]), "parameter": row["parameter"],
+             "dim": row["dim"]}
+            for row in _load_json("eigen_table_20.json", path)["rows"]]
 
 
 @dataclass

@@ -176,17 +176,15 @@ def automorphism_order(L: HermitianLattice) -> int:
 
 
 class Classifier:
-    """Isometry classes met so far: a representative of each, its |Aut|, and
-    buckets of representatives by fingerprint, so that a lattice is tested
-    for isometry only against representatives with its fingerprint."""
+    """Isometry classes met so far: a representative of each, and buckets
+    of representatives by fingerprint, so that a lattice is tested for
+    isometry only against representatives with its fingerprint."""
 
-    def __init__(self, representatives=(), aut_orders=None):
+    def __init__(self, representatives=()):
         self.representatives = []
-        self.aut_orders = []
         self._buckets = {}          # fingerprint -> indices of representatives
-        for i, L in enumerate(representatives):
-            self._add(L, L.fingerprint(),
-                      None if aut_orders is None else aut_orders[i])
+        for L in representatives:
+            self._add(L, L.fingerprint())
 
     def find(self, L: HermitianLattice):
         """Index of the representative isometric to L, or None."""
@@ -205,10 +203,8 @@ class Classifier:
                 return idx
         return None
 
-    def _add(self, L, fp, aut_order=None) -> int:
+    def _add(self, L, fp) -> int:
         idx = len(self.representatives)
         self.representatives.append(L)
-        self.aut_orders.append(automorphism_order(L) if aut_order is None
-                               else aut_order)
         self._buckets.setdefault(fp, []).append(idx)
         return idx

@@ -66,15 +66,24 @@ class HermitianLattice:
         return len(self.gram)
 
     @cached_property
+    def _smith(self) -> tuple:
+        """(invariant factors, determinant) of the Gram matrix, from one
+        Smith elimination."""
+        return eismat.smith(self.gram)
+
+    @property
     def det(self) -> int:
-        d = eismat.eis_det([list(r) for r in self.gram])
+        d = self._smith[1]
         if d.b != 0:
             raise ValueError("determinant of Hermitian gram must be rational")
         return d.a
 
-    @cached_property
+    @property
     def invariant_factors(self) -> tuple:
-        return tuple(eismat.smith_invariants([list(r) for r in self.gram]))
+        invariants = self._smith[0]
+        if invariants is None:
+            raise ValueError("matrix not of full rank")
+        return tuple(invariants)
 
     def discriminant(self) -> tuple:
         """Norms of the elementary divisors of the Gram matrix."""

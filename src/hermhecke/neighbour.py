@@ -29,7 +29,7 @@ from .eisenstein import EisensteinInt, ONE, ZERO, EisIdeal, \
     canonical_associate, _pconj, _pdot, _pmul
 from . import eismat
 from .lattice import HermitianLattice, hermitian_lll
-from .isometry import Classifier
+from .isometry import Classifier, automorphism_order
 from .errors import OrphanLatticeError, PreconditionError, UnsupportedCaseError
 
 
@@ -341,7 +341,8 @@ def enumerate_genus(L: HermitianLattice, ideal: EisIdeal,
     """The classes of the genus of L reached by iterated P-neighbours.
 
     Every neighbour of every class is classified once, which also gives
-    the rows of T(P).
+    the rows of T(P).  The orders |Aut| of the classes are searched once
+    the rows are complete.
     """
     if L.rank < 3:
         raise UnsupportedCaseError(
@@ -349,7 +350,8 @@ def enumerate_genus(L: HermitianLattice, ideal: EisIdeal,
     classes = Classifier([L])
     rows = _class_rows(classes, classes.representatives, iter_neighbours,
                        ideal, grow=True, progress=progress)
-    return GenusEnumeration(classes.representatives, classes.aut_orders,
+    reps = classes.representatives
+    return GenusEnumeration(reps, [automorphism_order(R) for R in reps],
                             ideal, rows)
 
 
@@ -357,7 +359,7 @@ def neighbour_rows(genus: GenusEnumeration, ideal: EisIdeal,
                    progress=None) -> list:
     """T(ideal) rows of a complete genus: rows[i][j] neighbours of class i
     lie in class j.  A neighbour of no class raises OrphanLatticeError."""
-    classes = Classifier(genus.representatives, genus.aut_orders)
+    classes = Classifier(genus.representatives)
     return _class_rows(classes, genus.representatives, iter_neighbours,
                        ideal, grow=False, progress=progress)
 
@@ -367,7 +369,8 @@ def sublattice_genus(L_genus: GenusEnumeration, ideal: EisIdeal,
     """Representatives of genus(L cap N') plus the incidence matrix S.
 
     s_{i, j} = number of index-N sublattices X of L_i (arising as L_i cap N')
-    with X isometric to L'_j.
+    with X isometric to L'_j.  As in enumerate_genus, the orders |Aut| of
+    the classes are searched once S is complete.
     """
     if ideal.split_type == "split":
         raise UnsupportedCaseError(
@@ -375,7 +378,8 @@ def sublattice_genus(L_genus: GenusEnumeration, ideal: EisIdeal,
     classes = Classifier()
     S = _class_rows(classes, L_genus.representatives, _iter_intersections,
                     ideal, grow=True, progress=progress)
-    return GenusEnumeration(classes.representatives, classes.aut_orders,
+    reps = classes.representatives
+    return GenusEnumeration(reps, [automorphism_order(R) for R in reps],
                             ideal), S
 
 

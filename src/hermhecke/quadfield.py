@@ -215,6 +215,11 @@ def ideal_valuation(x: QuadExtElem, q: int, D: int):
 
     Returns a list of (tag, valuation) pairs; tags are 'q' (inert),
     'q1'/'q2' (split, q1 the prime at which sqrt(D) = sqrt_mod(D, q)).
+
+    Write x = q^m (a + b sqrt(D)) / den with q not dividing gcd(a, b).  At
+    an inert q the prime (q) does not divide a + b sqrt(D).  Of the two
+    primes above a split q, whose product is (q), at most the one at which
+    a + b sqrt(D) = 0 mod q does, and it takes all of v_q(a^2 - D b^2).
     """
     if q == 2 or (2 * D) % q == 0:
         raise UnsupportedCaseError(f"prime {q} is even or ramified in Q(sqrt({D}))")
@@ -224,18 +229,17 @@ def ideal_valuation(x: QuadExtElem, q: int, D: int):
         raise MixedFieldError(f"element lies in Q(sqrt({x.D})), not Q(sqrt({D}))")
     a, b = x.rational_part, x.surd_part
     den = math.lcm(a.denominator, b.denominator)
-    vden = _valuation(den, q) if den % q == 0 else 0
     na, nb = int(a * den), int(b * den)
+    m = _valuation(math.gcd(na, nb), q)
+    na, nb = na // q ** m, nb // q ** m
+    m -= _valuation(den, q)
     r = sqrt_mod(D, q)
     if r is None:
-        # inert: v(x) = v_q(field norm)/2, and norm has even valuation
-        vn = _valuation(na * na - D * nb * nb, q)
-        assert vn % 2 == 0
-        return [("q", vn // 2 - vden)]
-    # split: localize at q1 = (q, sqrt(D) - r) and q2 = (q, sqrt(D) + r)
-    v1 = _split_val(na, nb, D, q, r)
-    v2 = _split_val(na, nb, D, q, (q - r) % q)
-    return [("q1", v1 - vden), ("q2", v2 - vden)]
+        return [("q", m)]
+    e = _valuation(na * na - D * nb * nb, q)
+    if (na + nb * r) % q:
+        return [("q1", m), ("q2", m + e)]
+    return [("q1", m + e), ("q2", m)]
 
 
 def divisible_at(x: QuadExtElem, q: int, tag: str = "") -> bool:
@@ -251,31 +255,3 @@ def divisible_at(x: QuadExtElem, q: int, tag: str = "") -> bool:
     if tag:
         return vals.get(tag, 0) >= 1
     return all(v >= 1 for v in vals.values())
-
-
-def _split_val(na: int, nb: int, D: int, q: int, r: int) -> int:
-    """v at the prime where sqrt(D) specializes to the q-adic lift of r."""
-    # enough precision to see past v_q(norm)
-    norm = na * na - D * nb * nb
-    bound = (_valuation(norm, q) if norm % q == 0 else 0) + 2 if norm else 64
-    root = _hensel_root(D, q, r, bound)
-    val = (na + nb * root) % (q ** bound)
-    if val == 0:
-        return bound  # only reachable when norm = 0, i.e. never for D nonsquare
-    v = 0
-    while val % q == 0:
-        val //= q
-        v += 1
-    return v
-
-
-def _hensel_root(D: int, q: int, r: int, K: int) -> int:
-    """Lift r with r^2 = D (mod q) to a root of X^2 - D mod q^K."""
-    mod = q
-    x = r % q
-    while mod < q ** K:
-        mod = mod * mod
-        # Newton step: x <- x - (x^2 - D)/(2x)
-        inv = pow(2 * x, -1, mod)
-        x = (x - (x * x - D) * inv) % mod
-    return x % (q ** K)

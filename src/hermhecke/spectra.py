@@ -12,18 +12,16 @@ gcds and eigenvector reduction mod q.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from importlib import resources
 
 from .linalg import (charpoly_factors, kernel_basis, mat_mul, mat_vec,
                      normalize_primitive, solve_right)
 from .errors import PreconditionError, UnsupportedCaseError
-from .quadfield import (QuadExtElem, divisible_at, ideal_valuation, parse_quad,
-                        rational, roots_of_factor)
+from .quadfield import (QuadExtElem, divisible_at, ideal_valuation, rational,
+                        roots_of_factor)
 
 
 class UnsupportedFieldError(UnsupportedCaseError):
@@ -136,25 +134,6 @@ class EigenSystem:
                 "field": rec.field_tag,
             })
         return {"operators": list(self.operator_names), "rows": rows}
-
-
-def load_reference_table(path=None):
-    """Reference 20-row table: eigenvalues of T_(2), T_(sqrt(-3)) and the
-    conjectured parameter strings."""
-    if path is None:
-        text = resources.files("hermhecke.data").joinpath("eigen_table_20.json").read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
-    data = json.loads(text)
-    rows = []
-    for row in data["rows"]:
-        rows.append({"label": row["label"],
-                     "t2": parse_quad(row["t2"]),
-                     "t3": parse_quad(row["t3"]),
-                     "parameter": row["parameter"],
-                     "dim": row["dim"]})
-    return rows
 
 
 def _commute(A, B) -> bool:

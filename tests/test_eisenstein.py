@@ -67,6 +67,14 @@ def test_ideal_above():
         canonical_associate(P7.generator.conj())
 
 
+def test_inert_prime_beyond_float_precision():
+    # p = 2 mod 3 just above 2^67: p^2 is not exact as a float
+    p = 147573952589676412931
+    P = ideal_above(p)
+    assert P.split_type == "inert" and P.residue_norm == p * p
+    assert P.p == p
+
+
 @given(small, small, nonzero)
 def test_canonical_residue(a, b, gt):
     # _reduce's minimal-norm residue drives the LLL and Hermite rounding
@@ -101,7 +109,7 @@ def test_no_tuple_concatenation_or_repetition():
 
 
 def test_public_results_are_eisenstein_ints():
-    from hermhecke.eismat import column_hermite_form, smith_invariants
+    from hermhecke.eismat import column_hermite_form, eis_det, smith_invariants
     from hermhecke.lattice import HermitianLattice, hermitian_lll
     from hermhecke.neighbour import neighbours
 
@@ -118,5 +126,5 @@ def test_public_results_are_eisenstein_ints():
     M = [[eis(2), eis(1, 1), eis(0, 3)], [eis(0), eis(3, 1), eis(1)],
          [eis(1, 2), eis(0), eis(4)]]
     out += [x for row in column_hermite_form(M) for x in row]
-    out += smith_invariants(M)
+    out += smith_invariants(M) + [eis_det(M)]
     assert out and all(type(x) is EisensteinInt for x in out)

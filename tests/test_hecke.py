@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from hermhecke import isometry
+from hermhecke import neighbour
 from hermhecke.eisenstein import classify_prime, ideal_above
 from hermhecke.errors import OrphanLatticeError
 from hermhecke.hecke import (HeckeMatrix, assemble_intertwining, hecke_direct,
@@ -141,7 +141,7 @@ def test_truncated_genus_stores_no_rows(multiclass, monkeypatch):
         raise AssertionError("|Aut| of a lattice outside the genus list")
 
     # an orphan neighbour is reported, never added as a class
-    monkeypatch.setattr(isometry, "automorphism_order", no_aut)
+    monkeypatch.setattr(neighbour, "automorphism_order", no_aut)
     with pytest.raises(OrphanLatticeError,
                        match="neighbour of class 0 matches no representative"):
         hecke_direct(cut, P)

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermhecke.eisenstein import OMEGA, EisensteinInt, eis, ideal_above
+from hermhecke.eisenstein import (OMEGA, EisensteinInt, canonical_associate,
+                                  eis, ideal_above)
 from hermhecke.fixtures import load_seed_sqrt3
 from hermhecke.isometry import IsometryCertificate, is_isometric
 from hermhecke.lattice import (HermitianLattice, direct_sum, herm_inner,
@@ -292,6 +293,61 @@ def test_smith_invariants():
     inv = smith_invariants(M)
     assert [x.norm() for x in inv] == [4, 36]
     assert eis_det([[eis(1), eis(0)], [eis(5), eis(1)]]).norm() == 1
+
+
+def _laplace_det(M):
+    """Determinant by cofactor expansion along the first row."""
+    if not M:
+        return eis(1)
+    det = eis(0)
+    for j, x in enumerate(M[0]):
+        term = x * _laplace_det([row[:j] + row[j + 1:] for row in M[1:]])
+        det = det + term if j % 2 == 0 else det - term
+    return det
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_smith_determinant_matches_laplace(n):
+    rng = random.Random(f"smith-{n}")
+    singular = 0
+    for case in range(30):
+        M = [[eis(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(n)]
+             for _ in range(n)]
+        if case % 5 == 0:
+            c = eis(rng.randint(-2, 2), rng.randint(-2, 2))
+            M[-1] = [c * x for x in M[0]] if n > 1 else [eis(0)]
+        det = eis_det(M)
+        assert det == _laplace_det(M)
+        if det == eis(0):
+            singular += 1
+            with pytest.raises(ValueError):
+                smith_invariants(M)
+            continue
+        inv = smith_invariants(M)
+        assert all(a.divides(b) for a, b in zip(inv, inv[1:]))
+        prod = eis(1)
+        for f in inv:
+            prod = prod * f
+        assert canonical_associate(prod) == canonical_associate(det)
+    assert singular >= 6
+
+
+def test_singular_matrix():
+    M = [[eis(1, 1), eis(2), eis(0, 1)], [eis(0), eis(1), eis(3)],
+         [eis(2, 2), eis(4), eis(0, 2)]]     # row 2 = 2 * row 0
+    with pytest.raises(ValueError):
+        smith_invariants(M)
+    assert eis_det(M) == eis(0)
+    # a 2 x 1 matrix has no full row rank either
+    with pytest.raises(ValueError):
+        smith_invariants([[eis(1)], [eis(2)]])
+
+
+def test_det_keeps_its_sign():
+    # one Smith pass gives both invariants; the swaps it makes fix the sign
+    L = HermitianLattice.from_gram([[1, 2], [2, 1]])
+    assert L.det == -3
+    assert [f.norm() for f in L.invariant_factors] == [1, 9]
 
 
 def test_json_roundtrip(tmp_path):

@@ -202,6 +202,15 @@ def test_lattice_paths_do_not_load_sympy():
         "assert 'hermhecke.factoring' not in sys.modules, 'factoring was loaded'\n")
 
 
+def test_imports_do_not_load_factoring():
+    # is_prime lives in eisenstein so that the modules every workload
+    # imports, the CLI included, leave factoring to its first use
+    _runs_without_sympy(
+        "import hermhecke.cli, hermhecke.neighbour, hermhecke.hecke\n"
+        "import hermhecke.theta, hermhecke.fixtures\n"
+        "assert 'hermhecke.factoring' not in sys.modules, 'factoring was loaded'\n")
+
+
 def test_spectral_paths_do_not_load_sympy():
     _runs_without_sympy(
         "from hermhecke import arthur, fixtures, spectra\n"

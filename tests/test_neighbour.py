@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import hermhecke
-from hermhecke import fixtures
+from hermhecke import fixtures, isometry, neighbour
 from hermhecke.eisenstein import (ONE, UNITS, ZERO, classify_prime, eis,
                                   ideal_above)
 from hermhecke.eismat import column_hermite_form, smith_invariants
@@ -255,6 +255,32 @@ def test_aut_orders_small():
         assert automorphism_order(HermitianLattice.standard(n)) == \
             6 ** n * math.factorial(n)
     assert automorphism_order(fixtures.load_seed_sqrt3()) == 155520
+
+
+def test_orders_follow_the_walk(monkeypatch):
+    # the classifiers only place lattices; |Aut| of each class is searched
+    # once every row, of the genus and of its sublattice genus, is complete
+    events = []
+
+    def order(L):
+        events.append("order")
+        return automorphism_order(L)
+
+    def progress(i, placed, h):
+        events.append(("row", i))
+
+    for module in (isometry, neighbour):
+        monkeypatch.setattr(module, "automorphism_order", order, raising=False)
+    P = ideal_above(2)
+    genus = enumerate_genus(HermitianLattice.from_gram(
+        [[1, 0, 0], [0, 1, 0], [0, 0, 5]]), P, progress=progress)
+    assert events[-3:] == [("row", 1), "order", "order"]
+    assert events.count("order") == genus.class_number == 2
+    events.clear()
+    sub, _ = sublattice_genus(genus, P, progress=progress)
+    last_row = events.index(("row", genus.class_number - 1))
+    assert events[last_row + 1:] == ["order"] * sub.class_number
+    assert events.count("order") == sub.class_number
 
 
 def unit_monomial(n, rng):

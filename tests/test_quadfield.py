@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hermhecke.quadfield import (QuadExtElem, UnsupportedCaseError,
-                                 ideal_valuation, parse_quad, rational)
+                                 ideal_valuation, parse_quad, rational,
+                                 sqrt_mod)
 
 small = st.fractions(min_value=-30, max_value=30, max_denominator=20)
 
@@ -58,6 +59,22 @@ def test_ideal_valuation_split():
 def test_ideal_valuation_rational_split():
     vals = dict(ideal_valuation(QuadExtElem.of(59, 0, 193), 59, 193))
     assert vals == {"q1": 1, "q2": 1}
+
+
+@pytest.mark.parametrize("D,q", [(193, 59), (193, 7), (5, 11), (13, 3)])
+def test_split_valuations_of_powers(D, q):
+    # r + sqrt(D) vanishes at the prime where sqrt(D) = -r, which is q1 for
+    # r = -sqrt_mod(D, q) mod q; q || r^2 - D makes it a uniformizer there
+    r = q - sqrt_mod(D, q)
+    if (r * r - D) % (q * q) == 0:
+        r += q
+    assert (r * r - D) % q == 0 and (r * r - D) % (q * q) != 0
+    for c, vc in ((1, 0), (q, 1), (Fraction(2, q * q), -2),
+                  (Fraction(q ** 3, 5), 3)):
+        x = QuadExtElem.of(c)
+        for k in range(5):
+            assert dict(ideal_valuation(x, q, D)) == {"q1": k + vc, "q2": vc}
+            x = x * QuadExtElem.of(r, 1, D)
 
 
 def test_unsupported_cases():
