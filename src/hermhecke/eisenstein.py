@@ -265,14 +265,49 @@ def ideal_above(p: int) -> EisIdeal:
 
 
 def _split_generator(p: int) -> EisensteinInt:
-    # find a + bw of norm p by brute force; p = 1 mod 3 guarantees success
-    # within |a|,|b| <= ceil(2*sqrt(p/3)).
-    bound = int(2 * (p ** 0.5)) + 2
-    for a in range(bound + 1):
-        for b in range(-bound, bound + 1):
-            if a * a - a * b + b * b == p:
-                return EisensteinInt(a, b)
-    raise ValueError(f"no element of norm {p}")  # pragma: no cover
+    """The element a + b*w of norm p, for a prime p = 1 mod 3, with the
+    least (a, b) and a >= 0.
+
+    Cornacchia's algorithm solves x^2 + 3y^2 = p: Euclid on p and a square
+    root of -3 mod p stops at the first remainder x below sqrt(p).  Then
+    g = (x + y) + 2y*w has norm p, and the elements of norm p are the 12
+    associates of g and of its conjugate."""
+    a, x = p, sqrt_mod_prime(-3, p)
+    while x * x > p:
+        a, x = x, a % x
+    y = math.isqrt((p - x * x) // 3)
+    assert x * x + 3 * y * y == p, f"no element of norm {p}"
+    g = (x + y, 2 * y)
+    return EisensteinInt(*min(h for h in (_pmul(u, c) for u in UNITS for c in (g, _pconj(g)))
+                              if h[0] >= 0))
+
+
+def sqrt_mod_prime(a: int, p: int):
+    """A square root of a modulo the prime p, or None if a is not a square
+    mod p: Tonelli-Shanks, O(log p) multiplications mod p once a quadratic
+    non-residue is found.  For a composite p it returns a root or None."""
+    a %= p
+    if a == 0 or p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = next((z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1), None)
+    if z is None:
+        return None
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    # r^2 = a t, with t of order dividing 2^(s-1) and c of order 2^s
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1 and i < s:
+            i, t2 = i + 1, t2 * t2 % p
+        if i >= s:
+            return None
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r if r * r % p == a else None
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

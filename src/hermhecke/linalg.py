@@ -8,6 +8,8 @@ solves A X = den B with X integral.  Characteristic polynomials are
 computed in integers (Berkowitz) and split into their linear and quadratic
 factors over Q by `factoring.small_factors`, which is imported on first
 use, so the lattice code, which factors nothing, never loads it.
+`factor_kernels` gives the kernel of each factor f(A): one Krylov
+combination for a simple f, `kernel_basis` only for a repeated one.
 """
 
 from __future__ import annotations
@@ -123,6 +125,45 @@ def charpoly_factors(A):
     """
     from .factoring import small_factors
     return sorted(small_factors(_charpoly(A)), key=lambda fm: (len(fm[0]), fm[0]))
+
+
+def factor_kernels(A, factors):
+    """For each (f, mult) of `factors`, the factorization of the char poly
+    chi of A by `charpoly_factors`, integer vectors in the kernel of f(A);
+    a generator, so a caller that stops early saves the rest.
+
+    For a simple f the kernel of f(A) is the image of g(A), g = chi / f
+    (primary decomposition; Cohen, GTM 138, section 2.2), of dimension
+    deg f.  It is given by one vector: the first nonzero column
+    g(A) e_j = sum_k g_k A^k e_j, j = 0, 1, ..., read off the Krylov
+    vectors A^k e_j, which are built once per j and only when a column needs
+    them.  That vector spans the kernel of a linear f, and with A times it
+    that of a quadratic one.  For a repeated f it is the saturated
+    `kernel_basis` of f(A)."""
+    from .factoring import _divmod, _mul
+    n = len(A)
+    chi = functools.reduce(_mul, (f for f, mult in factors for _ in range(mult)), [1])
+    krylov = {}                # j -> rows i of the vectors A^k e_j, k < n
+    for f, mult in factors:
+        if mult > 1:
+            # f(A) by Horner's rule, f monic
+            F = [[x + f[-2] * (i == j) for j, x in enumerate(row)] for i, row in enumerate(A)]
+            for c in reversed(f[:-2]):
+                F = [[x + c * (i == j) for j, x in enumerate(row)]
+                     for i, row in enumerate(mat_mul(A, F))]
+            yield kernel_basis(F)
+            continue
+        g = _divmod(chi, f)[0]
+        for j in range(n):
+            if j not in krylov:
+                vecs = [[int(i == j) for i in range(n)]]
+                for _ in range(n - 1):
+                    vecs.append(mat_vec(A, vecs[-1]))
+                krylov[j] = [[v[i] for v in vecs] for i in range(n)]
+            col = [sum(map(operator.mul, g, row)) for row in krylov[j]]
+            if any(col):
+                yield [col]
+                break
 
 
 def saturate_columns(B):

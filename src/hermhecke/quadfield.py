@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .eisenstein import sqrt_mod_prime
 from .errors import UnsupportedCaseError
 
 
@@ -202,12 +203,9 @@ def _valuation(n: int, q: int) -> int:
 
 
 def sqrt_mod(D: int, q: int):
-    """A square root of D mod q, or None.  Deterministic: smallest root."""
-    d = D % q
-    for r in range((q + 1) // 2 + 1):
-        if r * r % q == d:
-            return r
-    return None
+    """The smallest square root of D mod the prime q, or None."""
+    r = sqrt_mod_prime(D, q)
+    return None if r is None else min(r, q - r)
 
 
 def ideal_valuation(x: QuadExtElem, q: int, D: int):

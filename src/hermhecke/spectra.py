@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cache, cached_property, cmp_to_key
 
-from .linalg import (charpoly_factors, kernel_basis, mat_mul, mat_vec,
+from .linalg import (charpoly_factors, factor_kernels, mat_mul, mat_vec,
                      normalize_primitive, solve_right)
 from .errors import PreconditionError, UnsupportedCaseError
 from .quadfield import (QuadExtElem, divisible_at, ideal_valuation, rational,
@@ -40,9 +40,8 @@ def _primitive_quadratic(vec):
 
 def _parts(vec):
     """The rational parts r and surd parts s of a vector r + s*sqrt(D) of
-    ints and QuadExtElems."""
-    quad = [x if isinstance(x, QuadExtElem) else rational(x) for x in vec]
-    return [x.rational_part for x in quad], [x.surd_part for x in quad]
+    ints and QuadExtElems; an int is its own rational part."""
+    return [getattr(x, "rational_part", x) for x in vec], [getattr(x, "surd_part", 0) for x in vec]
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +76,9 @@ class EigenSystem:
     def check_exactness(self) -> bool:
         """Every stored vector is an eigenvector of every stored operator,
         with its stored eigenvalue.  For a vector r + s*sqrt(D) and an
-        eigenvalue a + b*sqrt(D) of T this is T r = a r + b D s and
-        T s = b r + a s, checked on the integer vectors dr and ds, d the
-        lcm of the denominators of r and s."""
+        eigenvalue (a + b*sqrt(D)) / e of T, a, b and e integers, this is
+        e T r = a r + b D s and e T s = b r + a s, checked on the integer
+        vectors dr and ds, d the lcm of the denominators of r and s."""
         for rec in self.labels.values():
             D = rec.field_tag
             if any(getattr(x, "D", 1) not in (1, D)
@@ -90,10 +89,11 @@ class EigenSystem:
             r, s = [int(x * d) for x in r], [int(x * d) for x in s]
             for op in self.operator_names:
                 lam = rec.eigenvalues[op]
-                a, b = lam.rational_part, lam.surd_part
-                M = self.matrices[op]
-                if (mat_vec(M, r) != [a * x + b * D * y for x, y in zip(r, s)]
-                        or mat_vec(M, s) != [b * x + a * y for x, y in zip(r, s)]):
+                e = math.lcm(lam.rational_part.denominator, lam.surd_part.denominator)
+                a, b = int(lam.rational_part * e), int(lam.surd_part * e)
+                Mr, Ms = (mat_vec(self.matrices[op], v) for v in (r, s))
+                if ([e * x for x in Mr] != [a * x + b * D * y for x, y in zip(r, s)]
+                        or [e * x for x in Ms] != [b * x + a * y for x, y in zip(r, s)]):
                     return False
         return True
 
@@ -101,8 +101,10 @@ class EigenSystem:
     def _mates(self):
         """{i: j} for each conjugate pair of labels i < j: v_j is the Galois
         conjugate of v_i."""
-        quad = {rec.vector: lab for lab, rec in self.labels.items() if rec.field_tag != 1}
-        mates = {i: quad.get(tuple(x.conjugate() for x in v)) for v, i in quad.items()}
+        vecs = {lab: rec.vector for lab, rec in self.labels.items() if rec.field_tag != 1}
+        mates = {i: next((j for j, v in vecs.items()
+                          if all(x.conjugate() == y for x, y in zip(u, v))), None)
+                 for i, u in vecs.items()}
         if None in mates.values():
             raise PreconditionError("a quadratic vector lacks its conjugate")
         return {i: j for i, j in mates.items() if i < j}
@@ -159,27 +161,27 @@ def _common_eigenvalues(mats, basis):
 def _decompose(mats, T):
     """Records (eigenvalues, vector, eigenspace dim, field D, in residual
     block) of the common eigenspaces of `mats`, read off the irreducible
-    factors f of the char poly of T, an integer combination of them; None
-    if two distinct eigenvalue tuples meet on T.  A factor of degree >= 3
-    raises UnsupportedFieldError.
+    factors f of the char poly of T, an integer combination of them, and
+    their kernels from `factor_kernels`; None if two distinct eigenvalue
+    tuples meet on T.  A factor of degree >= 3 raises UnsupportedFieldError.
 
     For a linear f the kernel of f(T) is an eigenspace of T; tuples meet
     there if an operator is not scalar on it.  For a quadratic f a
     two-dimensional kernel spans a conjugate pair of common eigenvectors,
     since their eigenspaces of T are lines; a larger one is a meeting of
     pairs unless every operator acts on it through T as on the first pair,
-    which raises UnsupportedFieldError.  PreconditionError if the
+    which raises UnsupportedFieldError.  A simple f has a kernel of
+    dimension deg f, given by one vector.  PreconditionError if the
     eigenspaces of T do not fill Q^n: the operators are then not
     simultaneously diagonalizable."""
-    n = len(T)
-    powers = ([[int(i == j) for j in range(n)] for i in range(n)], T, mat_mul(T, T))
+    factors = charpoly_factors(T)
+    kernels = factor_kernels(T, factors)
     records = []
-    for coeffs, _mult in charpoly_factors(T):
+    for coeffs, mult in factors:
         if len(coeffs) > 3:
             raise UnsupportedFieldError(f"characteristic factor of degree {len(coeffs) - 1} "
                                         "with no linear or quadratic factor")
-        ker = kernel_basis([[sum(c * P[i][j] for c, P in zip(coeffs, powers))
-                             for j in range(n)] for i in range(n)])
+        ker = next(kernels)
         if len(coeffs) == 2:
             eigs = _common_eigenvalues(mats, ker)
             if eigs is None:
@@ -204,7 +206,7 @@ def _decompose(mats, T):
         r, s = _parts(vec)
         eigs = tuple(QuadExtElem.of(mat_vec(M, r)[k], mat_vec(M, s)[k], root.D) / vec[k]
                      for M in mats)
-        if len(ker) != 2:
+        if mult > 1 and len(ker) != 2:
             # one pair of conjugate eigenspaces, not a meeting of pairs, iff
             # every operator with eigenvalue e = p + q*sqrt(D) on the first
             # pair acts on the kernel as p + (q/b)(T - a)
@@ -219,7 +221,7 @@ def _decompose(mats, T):
         records.append((tuple(e.conjugate() for e in eigs),
                         tuple(x.conjugate() for x in vec), 1, root.D, False))
     # a residual block adds one record per dimension
-    if len(records) != n:
+    if len(records) != len(T):
         raise PreconditionError("the operators are not simultaneously diagonalizable")
     return records
 
@@ -458,6 +460,9 @@ def scan_congruences_lemma(system: EigenSystem, probes=None, q_min: int = 11):
             contents[lab, q] = _local_content(rec.vector, q, rec.field_tag)
         return contents[lab, q]
 
+    # probes nominate the same pairs again and again; verify each once
+    congruent = cache(lambda a, b, q, tag: _eig_congruent(system, a, b, q, tag))
+
     # (a, b, q) -> (the untagged report, the tags at which it was verified)
     found = {}
 
@@ -484,11 +489,11 @@ def scan_congruences_lemma(system: EigenSystem, probes=None, q_min: int = 11):
                 for b in plain:
                     if a >= b:
                         continue
-                    if _eig_congruent(system, a, b, q, tag):
+                    if congruent(a, b, q, tag):
                         add(CongruenceReport(b, a, q, "", ("denominator-lemma",),
                                              system.operator_names), tag)
                 for blk in sorted(blks):
-                    if _eig_congruent(system, a, blk[0], q, tag):
+                    if congruent(a, blk[0], q, tag):
                         add(CongruenceReport(a, blk, q, "",
                                              ("denominator-lemma", "residual-block-candidate"),
                                              system.operator_names), tag)

@@ -1,9 +1,13 @@
+import math
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
 from hermhecke.eisenstein import (EisensteinInt, ONE, canonical_associate,
-                                  classify_prime, eis, ideal_above, _pconj,
-                                  _pdivmod, _pmul, _pnorm, _reduce)
+                                  classify_prime, eis, ideal_above, is_prime,
+                                  sqrt_mod_prime, _pconj, _pdivmod, _pmul,
+                                  _pnorm, _reduce, _split_generator)
 
 small = st.integers(-50, 50)
 nonzero = st.tuples(small, small).filter(lambda t: t != (0, 0))
@@ -128,3 +132,36 @@ def test_public_results_are_eisenstein_ints():
     out += [x for row in column_hermite_form(M) for x in row]
     out += smith_invariants(M) + [eis_det(M)]
     assert out and all(type(x) is EisensteinInt for x in out)
+
+
+def _norm_search(p):
+    # the brute-force search that Cornacchia's algorithm replaced: the first
+    # (a, b), a from 0 up and b from -bound up, with a^2 - ab + b^2 = p
+    bound = math.isqrt(4 * p) + 2
+    return next(EisensteinInt(a, b) for a in range(bound + 1)
+                for b in range(-bound, bound + 1) if a * a - a * b + b * b == p)
+
+
+def test_split_generator_matches_the_norm_search():
+    split = [p for p in range(7, 10_000, 3) if is_prime(p)]
+    assert len(split) == 611
+    for p in split:
+        assert _split_generator(p) == _norm_search(p), p
+
+
+def test_classify_a_large_split_prime():
+    # the norm search took 26 s on a 2-vCPU host; the two primes keep its order
+    start = time.perf_counter()
+    kind, (P, Q) = classify_prime(100_000_039)
+    assert time.perf_counter() - start < 1
+    assert kind == "split"
+    assert (P.generator, Q.generator) == (eis(11547, 5762), eis(11547, 5785))
+
+
+def test_sqrt_mod_prime_on_composites():
+    # never a wrong root, and no endless search for a non-residue
+    for q in range(4, 400):
+        if not is_prime(q):
+            for d in range(q):
+                r = sqrt_mod_prime(d, q)
+                assert r is None or r * r % q == d % q

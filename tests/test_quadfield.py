@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from hermhecke.eisenstein import is_prime
 from hermhecke.quadfield import (QuadExtElem, UnsupportedCaseError,
                                  ideal_valuation, parse_quad, rational,
                                  sqrt_mod)
@@ -80,3 +81,15 @@ def test_split_valuations_of_powers(D, q):
 def test_unsupported_cases():
     with pytest.raises(UnsupportedCaseError):
         ideal_valuation(QuadExtElem.of(1, 1, 193), 2, 193)
+
+
+def test_sqrt_mod_is_the_smallest_root():
+    # against the residue scan it replaced, for every residue d mod every
+    # prime q < 3000: the smallest r with r^2 = d, or None
+    for q in range(2, 3000):
+        if not is_prime(q):
+            continue
+        smallest = {}
+        for r in range(q):
+            smallest.setdefault(r * r % q, r)
+        assert [sqrt_mod(d, q) for d in range(q)] == [smallest.get(d) for d in range(q)], q

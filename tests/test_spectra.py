@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hermhecke import spectra
+from hermhecke import factoring, linalg, spectra
 from hermhecke.quadfield import QuadExtElem, parse_quad, rational
 
 
@@ -412,3 +412,97 @@ def test_unnamed_labels_sorted_across_fields():
 def test_difference_gcd_sentinel(system):
     assert spectra.difference_gcd(system, 19, 20).infinite
     assert spectra.difference_gcd(system, 2, 1).value == 691
+
+
+def _companion(coeffs):
+    # the companion matrix of a monic polynomial, coefficients lowest first
+    d = len(coeffs) - 1
+    return [[int(i == j + 1) if j < d - 1 else -coeffs[i] for j in range(d)]
+            for i in range(d)]
+
+
+def _simple_spectrum_matrix(rng, n):
+    """A seeded integer matrix with distinct linear and irreducible quadratic
+    characteristic factors, real or not: their companions, conjugated by a
+    unimodular U."""
+    blocks, factors, size = [], set(), 0
+    while size < n:
+        if n - size >= 2 and rng.random() < 0.5:
+            f = (rng.randint(-9, 9), rng.randint(-9, 9), 1)
+            disc = f[1] ** 2 - 4 * f[0]
+            if disc >= 0 and math.isqrt(disc) ** 2 == disc:
+                continue
+        else:
+            f = (rng.randint(-9, 9), 1)
+        if f not in factors:
+            factors.add(f)
+            blocks.append(_companion(f))
+            size += len(f) - 1
+    B = _diag(*blocks)
+    lower = [[int(i == j) or (rng.randint(-2, 2) if i > j else 0) for j in range(n)]
+             for i in range(n)]
+    upper = [[int(i == j) or (rng.randint(-2, 2) if i < j else 0) for j in range(n)]
+             for i in range(n)]
+    U = linalg.mat_mul(lower, upper)
+    X, den = linalg.solve_right(U, [[int(i == j) for j in range(n)] for i in range(n)])
+    assert abs(den) == 1
+    return linalg.mat_mul(linalg.mat_mul(U, B), [[den * x for x in row] for row in X])
+
+
+def _kernel_basis_records(T, monkeypatch):
+    # reported as repeated, every factor takes the kernel_basis route
+    factors = spectra.charpoly_factors
+    with monkeypatch.context() as mp:
+        mp.setattr(spectra, "charpoly_factors", lambda A: [(f, 2) for f, _ in factors(A)])
+        return spectra._decompose([T], T)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_simple_factor_vectors_match_kernel_basis(seed, monkeypatch):
+    rng = random.Random(seed)
+    T = _simple_spectrum_matrix(rng, rng.randint(2, 7))
+    assert all(mult == 1 for _, mult in spectra.charpoly_factors(T))
+    calls = []
+    kernel = linalg.kernel_basis
+    monkeypatch.setattr(linalg, "kernel_basis", lambda A: calls.append(A) or kernel(A))
+    records = spectra._decompose([T], T)
+    assert calls == []
+    monkeypatch.undo()
+    assert records == _kernel_basis_records(T, monkeypatch)
+
+
+def test_simple_factor_vectors_past_a_vanishing_first_column(monkeypatch):
+    # block-diagonal: for a factor of a later block, g(T) e_0 = 0, since
+    # g = chi / f kills the first block, so its vector comes from e_1 or later
+    T = _diag([[3]], [[2, 1], [1, 4]], SQRT2, [[-1]], ONE_SQRT2)
+    chi = linalg._charpoly(T)
+    factors = [f for f, _ in spectra.charpoly_factors(T)]
+    for f in factors:
+        col, v = [0] * len(T), [int(i == 0) for i in range(len(T))]
+        for c in factoring._divmod(chi, f)[0]:
+            col, v = [x + c * y for x, y in zip(col, v)], linalg.mat_vec(T, v)
+        assert any(col) == (f == [-3, 1])
+    records = spectra._decompose([T], T)
+    assert records == _kernel_basis_records(T, monkeypatch)
+    assert len(records) == len(T) and all(rec[2] == 1 for rec in records)
+
+
+def test_kernel_basis_only_for_the_repeated_factor(fx, monkeypatch):
+    calls = []
+    kernel = linalg.kernel_basis
+    monkeypatch.setattr(linalg, "kernel_basis", lambda A: calls.append(A) or kernel(A))
+    spectra.eigensystem([fx.t2_20x20, fx.t3_20x20], operator_names=("t2", "t3"))
+    assert len(calls) == 1
+
+
+def test_check_exactness_with_half_integral_eigenvalues():
+    # [[0, 1], [1, 1]] has the eigenvalues (1 +- sqrt(5)) / 2
+    system = spectra.eigensystem([[[0, 1], [1, 1]]])
+    assert system.eigenvalue(1, "T0") == QuadExtElem.of(Fraction(1, 2), Fraction(1, 2), 5)
+    assert system.check_exactness()
+    for shift in (Fraction(1, 2), QuadExtElem.of(0, Fraction(1, 2), 5)):
+        labels = dict(system.labels)
+        rec = labels[1]
+        labels[1] = dataclasses.replace(rec, eigenvalues={"T0": rec.eigenvalues["T0"] + shift})
+        assert not spectra.EigenSystem(labels, system.operator_names,
+                                       system.matrices).check_exactness()
