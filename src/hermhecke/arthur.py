@@ -17,13 +17,8 @@ from fractions import Fraction
 
 from .coefficients import CoefficientStore
 from .eisenstein import EisIdeal, EisensteinInt
-from .errors import (MissingCoefficientError, PreconditionError,
-                     UnsupportedCaseError)
+from .errors import MissingCoefficientError, ParameterError, UnsupportedCaseError
 from .quadfield import QuadExtElem, divisible_at, rational
-
-
-class ParameterError(PreconditionError):
-    pass
 
 
 # kinds of constituents

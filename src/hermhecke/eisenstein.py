@@ -276,7 +276,8 @@ def _split_generator(p: int) -> EisensteinInt:
     while x * x > p:
         a, x = x, a % x
     y = math.isqrt((p - x * x) // 3)
-    assert x * x + 3 * y * y == p, f"no element of norm {p}"
+    if x * x + 3 * y * y != p:
+        raise AssertionError(f"no element of norm {p}")
     g = (x + y, 2 * y)
     return EisensteinInt(*min(h for h in (_pmul(u, c) for u in UNITS for c in (g, _pconj(g)))
                               if h[0] >= 0))

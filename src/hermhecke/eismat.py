@@ -36,6 +36,22 @@ def is_hermitian(G) -> bool:
     return all(G[i][j] == _pconj(G[j][i]) for i in range(n) for j in range(n))
 
 
+def _euclid(vecs, k):
+    """Reduce the pair vectors `vecs` in place at coordinate k, vecs[0][k]
+    nonzero, until vecs[0][k] is their gcd and every other vector is zero
+    there.  Returns the number of swaps made.  One pass suffices: a swap
+    only exchanges vectors that are nonzero at k."""
+    swaps = 0
+    for i in range(1, len(vecs)):
+        while vecs[i][k] != ZERO:
+            q, _ = _pdivmod(vecs[i][k], vecs[0][k])
+            vecs[i] = _sub_multiple(vecs[i], q, vecs[0])
+            if vecs[i][k] != ZERO:
+                vecs[0], vecs[i] = vecs[i], vecs[0]
+                swaps += 1
+    return swaps
+
+
 def column_hermite_form(M):
     """Canonical column Hermite form of an n x m matrix of rank n.
 
@@ -47,26 +63,11 @@ def column_hermite_form(M):
     basis = []
     for pivot_row in range(n):
         # gcd out the pivot_row entries of all remaining columns
-        cols = [c for c in cols if any(a or b for a, b in c)]
-        piv = None
-        for idx, c in enumerate(cols):
-            if c[pivot_row] != ZERO:
-                norm = _pnorm(c[pivot_row])
-                if piv is None or norm < piv_norm:
-                    piv, piv_norm = idx, norm
+        piv = next((i for i, c in enumerate(cols) if c[pivot_row] != ZERO), None)
         if piv is None:
             raise ValueError("matrix does not have full row rank")
         cols[0], cols[piv] = cols[piv], cols[0]
-        changed = True
-        while changed:
-            changed = False
-            for idx in range(1, len(cols)):
-                while cols[idx][pivot_row] != ZERO:
-                    if _pnorm(cols[idx][pivot_row]) < _pnorm(cols[0][pivot_row]):
-                        cols[0], cols[idx] = cols[idx], cols[0]
-                        changed = True
-                    q, _ = _pdivmod(cols[idx][pivot_row], cols[0][pivot_row])
-                    cols[idx] = _sub_multiple(cols[idx], q, cols[0])
+        _euclid(cols, pivot_row)
         pivot_col = cols.pop(0)
         # normalize pivot to canonical associate
         u = _associate_unit(pivot_col[pivot_row])
@@ -113,44 +114,21 @@ def smith(M):
             for row in A:
                 row[0], row[bj] = row[bj], row[0]
             sign = -sign
-        # clear row and column; restart if a remainder shrinks the pivot
-        dirty = True
-        while dirty:
-            dirty = False
+        while True:
+            # clear column 0 by rows, then row 0 by columns, until both stay
+            # clear; then make the pivot divide the rest of the block
+            sign *= (-1) ** _euclid(A, 0)
+            if any(x != ZERO for x in A[0][1:]):
+                cols = [list(c) for c in zip(*A)]
+                sign *= (-1) ** _euclid(cols, 0)
+                A = [list(r) for r in zip(*cols)]
+                continue
             p = A[0][0]
-            for i in range(1, len(A)):
-                if A[i][0] != ZERO:
-                    q, _ = _pdivmod(A[i][0], p)
-                    A[i] = _sub_multiple(A[i], q, A[0])
-                    if A[i][0] != ZERO:
-                        A[0], A[i] = A[i], A[0]
-                        sign, dirty = -sign, True
-                        break
-            if dirty:
-                continue
-            for j in range(1, len(A[0])):
-                if A[0][j] != ZERO:
-                    q, _ = _pdivmod(A[0][j], p)
-                    col = _sub_multiple([row[j] for row in A], q,
-                                        [row[0] for row in A])
-                    for row, x in zip(A, col):
-                        row[j] = x
-                    if A[0][j] != ZERO:
-                        for row in A:
-                            row[0], row[j] = row[j], row[0]
-                        sign, dirty = -sign, True
-                        break
-            if dirty:
-                continue
-            # pivot divides everything in its row/col; enforce divisibility
-            # of the remaining block
-            for i in range(1, len(A)):
-                if any(_pdivmod(x, p)[1] != ZERO for x in A[i][1:]):
-                    A[0] = [(xa + ya, xb + yb)
-                            for (xa, xb), (ya, yb) in zip(A[0], A[i])]
-                    dirty = True
-                    break
-        p = A[0][0]
+            i = next((i for i in range(1, len(A))
+                      if any(_pdivmod(x, p)[1] != ZERO for x in A[i][1:])), None)
+            if i is None:
+                break
+            A[0] = [(xa + ya, xb + yb) for (xa, xb), (ya, yb) in zip(A[0], A[i])]
         det = _pmul(det, p)
         invariants.append(EisensteinInt(*_pmul(_associate_unit(p), p)))
         A = [row[1:] for row in A[1:]]

@@ -21,13 +21,18 @@ import operator
 
 def mat_mul(A, B):
     n, k, m = len(A), len(B), len(B[0])
-    assert len(A[0]) == k
+    if len(A[0]) != k:
+        raise AssertionError(f"mat_mul: {len(A[0])} columns against {k} rows")
     return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
             for i in range(n)]
 
 
+def dot(u, v):
+    return sum(map(operator.mul, u, v))
+
+
 def mat_vec(A, v):
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
+    return [dot(row, v) for row in A]
 
 
 def _gauss_jordan(A, rhs):
@@ -78,8 +83,8 @@ def kernel_basis(A):
     if not cols:
         return []
     sat = saturate_columns([[v[i] for v in cols] for i in range(n)])
-    for v in sat:
-        assert all(x == 0 for x in mat_vec(A, v))
+    if any(any(mat_vec(A, v)) for v in sat):
+        raise AssertionError("kernel_basis: a saturated vector is not in the kernel")
     return sat
 
 
@@ -106,9 +111,9 @@ def _charpoly(A):
         t = [1, -row[k]]
         v = [A[i][k] for i in range(k)]
         for j in range(k):
-            t.append(-sum(map(operator.mul, row, v)))
+            t.append(-dot(row, v))
             if j < k - 1:
-                v = [sum(map(operator.mul, A[i], v)) for i in range(k)]
+                v = [dot(A[i], v) for i in range(k)]
         c = [sum(t[i - j] * c[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
     return c[::-1]
 
@@ -160,7 +165,7 @@ def factor_kernels(A, factors):
                 for _ in range(n - 1):
                     vecs.append(mat_vec(A, vecs[-1]))
                 krylov[j] = [[v[i] for v in vecs] for i in range(n)]
-            col = [sum(map(operator.mul, g, row)) for row in krylov[j]]
+            col = [dot(g, row) for row in krylov[j]]
             if any(col):
                 yield [col]
                 break

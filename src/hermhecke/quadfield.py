@@ -11,11 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .eisenstein import sqrt_mod_prime
-from .errors import UnsupportedCaseError
-
-
-class MixedFieldError(TypeError):
-    pass
+from .errors import MixedFieldError, UnsupportedCaseError
 
 
 def _frac(x) -> Fraction:

@@ -17,15 +17,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, cached_property, cmp_to_key
 
-from .linalg import (charpoly_factors, factor_kernels, mat_mul, mat_vec,
+from .linalg import (charpoly_factors, dot, factor_kernels, mat_mul, mat_vec,
                      normalize_primitive, solve_right)
-from .errors import PreconditionError, UnsupportedCaseError
+from .errors import PreconditionError, UnsupportedCaseError, UnsupportedFieldError
 from .quadfield import (QuadExtElem, divisible_at, ideal_valuation, rational,
                         roots_of_factor)
-
-
-class UnsupportedFieldError(UnsupportedCaseError):
-    pass
 
 
 def _primitive_quadratic(vec):
@@ -119,7 +115,8 @@ class EigenSystem:
         cols = {lab: _parts(rec.vector)[0] for lab, rec in self.labels.items()}
         for i, j in self._mates.items():
             cols[j] = _parts(self.labels[i].vector)[1]
-        assert all(x.denominator == 1 for col in cols.values() for x in col)
+        if any(x.denominator != 1 for col in cols.values() for x in col):
+            raise AssertionError("eigenbasis_inverse: a stored vector is not integral")
         n = self.size
         return solve_right([[int(cols[lab][i]) for lab in sorted(cols)] for i in range(n)],
                            [[int(i == j) for j in range(n)] for i in range(n)])
@@ -151,7 +148,7 @@ def _common_eigenvalues(mats, basis):
     k = next(i for i, x in enumerate(u) if x)
     eigs = []
     for M in mats:
-        p = mat_vec(M, u)[k]
+        p = dot(M[k], u)
         if any([u[k] * x for x in mat_vec(M, v)] != [p * x for x in v] for v in basis):
             return None
         eigs.append(QuadExtElem.of(Fraction(p, u[k])))
@@ -204,7 +201,7 @@ def _decompose(mats, T):
         k = max(i for i, x in enumerate(vec) if x != 0)
         vec = tuple(_primitive_quadratic([x / vec[k] for x in vec]))
         r, s = _parts(vec)
-        eigs = tuple(QuadExtElem.of(mat_vec(M, r)[k], mat_vec(M, s)[k], root.D) / vec[k]
+        eigs = tuple(QuadExtElem.of(dot(M[k], r), dot(M[k], s), root.D) / vec[k]
                      for M in mats)
         if mult > 1 and len(ker) != 2:
             # one pair of conjugate eigenspaces, not a meeting of pairs, iff
@@ -277,7 +274,9 @@ def eigensystem(matrices, operator_names=None, reference=None) -> EigenSystem:
         raise PreconditionError("the operators are not simultaneously diagonalizable")
     system = EigenSystem(_assign_labels(records, operator_names, reference),
                          operator_names, dict(zip(operator_names, mats)))
-    assert system.check_exactness()
+    if not system.check_exactness():
+        raise AssertionError("eigensystem: a stored vector is not an eigenvector "
+                             "with its stored eigenvalues")
     return system
 
 
@@ -390,8 +389,9 @@ def _local_content(vec, q: int, D: int) -> dict:
     return {tag: min(v[tag] for v in vals) for tag in vals[0]}
 
 
-def _denominator_primes(c: QuadExtElem, q_min: int, D: int, content):
-    """Primes q >= q_min at which some valuation of c is negative, with tags.
+def _denominator_primes(c: QuadExtElem, primes, D: int, content):
+    """The primes q in `primes` at which some valuation of c is negative,
+    with tags.
 
     c is a coefficient on a vector over Q(sqrt(D)).  For D != 1, content(q)
     gives that vector's local content at q; adding it to the valuations of c
@@ -401,11 +401,10 @@ def _denominator_primes(c: QuadExtElem, q_min: int, D: int, content):
     primes are those of c's denominator."""
     if c.is_zero():
         return []
-    from .factoring import factorint
     den = math.lcm(c.rational_part.denominator, c.surd_part.denominator)
     out = []
-    for q in factorint(den):
-        if q < q_min:
+    for q in primes:
+        if den % q:
             continue
         if D == 1:
             out.append((q, ""))
@@ -443,7 +442,15 @@ def scan_congruences_lemma(system: EigenSystem, probes=None, q_min: int = 11):
     Each pair is reported once per q: untagged when it is congruent modulo
     q, or modulo both primes above a split q (whose product is q), else once
     per prime above q at which it is congruent.
+
+    The coefficients are X v / den, halved and divided by D on a conjugate
+    pair, so the candidates q are the primes of den, factored once: a prime
+    of 2D alone reaches only quadratic labels, whose content rejects it.
     """
+    if system.eigenbasis_inverse is None:
+        raise PreconditionError("stored eigenvectors are linearly dependent")
+    from .factoring import factorint
+    primes = [q for q in factorint(abs(system.eigenbasis_inverse[1])) if q >= q_min]
     if probes is None:
         n = system.size
         probes = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -474,7 +481,7 @@ def scan_congruences_lemma(system: EigenSystem, probes=None, q_min: int = 11):
         neg = {}
         for lab, c in coeffs.items():
             D = system.labels[lab].field_tag
-            for q, tag in _denominator_primes(c, q_min, D,
+            for q, tag in _denominator_primes(c, primes, D,
                                               lambda q: content(lab, q)):
                 neg.setdefault((q, tag), set()).add(lab)
         # a rational denominator is negative at every prime above q, so the
@@ -544,14 +551,11 @@ def difference_gcd(system: EigenSystem, i: int, j: int) -> GcdReport:
         d = system.eigenvalue(i, op) - system.eigenvalue(j, op)
         if d.is_zero():
             continue
-        if d.is_rational():
-            r = d.as_fraction()
-            assert r.denominator == 1
-            g = math.gcd(g, abs(int(r)))
-        else:
-            nrm = d.field_norm()
-            assert nrm.denominator == 1
-            g = math.gcd(g, abs(int(nrm)))
+        v = d.as_fraction() if d.is_rational() else d.field_norm()
+        if v.denominator != 1:
+            raise AssertionError(f"difference_gcd: labels {i} and {j} differ by "
+                                 f"the non-integral {v} at {op}")
+        g = math.gcd(g, abs(int(v)))
     if g == 0:
         return GcdReport(i, j, None, {}, True)
     from .factoring import factorint

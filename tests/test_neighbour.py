@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import itertools
 import math
@@ -233,14 +234,48 @@ def test_exact_checks_survive_optimize():
         "    raise SystemExit('irrational <x, x> passed')\n"
         "except AssertionError as exc:\n"
         "    print(exc)\n")
+    cert_msg, line_msg = _run_optimized(code)
+    assert "rank-3" in cert_msg and "Gram check" in cert_msg
+    assert "rank-2" in line_msg and "(2)" in line_msg and "not rational" in line_msg
+
+
+def test_spectral_checks_survive_optimize():
+    code = (
+        "from hermhecke import spectra\n"
+        "assert False, 'asserts are not stripped'\n"
+        "spectra.EigenSystem.check_exactness = lambda self: False\n"
+        "try:\n"
+        "    spectra.eigensystem([[[1, 0], [0, 2]]])\n"
+        "    raise SystemExit('eigensystem accepted a failed exactness check')\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n")
+    [msg] = _run_optimized(code)
+    assert "eigensystem" in msg and "eigenvector" in msg
+
+
+def _run_optimized(code):
+    """The output lines of `code` run by a fresh `python -O`, which strips
+    assert statements."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(hermhecke.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr + done.stdout
-    cert_msg, line_msg = done.stdout.splitlines()
-    assert "rank-3" in cert_msg and "Gram check" in cert_msg
-    assert "rank-2" in line_msg and "(2)" in line_msg and "not rational" in line_msg
+    return done.stdout.splitlines()
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O would strip them: every check in the package raises explicitly
+    root = os.path.dirname(os.path.abspath(hermhecke.__file__))
+    found = []
+    for dirpath, _, names in os.walk(root):
+        for name in sorted(n for n in names if n.endswith(".py")):
+            path = os.path.join(dirpath, name)
+            with open(path, encoding="utf-8") as f:
+                tree = ast.parse(f.read(), path)
+            found += [f"{os.path.relpath(path, root)}:{node.lineno}"
+                      for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_genus_O4_trivial(genus_o4):

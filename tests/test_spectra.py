@@ -145,6 +145,14 @@ def test_expansion_preconditions(system):
         spectra.expand_in_eigenbasis([1, 0], dependent)
 
 
+def test_scan_rejects_a_dependent_eigenbasis():
+    one = spectra.eigensystem([[[1, 0], [0, 1]]])
+    dependent = _with_vector(one, 2, one.labels[1].vector)
+    # raised before any probe is expanded, even with none
+    with pytest.raises(spectra.PreconditionError, match="linearly dependent"):
+        spectra.scan_congruences_lemma(dependent, probes=[])
+
+
 def test_scan_stable_under_probe_permutation(system):
     base = spectra.scan_congruences_lemma(system, q_min=11)
     n = system.size
@@ -412,6 +420,22 @@ def test_unnamed_labels_sorted_across_fields():
 def test_difference_gcd_sentinel(system):
     assert spectra.difference_gcd(system, 19, 20).infinite
     assert spectra.difference_gcd(system, 2, 1).value == 691
+
+
+def test_difference_gcd_of_a_conjugate_pair(system):
+    # the differences 324*sqrt(193) and 72*sqrt(193) have norms -324^2*193
+    # and -72^2*193
+    report = spectra.difference_gcd(system, 12, 13)
+    assert report.value == 250128 == 2 ** 4 * 3 ** 4 * 193
+    assert report.factorization == {2: 4, 3: 4, 193: 1}
+
+
+def test_denominator_primes_at_an_inert_prime():
+    # 5 is inert in Q(sqrt(193)): one prime above it, reported untagged
+    c = QuadExtElem.of(Fraction(1, 5), Fraction(2, 5), 193)
+    assert spectra._denominator_primes(c, [5, 7], 193, lambda q: {"q": 0}) == [(5, "")]
+    # a local content of 5 on the vector cancels the denominator
+    assert spectra._denominator_primes(c, [5, 7], 193, lambda q: {"q": 1}) == []
 
 
 def _companion(coeffs):
