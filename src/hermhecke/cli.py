@@ -138,6 +138,11 @@ def cmd_arthur(args):
     # congruence i j q
     fx = FixtureSet.load()
     rows = {r["label"]: r for r in fx.eigen_table}
+    for label in (args.i, args.j):
+        if label not in rows:
+            print(f"unknown label {label}; labels {sorted(rows)}",
+                  file=sys.stderr)
+            return EXIT_INVARIANT
     pi = arthur.parse_parameter(rows[args.i]["parameter"])
     pj = arthur.parse_parameter(rows[args.j]["parameter"])
     primes = [int(p) for p in args.primes.split(",")] if args.primes else [2, 3]
@@ -240,8 +245,7 @@ def main(argv=None) -> int:
     except UnsupportedCaseError as exc:
         print(f"unsupported case: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (PreconditionError, FileNotFoundError, ValueError,
-            AssertionError) as exc:
+    except (PreconditionError, OSError, ValueError, AssertionError) as exc:
         print(f"invalid input or failed check: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

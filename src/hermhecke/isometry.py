@@ -4,20 +4,21 @@ Backtracking over images of basis vectors (Plesken-Souvignier style,
 adapted to the O_E-linear setting): a candidate image for the k-th basis
 vector must have the right norm and the right inner products with the
 images already chosen.  Candidates are read from the target's stored
-short-vector table, one vector of each +-pair; each chosen image x brings
-the nonzero entries of x^dagger G, the conjugate of G x, computed once, so
-a candidate costs one sparse dot product per earlier image, and the first
-nonzero product fixes which of v, -v can follow.  A unit multiple of an isometry is an isometry, so
-the image of the first basis vector is only sought up to units.  Group
-orders come from the orbit-stabilizer chain, so huge groups are never
-enumerated element by element.
+short-vector table, one vector of each orbit of the six units; each chosen
+image x brings the nonzero entries of x^dagger G, the conjugate of G x,
+computed once, so a candidate costs one sparse dot product per earlier
+image, and the first nonzero product fixes which unit multiple can follow.
+A unit multiple of an isometry is an isometry, so the image of the first
+basis vector is the table vector itself.  Group orders come from the
+orbit-stabilizer chain, so huge groups are never enumerated element by
+element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .eisenstein import ONE, ZERO, _pconj, _pdot
+from .eisenstein import ONE, UNITS, ZERO, _pconj, _pdot, _pmul
 from .eismat import _congruence
 from .lattice import HermitianLattice
 
@@ -33,20 +34,6 @@ class IsometryCertificate:
         return images == [list(row) for row in source.gram]
 
 
-def _up_to_units(vectors):
-    """The vectors whose last nonzero coordinate is a canonical associate
-    (a > 0, 0 <= b < a): one of each orbit of the unit scalars.  The
-    short-vector table stores these with their + sign."""
-    out = []
-    for v in vectors:
-        for a, b in reversed(v):
-            if a or b:
-                if 0 <= b < a:
-                    out.append(v)
-                break
-    return out
-
-
 class _Searcher:
     """Shared state for backtracking searches into a fixed target lattice.
 
@@ -58,9 +45,16 @@ class _Searcher:
         self.G1 = source.gram
         self.target = target
         self.n = source.rank
+        # level k: for each j < k, the product t = <e_j, e_k> of the source
+        # and the unit u of each p with u p = t, that is p = conj(u) t
+        self.targets = [
+            [(t, {} if t == ZERO else {_pmul(_pconj(u), t): u for u in UNITS})
+             for t in (self.G1[j][k] for j in range(k))]
+            for k in range(self.n)]
 
     def candidates(self, norm: int):
-        """The target's vectors of the given norm, one of each +-pair."""
+        """The target's vectors of the given norm, one of each orbit of the
+        six units."""
         return self.target._vectors_by_norm(norm).get(norm, ())
 
     def dagger_gram(self, x):
@@ -70,17 +64,17 @@ class _Searcher:
             _pconj(_pdot(row, x)) for row in self.target.gram) if xg != (0, 0)]
 
     def extensions(self, xgs, level, vectors):
-        """The w among vectors and their negatives with <x_j, w> =
-        <e_j, e_level> of the source for the images x_j, j < level, whose
-        x_j^dagger G are xgs; v before -v.
+        """The unit multiples w of vectors with <x_j, w> = <e_j, e_level>
+        of the source for the images x_j, j < level, whose x_j^dagger G
+        are xgs.
 
-        <x, -v> = -<x, v>: the first nonzero product fixes the sign, and
-        only when every product is zero are both signs tried.
+        <x, u v> = u <x, v>: the first nonzero product fixes the unit, and
+        only when every product is zero are all six multiples tried.
         """
-        column = [self.G1[j][level] for j in range(level)]
+        targets = self.targets[level]
         for v in vectors:
-            sign = 0
-            for xg, (ca, cb) in zip(xgs, column):
+            unit = None
+            for xg, (t, units) in zip(xgs, targets):
                 ac = bd = adbc = 0      # <x, v> = sum_k (x^dagger G)_k v_k
                 for k, p, q in xg:
                     c, d = v[k]
@@ -88,20 +82,18 @@ class _Searcher:
                     bd += q * d
                     adbc += p * d + q * c
                 a, b = ac - bd, adbc - bd
-                if sign:
-                    if sign * a != ca or sign * b != cb:
+                if unit is not None:
+                    if _pmul(unit, (a, b)) != t:
                         break
-                elif a == ca and b == cb:
-                    sign = 1 if a or b else 0
-                elif a == -ca and b == -cb:
-                    sign = -1
-                else:
+                elif a or b:
+                    unit = units.get((a, b))
+                    if unit is None:
+                        break
+                elif units:         # a zero product where t is not zero
                     break
             else:
-                if sign >= 0:
-                    yield v
-                if sign <= 0:
-                    yield tuple(-x for x in v)
+                for u in UNITS if unit is None else (unit,):
+                    yield tuple(u * x for x in v)
 
     def complete(self, images, xgs, level):
         """Extend a partial assignment to a full one; None if impossible."""
@@ -124,14 +116,15 @@ def is_isometric(L1: HermitianLattice, L2: HermitianLattice):
 
     Images of a basis with matching Gram span a finite-index sublattice of
     L2 of the same determinant, hence all of L2.  If phi is an isometry, so
-    is u phi for every unit u, so the image of e_0 is sought up to units.
+    is u phi for every unit u, so the image of e_0 is sought up to units:
+    among the table vectors themselves.
     """
     if L1.rank != L2.rank:
         return None
     if L1.det != L2.det or L1.discriminant() != L2.discriminant():
         return None
     searcher = _Searcher(L1, L2)
-    for w in _up_to_units(searcher.candidates(L1.gram[0][0].a)):
+    for w in searcher.candidates(L1.gram[0][0].a):
         full = searcher.complete([w], [searcher.dagger_gram(w)], 1)
         if full is not None:
             break
@@ -151,8 +144,7 @@ def automorphism_order(L: HermitianLattice) -> int:
     At level k the group under consideration is the stabilizer of the first
     k basis vectors; its order is the orbit size of basis vector k times
     the order one level down.  The unit scalars are automorphisms and act
-    freely on the orbit of e_0, which is 6 times the vectors of it counted
-    up to units.
+    freely on the orbit of e_0, which is 6 times its table vectors.
     """
     n = L.rank
     searcher = _Searcher(L, L)
@@ -163,7 +155,7 @@ def automorphism_order(L: HermitianLattice) -> int:
         if k:
             images, units = searcher.extensions(xgs, k, vectors), 1
         else:
-            images, units = _up_to_units(vectors), 6
+            images, units = vectors, 6
         # how many w does some automorphism fixing the prefix send e_k to?
         orbit = sum(searcher.complete(prefix + [w],
                                       xgs + [searcher.dagger_gram(w)], k + 1)

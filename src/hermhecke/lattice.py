@@ -105,7 +105,9 @@ class HermitianLattice:
 
     def _vectors_by_norm(self, max_norm: int) -> dict:
         """The lattice's short-vector table: norm -> vectors of that norm,
-        up to sign, for every norm up to at least max_norm.
+        one of each orbit of the six units (the one whose last nonzero
+        coordinate is its canonical associate), for every norm up to at
+        least max_norm.
 
         One table per lattice, kept in the instance dict like the cached
         properties, so equality and hashing still see only the gram.  A
@@ -123,17 +125,13 @@ class HermitianLattice:
         return table[1]
 
     def short_vectors(self, max_norm: int):
-        """All nonzero vectors of Hermitian norm <= max_norm, up to sign,
-        by increasing norm.
-
-        One representative of each +-v pair is returned (unit multiples other
-        than -1 are listed separately).
-        """
+        """All nonzero vectors of Hermitian norm <= max_norm, up to units,
+        by increasing norm: one of each orbit {u v} of the six units."""
         return [v for m, vs in self._vectors_by_norm(max_norm).items()
                 if m <= max_norm for v in vs]
 
     def norm_histogram(self, max_norm: int):
-        return {m: 2 * len(vs) for m, vs in self._vectors_by_norm(max_norm).items()
+        return {m: 6 * len(vs) for m, vs in self._vectors_by_norm(max_norm).items()
                 if m <= max_norm}
 
     def rebase(self, cols, denominator=1) -> "HermitianLattice":
@@ -307,8 +305,8 @@ def direct_sum(*lattices) -> HermitianLattice:
 
 def _fincke_pohst(G, bound: int):
     """(x, <x, x>) for the nonzero x in Z[w]^n with <x, x> <= bound, up to
-    sign: in the order b_{n-1}, a_{n-1}, ..., b_0, a_0 of the coordinates
-    x_i = a_i + b_i w, the first nonzero one is positive.
+    units: the last nonzero coordinate x_i = a_i + b_i w is its canonical
+    associate, a_i > b_i >= 0, so each orbit of the six units gives one x.
 
     G is a positive-definite Hermitian Gram matrix.  With the integral
     Gram-Schmidt data d, lam of `_gram_schmidt_row`,
@@ -333,7 +331,7 @@ def _fincke_pohst(G, bound: int):
 
     def search(i, remaining, top, centre):
         # centre[j] = sum_{k>i} lam[k][j] x_k for j <= i, so s_i = centre[i];
-        # top: every x_k with k > i is zero, so b_i, then a_i, takes the sign
+        # top: every x_k with k > i is zero, so x_i is zero or canonical
         sa, sb = centre[i]
         e, wi = d[i + 1], w[i]
         e2 = 2 * e
@@ -344,7 +342,10 @@ def _fincke_pohst(G, bound: int):
             t = 2 * sa - zb         # 2 z_a - z_b = 2e a + t
             ra = math.isqrt(rem_b // wi)
             top_b = top and not b
-            lo = 0 if top_b else -((ra + t) // e2)
+            lo = -((ra + t) // e2)
+            if top:
+                # zero, or the canonical associate a > b >= 0
+                lo = max(lo, b + 1 if b else 0)
             for a in range(lo, (ra - t) // e2 + 1):
                 y = e2 * a + t
                 rest = rem_b - wi * y * y

@@ -51,6 +51,13 @@ def test_arthur_congruence(capsys):
     assert rc == 0
 
 
+def test_arthur_congruence_unknown_label(capsys):
+    rc = main(["arthur", "congruence", "21", "1", "691"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and "unknown label 21" in err and "20]" in err
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_arthur_congruence_reports_every_ideal(capsys, q):
     # labels 12 and 13 have quadratic eigenvalues; at the even prime 2 their
@@ -165,6 +172,16 @@ def test_missing_input_path(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.count("\n") == 1 and missing in err
+
+
+def test_genus_out_is_an_existing_file(tmp_path, capsys):
+    lattice, out = tmp_path / "l.json", tmp_path / "genus"
+    HermitianLattice.from_gram([[1, 0, 0], [0, 1, 0], [0, 0, 5]]).save(lattice)
+    out.write_text("")
+    rc = main(["genus", str(lattice), "--prime", "2", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and str(out) in err
 
 
 def _gram_with(entry, at):

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermhecke.eisenstein import (OMEGA, EisensteinInt, canonical_associate,
-                                  eis, ideal_above)
+from hermhecke.eisenstein import (OMEGA, UNITS, EisensteinInt,
+                                  canonical_associate, eis, ideal_above)
 from hermhecke.fixtures import load_seed_sqrt3
 from hermhecke.isometry import IsometryCertificate, is_isometric
 from hermhecke.lattice import (HermitianLattice, direct_sum, herm_inner,
@@ -82,6 +82,15 @@ def sheared_117():
     return HermitianLattice.from_gram([[1, 0, 0], [0, 1, 0], [0, 0, 7]]).rebase(cols)
 
 
+def assert_one_vector_per_unit_orbit(L, bound, brute):
+    """The six unit multiples of the table vectors of L up to bound are
+    the set brute, and no two table vectors share a unit orbit."""
+    table = L.short_vectors(bound)
+    orbits = [frozenset(tuple(u * x for x in v) for u in UNITS) for v in table]
+    assert len(set(orbits)) == len(table)
+    assert set().union(*orbits) == brute
+
+
 def test_short_vectors_bruteforce_sheared_rank3():
     M = sheared_117()
     assert any(M.gram[i][j] != eis(0) for i in range(3) for j in range(3) if i != j)
@@ -91,15 +100,16 @@ def test_short_vectors_bruteforce_sheared_rank3():
     # N(a + b w) >= 3 b^2 / 4 and >= 3 a^2 / 4, this box holds every such y
     def box(r):
         return [eis(a, b) for a in range(-r, r + 1) for b in range(-r, r + 1)]
-    counts = {}
+    counts, brute = {}, set()
     for y1 in box(4):
         for y2 in box(3):
             for y3 in box(1):
                 m = herm_norm(M.gram, (y1, y2, y3))
                 if 0 < m <= bound:
                     counts[m] = counts.get(m, 0) + 1
+                    brute.add((y1, y2, y3))
     assert M.norm_histogram(bound) == dict(sorted(counts.items()))
-    assert len(M.short_vectors(bound)) * 2 == sum(counts.values())
+    assert_one_vector_per_unit_orbit(M, bound, brute)
 
 
 def test_smaller_request_reads_the_larger_table():
@@ -141,20 +151,21 @@ def neighbour_tables_117(bound):
 TABLE_DIGESTS = {
     "I4 sheared, 4": (
         lambda: sheared_i4()._vectors_by_norm(4),
-        "b915bb99e9a7423e34e082cc50b889222822b7d10147abab7dccc202eaf642a8"),
+        "09a0a3f36995d422b5ea9ee41e53a8ce03528bc46d0b5be6729790818b3be8a0"),
     "rank-4 seed, 6": (
         lambda: load_seed_sqrt3()._vectors_by_norm(6),
-        "39b4155a8ede6d3b4091da4d6777f61e340fcef8e41b3a7049cf2cc54d17e370"),
+        "b7c7238d5baa03dfa0d2fea44889112acbc2a10212cf045975ffd739a5328a62"),
     "<1,1,7> at (sqrt-3), 9": (
         lambda: neighbour_tables_117(9),
-        "13c13e1848903f645df50f215b1a2007a02f4fce2d173b29b6cbc71d4b1f8eb9"),
+        "0c38fd6babacd9051fb22315db9daf9f5addf6ee0dcfef53de902f6ac390d410"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_DIGESTS))
 def test_pinned_short_vector_tables(name):
     # the isometry search tries candidates in table order, so the order is
-    # behaviour: the sha256 of repr pins each table, order and signs included
+    # behaviour: the sha256 of repr pins each table, its order and the
+    # associates it keeps
     table, digest = TABLE_DIGESTS[name]
     assert hashlib.sha256(repr(table()).encode()).hexdigest() == digest
 
@@ -173,7 +184,7 @@ def test_short_vectors_bruteforce_rank2():
     L = HermitianLattice.standard(2)
     hist = L.norm_histogram(5)
     # brute force over a box
-    counts = {n: 0 for n in range(1, 6)}
+    counts, brute = {n: 0 for n in range(1, 6)}, set()
     for a in range(-5, 6):
         for b in range(-5, 6):
             for c in range(-5, 6):
@@ -183,8 +194,10 @@ def test_short_vectors_bruteforce_rank2():
                     n = eis(a, b).norm() + eis(c, d).norm()
                     if n <= 5:
                         counts[n] += 1
+                        brute.add((eis(a, b), eis(c, d)))
     assert {n: c for n, c in hist.items() if n >= 1} == \
            {n: c for n, c in counts.items() if c}
+    assert_one_vector_per_unit_orbit(L, 5, brute)
 
 
 def test_direct_sum_and_lll():

@@ -211,6 +211,19 @@ def test_rank12_count_at_2():
         (fixtures.D_INTERSECTIONS, fixtures.T2_ROW_SUM)
 
 
+@pytest.mark.long
+def test_rank12_isometry_288_pair():
+    # neighbours 2000 and 3000 of the seed's (2)-walk (counting from 0),
+    # both with 288 norm-3 vectors: the positive isometry test that places
+    # a neighbour in its class
+    L = fixtures.seed_sqrt3_rank12()
+    A, B = (M for _, M in itertools.islice(
+        iter_neighbours(L, ideal_above(2)), 2000, 3001, 1000))
+    assert A.norm_histogram(3) == B.norm_histogram(3) == {3: 288}
+    cert = is_isometric(A, B)
+    assert cert is not None and cert.verify(A, B)
+
+
 def test_exact_checks_survive_optimize():
     # python -O strips assert statements; the exact checks on the lattice
     # path raise AssertionError explicitly
