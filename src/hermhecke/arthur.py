@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .coefficients import CoefficientStore
-from .eisenstein import EisIdeal, EisensteinInt
+from .eisenstein import EisIdeal, EisensteinInt, is_prime
 from .errors import MissingCoefficientError, ParameterError, UnsupportedCaseError
 from .quadfield import QuadExtElem, divisible_at, rational
 
@@ -289,7 +289,10 @@ def verify_parameter_congruence(param_i: ArthurParameter, param_j: ArthurParamet
     """Check eigenvalue_at(A_i) = eigenvalue_at(A_j) mod q at each ideal.
 
     Returns {ideal-name: True/False/'skipped (why unsupported)'} entries.
+    ValueError unless q is a prime.
     """
+    if not is_prime(q):
+        raise ValueError(f"the congruence modulus q = {q} is not a prime")
     report = {}
     for name, ideal in ideals.items():
         try:

@@ -194,10 +194,17 @@ def _reduce(x, g):
 
     The minimal-norm coset representative is always within +-1 in each
     coordinate of the rounded quotient, so the nine neighbours of the
-    Euclidean remainder r0 are scanned: r0 - da*g - db*(w g).
+    Euclidean remainder r0 are scanned: r0 - da*g - db*(w g).  The scan is
+    skipped when 4 N(r0) < N(g): then r0 lies strictly inside the Voronoi
+    cell of g Z[w] about 0, whose inradius is |g|/2, and is the unique
+    minimal representative.
     """
-    (qa, qb), (ra, rb) = _pdivmod(x, g)
+    q, r = _pdivmod(x, g)
+    ra, rb = r
     ga, gb = g
+    if 4 * (ra * ra - ra * rb + rb * rb) < ga * ga - ga * gb + gb * gb:
+        return q, r
+    qa, qb = q
     wa, wb = -gb, ga - gb       # w*g
     best = None
     for da in (-1, 0, 1):

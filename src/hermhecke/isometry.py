@@ -22,6 +22,10 @@ from .eisenstein import ONE, UNITS, ZERO, _pconj, _pdot, _pmul
 from .eismat import _congruence
 from .lattice import HermitianLattice
 
+# how many Grams of placed lattices a Classifier remembers; a rank-12 Gram
+# takes about 11 KB
+GRAM_MEMORY = 1024
+
 
 @dataclass(frozen=True)
 class IsometryCertificate:
@@ -170,21 +174,33 @@ def automorphism_order(L: HermitianLattice) -> int:
 class Classifier:
     """Isometry classes met so far: a representative of each, and buckets
     of representatives by fingerprint, so that a lattice is tested for
-    isometry only against representatives with its fingerprint."""
+    isometry only against representatives with its fingerprint.
+
+    The Grams of the last GRAM_MEMORY lattices placed, representatives
+    included, map to their classes: equal Grams are isometric through the
+    identity and representatives are pairwise non-isometric, so a lattice
+    with a recorded Gram is placed by that record, with no fingerprint and
+    no search.
+    """
 
     def __init__(self, representatives=()):
         self.representatives = []
         self._buckets = {}          # fingerprint -> indices of representatives
+        self._placed = {}           # Gram -> class index, oldest first
         for L in representatives:
             self._add(L, L.fingerprint())
 
     def find(self, L: HermitianLattice):
         """Index of the representative isometric to L, or None."""
-        return self._find(L, L.fingerprint())
+        idx = self._placed.get(L.gram)
+        return self._find(L, L.fingerprint()) if idx is None else idx
 
     def classify(self, L: HermitianLattice) -> int:
         """Index of the class of L, which becomes a new representative if
         it matches none."""
+        idx = self._placed.get(L.gram)
+        if idx is not None:
+            return idx
         fp = L.fingerprint()
         idx = self._find(L, fp)
         return self._add(L, fp) if idx is None else idx
@@ -192,11 +208,18 @@ class Classifier:
     def _find(self, L, fp):
         for idx in self._buckets.get(fp, ()):
             if is_isometric(L, self.representatives[idx]) is not None:
-                return idx
+                return self._record(L, idx)
         return None
 
     def _add(self, L, fp) -> int:
         idx = len(self.representatives)
         self.representatives.append(L)
         self._buckets.setdefault(fp, []).append(idx)
+        return self._record(L, idx)
+
+    def _record(self, L, idx) -> int:
+        placed = self._placed
+        if len(placed) == GRAM_MEMORY:
+            del placed[next(iter(placed))]
+        placed[L.gram] = idx
         return idx

@@ -241,8 +241,12 @@ def hermitian_lll(L: HermitianLattice) -> HermitianLattice:
 
     Integral LLL after Cohen, GTM 138, Alg. 2.6.7, adapted to Hermitian
     forms, on a working copy G of the Gram matrix, with the Gram-Schmidt
-    data d and lam of `_gram_schmidt_row`.  After a swap the rows from k-1
-    on are computed again when the loop reaches them.
+    data d and lam of `_gram_schmidt_row`.  A swap of b_{k-1} and b_k
+    keeps rows 0 .. k current in O(k), after Cohen's SWAPI: rows k-1 and k
+    exchange their first k-1 entries, d_k becomes
+    (d_{k-1} d_{k+1} + N(lam)) / d_k and lam_{k,k-1} becomes conj(lam),
+    lam its old value.  Rows after k are computed again when the loop
+    reaches them.
     """
     n = L.rank
     G = [list(r) for r in L.gram]
@@ -277,11 +281,20 @@ def hermitian_lll(L: HermitianLattice) -> HermitianLattice:
             _gram_schmidt_row(G, d, lam, done)
             done += 1
         size_reduce(k, k - 1)
-        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * _pnorm(lam[k][k - 1]):
+        lk = lam[k][k - 1]
+        norm_lk = _pnorm(lk)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * norm_lk:
             G[k - 1], G[k] = G[k], G[k - 1]
             for row in G:
                 row[k - 1], row[k] = row[k], row[k - 1]
-            done = k - 1
+            lam[k - 1][:k - 1], lam[k][:k - 1] = lam[k][:k - 1], lam[k - 1][:k - 1]
+            dk, rem = divmod(d[k - 1] * d[k + 1] + norm_lk, d[k])
+            if rem:
+                raise ValueError(f"{d[k]} does not divide the swapped "
+                                 f"Gram-Schmidt minor in row {k}")
+            d[k] = dk
+            lam[k][k - 1] = _pconj(lk)
+            done = k + 1        # row k+1 depended on the old b_{k-1}, b_k
             k = max(1, k - 1)
         else:
             for l in range(k - 2, -1, -1):

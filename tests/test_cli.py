@@ -51,6 +51,14 @@ def test_arthur_congruence(capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("q", [0, 1, 4, -691])
+def test_arthur_congruence_needs_a_prime_modulus(capsys, q):
+    rc = main(["arthur", "congruence", "2", "1", str(q)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"q = {q} is not a prime" in err
+
+
 def test_arthur_congruence_unknown_label(capsys):
     rc = main(["arthur", "congruence", "21", "1", "691"])
     err = capsys.readouterr().err

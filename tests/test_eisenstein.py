@@ -2,7 +2,7 @@ import math
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hermhecke.eisenstein import (EisensteinInt, ONE, canonical_associate,
                                   classify_prime, eis, ideal_above, is_prime,
@@ -80,6 +80,7 @@ def test_inert_prime_beyond_float_precision():
 
 
 @given(small, small, nonzero)
+@example(9, 12, (6, 6))     # the remainder 3 lies on the Voronoi cell's edge
 def test_canonical_residue(a, b, gt):
     # _reduce's minimal-norm residue drives the LLL and Hermite rounding
     g = eis(*gt)
@@ -89,6 +90,10 @@ def test_canonical_residue(a, b, gt):
     assert g.divides(x - eis(*r))
     # canonical representative is stable on the residue class
     assert _reduce(r, g) == ((0, 0), r)
+    # and the least (norm, a, b) among r - u*g, u = ua + ub*w in a +-2 box
+    box = [eis(*r) - eis(ua, ub) * g
+           for ua in range(-2, 3) for ub in range(-2, 3)]
+    assert min((y.norm(), y.a, y.b) for y in box) == (eis(*r).norm(), *r)
 
 
 # --- one representation: EisensteinInt is the (a, b) pair -------------------

@@ -256,17 +256,31 @@ LLL_INPUTS = {
 }
 
 
+# sha256 of repr of the four reduced Grams, pinned before the LLL updated
+# its Gram-Schmidt data on a swap
+LLL_DIGESTS = {
+    "<1,1,5>": "47e40a53699497846c5f5cfff4426cd0b8f13f92d83c9751a947633908049742",
+    "<1,1,7>": "18d0f0a87932c5128596b5ad59d06f83cb5641ef93fbc8e119a6dda61bdb2a20",
+    "A2+<1,3>": "1b46f4df3bb6a3d580077f2f7f1ad86929b903b18f3e695b809a73a87614b7e6",
+    "I4": "7270243869bd57a71bbe5279587ede5b124ec6163262870dbd4817b2968a4669",
+    "I5": "3448fa6732d50fa9347a5b2a856f2ee2681491bed365175b965e745f7664a354",
+}
+
+
 @pytest.mark.parametrize("name", sorted(LLL_INPUTS))
 def test_lll_of_sheared_bases(name):
     L = HermitianLattice.from_gram(LLL_INPUTS[name])
     n = L.rank
     rng = random.Random(name)
+    grams = []
     for _ in range(4):
         cols = random_unimodular_cols(n, rng)
         S = L.rebase([[cols[j][i] for j in range(n)] for i in range(n)])
         M = hermitian_lll(S)
         assert_lll_reduced(M)
         assert is_isometric(M, L) is not None
+        grams.append(M.gram)
+    assert hashlib.sha256(repr(grams).encode()).hexdigest() == LLL_DIGESTS[name]
 
 
 def test_isometry_certificate_verify():

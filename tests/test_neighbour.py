@@ -359,6 +359,41 @@ def test_isometry_separates_classes(d, p):
             assert automorphism_order(M) == g.aut_orders[i]
 
 
+def test_classifier_places_a_repeated_gram_without_search(monkeypatch):
+    # the neighbours of every class of <1,1,13> at (2) repeat their Grams;
+    # a Gram placed before is placed again by lookup, so the search runs
+    # once per distinct Gram that is not a representative's (each
+    # fingerprint bucket holds one class here)
+    P = ideal_above(2)
+    genus = enumerate_genus(HermitianLattice.from_gram(
+        [[1, 0, 0], [0, 1, 0], [0, 0, 13]]), P)
+    lattices = [M for R in genus.representatives
+                for _, M in iter_neighbours(R, P)]
+    grams = {M.gram for M in lattices}
+    assert len(grams) < len(lattices)
+    calls = []
+    search = isometry.is_isometric
+    monkeypatch.setattr(isometry, "is_isometric",
+                        lambda L1, L2: calls.append(L1.gram) or search(L1, L2))
+    classes = isometry.Classifier()
+    indices = [classes.classify(M) for M in lattices]
+    reps = classes.representatives
+    fingerprints = [R.fingerprint() for R in reps]
+    assert len(set(fingerprints)) == len(reps)
+    assert sorted(calls) == sorted(grams - {R.gram for R in reps})
+    monkeypatch.undo()
+    assert [isometry.Classifier(reps).find(M) for M in lattices] == indices
+
+
+def test_classifier_remembers_the_last_grams():
+    classes = isometry.Classifier()
+    for k in range(1, 1101):
+        assert classes.classify(HermitianLattice.from_gram([[k]])) == k - 1
+    placed = classes._placed
+    assert len(placed) == isometry.GRAM_MEMORY == 1024
+    assert list(placed.values()) == list(range(1100 - 1024, 1100))
+
+
 def test_rank2_rejected_for_genus():
     with pytest.raises(UnsupportedCaseError):
         enumerate_genus(HermitianLattice.standard(2), ideal_above(2))
