@@ -74,6 +74,9 @@ def cmd_neighbours(args):
         lines, total = count_neighbours(L, ideal)
         _emit({"admissible_lines": lines, "count": total})
         return EXIT_OK
+    if L.rank >= 8 and not args.allow_long:
+        print("rank >= 8 neighbour construction needs --allow-long", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     ns = neighbours(L, ideal)
     _emit({"count": len(ns),
            "neighbours": [lat.to_json_dict() for lat in ns.neighbours]},

@@ -7,6 +7,7 @@ is regenerated on demand from the eta-product q * prod (1-q^n)^24.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -31,13 +32,17 @@ def eta_product_coefficients(nmax: int) -> list[int]:
     return coeffs
 
 
-def ramanujan_tau(p: int, _cache: dict = {}) -> int:
-    if not _cache:
-        cs = eta_product_coefficients(100)
-        _cache.update({n: cs[n] for n in range(1, 101)})
-    if p not in _cache:
+@functools.cache
+def _tau_table() -> tuple:
+    """tau(n) at index n, for n up to 100."""
+    return tuple(eta_product_coefficients(100))
+
+
+def ramanujan_tau(p: int) -> int:
+    table = _tau_table()
+    if not 0 < p < len(table):
         raise MissingCoefficientError(f"tau({p}) beyond precomputed range")
-    return _cache[p]
+    return table[p]
 
 
 @dataclass(frozen=True)

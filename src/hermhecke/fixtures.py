@@ -72,9 +72,9 @@ class FixtureSet:
     store: CoefficientStore
 
     @staticmethod
-    def load(data_dir=None) -> "FixtureSet":
-        if data_dir is None:
-            data_dir = os.environ.get("HERMHECKE_DATA") or None
+    def load() -> "FixtureSet":
+        """The shipped fixtures, or those in the directory HERMHECKE_DATA."""
+        data_dir = os.environ.get("HERMHECKE_DATA") or None
 
         def path(name):
             return None if data_dir is None else f"{data_dir}/{name}"

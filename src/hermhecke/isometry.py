@@ -56,28 +56,25 @@ class _Searcher:
              for t in (self.G1[j][k] for j in range(k))]
             for k in range(self.n)]
 
-    def candidates(self, norm: int):
-        """The target's vectors of the given norm, one of each orbit of the
-        six units."""
-        return self.target._vectors_by_norm(norm).get(norm, ())
-
     def dagger_gram(self, x):
         """The nonzero entries (k, a, b) of x^dagger G, a + b w its k-th."""
         # (x^dagger G)_k = conj((G x)_k), G being Hermitian
         return [(k, *xg) for k, xg in enumerate(
             _pconj(_pdot(row, x)) for row in self.target.gram) if xg != (0, 0)]
 
-    def extensions(self, xgs, level, vectors):
-        """The unit multiples w of vectors with <x_j, w> = <e_j, e_level>
-        of the source for the images x_j, j < level, whose x_j^dagger G
-        are xgs.
+    def extensions(self, xgs, level):
+        """The unit multiples w of the target's table vectors of norm
+        <e_level, e_level> with <x_j, w> = <e_j, e_level> of the source for
+        the images x_j, j < level, whose x_j^dagger G are xgs.
 
         <x, u v> = u <x, v>: the first nonzero product fixes the unit, and
-        only when every product is zero are all six multiples tried.
+        only when every product is zero are all six multiples tried.  The
+        first image is sought up to units: at level 0 the unit is 1.
         """
         targets = self.targets[level]
-        for v in vectors:
-            unit = None
+        m = self.G1[level][level].a
+        for v in self.target._vectors_by_norm(m).get(m, ()):
+            unit = None if level else ONE
             for xg, (t, units) in zip(xgs, targets):
                 ac = bd = adbc = 0      # <x, v> = sum_k (x^dagger G)_k v_k
                 for k, p, q in xg:
@@ -103,8 +100,7 @@ class _Searcher:
         """Extend a partial assignment to a full one; None if impossible."""
         if level == self.n:
             return list(images)
-        vectors = self.candidates(self.G1[level][level].a)
-        for w in self.extensions(xgs, level, vectors):
+        for w in self.extensions(xgs, level):
             images.append(w)
             xgs.append(self.dagger_gram(w))
             full = self.complete(images, xgs, level + 1)
@@ -119,20 +115,14 @@ def is_isometric(L1: HermitianLattice, L2: HermitianLattice):
     """An IsometryCertificate mapping L1 onto L2, or None.
 
     Images of a basis with matching Gram span a finite-index sublattice of
-    L2 of the same determinant, hence all of L2.  If phi is an isometry, so
-    is u phi for every unit u, so the image of e_0 is sought up to units:
-    among the table vectors themselves.
+    L2 of the same determinant, hence all of L2.
     """
     if L1.rank != L2.rank:
         return None
     if L1.det != L2.det or L1.discriminant() != L2.discriminant():
         return None
-    searcher = _Searcher(L1, L2)
-    for w in searcher.candidates(L1.gram[0][0].a):
-        full = searcher.complete([w], [searcher.dagger_gram(w)], 1)
-        if full is not None:
-            break
-    else:
+    full = _Searcher(L1, L2).complete([], [], 0)
+    if full is None:
         return None
     cert = IsometryCertificate(tuple(full))
     if not cert.verify(L1, L2):
@@ -147,24 +137,18 @@ def automorphism_order(L: HermitianLattice) -> int:
 
     At level k the group under consideration is the stabilizer of the first
     k basis vectors; its order is the orbit size of basis vector k times
-    the order one level down.  The unit scalars are automorphisms and act
-    freely on the orbit of e_0, which is 6 times its table vectors.
+    the order one level down.  The unit scalars act freely on the orbit of
+    e_0, so the order starts from 6 and level 0 counts unit orbits.
     """
     n = L.rank
     searcher = _Searcher(L, L)
-    order = 1
+    order = 6
     prefix, xgs = [], []
     for k in range(n):
-        vectors = searcher.candidates(L.gram[k][k].a)
-        if k:
-            images, units = searcher.extensions(xgs, k, vectors), 1
-        else:
-            images, units = vectors, 6
         # how many w does some automorphism fixing the prefix send e_k to?
-        orbit = sum(searcher.complete(prefix + [w],
-                                      xgs + [searcher.dagger_gram(w)], k + 1)
-                    is not None for w in images)
-        order *= units * orbit
+        order *= sum(searcher.complete(prefix + [w],
+                                       xgs + [searcher.dagger_gram(w)], k + 1)
+                     is not None for w in searcher.extensions(xgs, k))
         e_k = tuple(ONE if i == k else ZERO for i in range(n))
         prefix.append(e_k)
         xgs.append(searcher.dagger_gram(e_k))
@@ -190,11 +174,6 @@ class Classifier:
         for L in representatives:
             self._add(L, L.fingerprint())
 
-    def find(self, L: HermitianLattice):
-        """Index of the representative isometric to L, or None."""
-        idx = self._placed.get(L.gram)
-        return self._find(L, L.fingerprint()) if idx is None else idx
-
     def classify(self, L: HermitianLattice) -> int:
         """Index of the class of L, which becomes a new representative if
         it matches none."""
@@ -202,14 +181,10 @@ class Classifier:
         if idx is not None:
             return idx
         fp = L.fingerprint()
-        idx = self._find(L, fp)
-        return self._add(L, fp) if idx is None else idx
-
-    def _find(self, L, fp):
         for idx in self._buckets.get(fp, ()):
             if is_isometric(L, self.representatives[idx]) is not None:
                 return self._record(L, idx)
-        return None
+        return self._add(L, fp)
 
     def _add(self, L, fp) -> int:
         idx = len(self.representatives)

@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .eisenstein import (EisensteinInt, ZERO, eis, canonical_associate,
-                         _pconj, _pconj_mul, _pnorm, _reduce,
-                         _sub_multiple)
+from .eisenstein import (EisensteinInt, ONE, ZERO, eis, canonical_associate,
+                         _associate_unit, _pconj, _pconj_mul, _pmul, _pnorm,
+                         _reduce, _sub_multiple)
 from . import eismat
 
 # the largest norm whose vector count enters a lattice's fingerprint
@@ -112,14 +112,23 @@ class HermitianLattice:
         One table per lattice, kept in the instance dict like the cached
         properties, so equality and hashing still see only the gram.  A
         request beyond its bound enumerates again at the new bound and
-        replaces it.  Within one norm the vectors keep the enumeration order,
-        which does not depend on the bound.
+        replaces it.  It is enumerated on the LLL-reduced basis (Cohen,
+        GTM 138, Alg. 2.7.7), so its cost does not depend on this one.  If
+        the LLL changed the Gram, each vector v is mapped back to U v with
+        its canonical associate, and each norm's list is sorted into the
+        order of `_fincke_pohst` on this basis, which does not depend on
+        the bound.
         """
         table = self.__dict__.get("_short_vector_table")
         if table is None or table[0] < max_norm:
+            G, U, d, lam = _lll(self.gram)
             by_norm = {}
-            for v, m in _fincke_pohst(self.gram, max_norm):
+            for v, m in _fincke_pohst(G, d, lam, max_norm):
                 by_norm.setdefault(m, []).append(v)
+            if G != self.gram:
+                for vs in by_norm.values():
+                    vs[:] = sorted((_back(U, v) for v in vs),
+                                   key=lambda x: [(c.b, c.a) for c in x[::-1]])
             table = (max_norm, dict(sorted(by_norm.items())))
             self.__dict__["_short_vector_table"] = table
         return table[1]
@@ -210,6 +219,13 @@ def _json_entry(x, i, j) -> EisensteinInt:
                      f"[a, b] of ints")
 
 
+def _back(U, v):
+    """U v, times the unit that makes its last nonzero coordinate canonical."""
+    x = eismat._combine(v, U, [ZERO] * len(v))
+    u = _associate_unit(next(c for c in reversed(x) if c != (0, 0)))
+    return tuple(EisensteinInt(*_pmul(u, c)) for c in x)
+
+
 def _gram_schmidt_row(G, d, lam, k):
     """Integral Gram-Schmidt row k of the Hermitian Gram matrix G, after
     Cohen, GTM 138, Alg. 2.6.7: sets lam[k][j] = d[j+1] * mu_{k,j} in Z[w]
@@ -236,8 +252,8 @@ def _gram_schmidt_row(G, d, lam, k):
             d[k + 1] = ua
 
 
-def hermitian_lll(L: HermitianLattice) -> HermitianLattice:
-    """LLL-reduce the basis over O_E with delta = 3/4, in integers.
+def _lll(gram):
+    """LLL-reduce the basis of gram over O_E with delta = 3/4, in integers.
 
     Integral LLL after Cohen, GTM 138, Alg. 2.6.7, adapted to Hermitian
     forms, on a working copy G of the Gram matrix, with the Gram-Schmidt
@@ -247,9 +263,14 @@ def hermitian_lll(L: HermitianLattice) -> HermitianLattice:
     (d_{k-1} d_{k+1} + N(lam)) / d_k and lam_{k,k-1} becomes conj(lam),
     lam its old value.  Rows after k are computed again when the loop
     reaches them.
+
+    Returns (G, U, d, lam): the reduced Gram as rows of EisensteinInt; U,
+    the columns of the transform, each new basis vector in the input's
+    coordinates; and the Gram-Schmidt data of every row of G.
     """
-    n = L.rank
-    G = [list(r) for r in L.gram]
+    n = len(gram)
+    G = [list(r) for r in gram]
+    U = [[ONE if i == j else ZERO for i in range(n)] for j in range(n)]
     d = [1] + [0] * n
     lam = [[ZERO] * k for k in range(n)]
 
@@ -258,19 +279,19 @@ def hermitian_lll(L: HermitianLattice) -> HermitianLattice:
         r, _ = _reduce(lam[k][l], (d[l + 1], 0))
         if r == ZERO:
             return
-        column = _sub_multiple([row[k] for row in G], r, [row[l] for row in G])
-        for row, x in zip(G, column):
-            row[k] = x
-        (a, b), (c, e) = G[k][k], _pconj_mul(r, G[l][k])
-        G[k][k] = (a - c, b - e)
-        for j in range(n):
-            if j != k:
-                G[k][j] = _pconj(G[j][k])
+        U[k] = _sub_multiple(U[k], r, U[l])
+        # row k becomes <b_k - r b_l, b_j>, column k its conjugate
+        G[k] = row = _sub_multiple(G[k], _pconj(r), G[l])
+        (a, b), (c, e) = row[k], _pmul(r, row[l])
+        row[k] = (a - c, b - e)
+        for j, x in enumerate(row):
+            G[j][k] = _pconj(x)
         ra, rb = r
         lam[k][l] = (lam[k][l][0] - ra * d[l + 1], lam[k][l][1] - rb * d[l + 1])
         lam[k][:l] = _sub_multiple(lam[k][:l], r, lam[l][:l])
 
-    done = 0        # Gram-Schmidt rows 0 .. done-1 are current
+    _gram_schmidt_row(G, d, lam, 0)
+    done = 1        # Gram-Schmidt rows 0 .. done-1 are current
     k = 1
     steps = 0
     while k < n:
@@ -287,6 +308,7 @@ def hermitian_lll(L: HermitianLattice) -> HermitianLattice:
             G[k - 1], G[k] = G[k], G[k - 1]
             for row in G:
                 row[k - 1], row[k] = row[k], row[k - 1]
+            U[k - 1], U[k] = U[k], U[k - 1]
             lam[k - 1][:k - 1], lam[k][:k - 1] = lam[k][:k - 1], lam[k - 1][:k - 1]
             dk, rem = divmod(d[k - 1] * d[k + 1] + norm_lk, d[k])
             if rem:
@@ -300,8 +322,13 @@ def hermitian_lll(L: HermitianLattice) -> HermitianLattice:
             for l in range(k - 2, -1, -1):
                 size_reduce(k, l)
             k += 1
-    return HermitianLattice(tuple(tuple(EisensteinInt(a, b) for a, b in r)
-                                  for r in G))
+    return (tuple(tuple(EisensteinInt(a, b) for a, b in r) for r in G),
+            U, d, lam)
+
+
+def hermitian_lll(L: HermitianLattice) -> HermitianLattice:
+    """The lattice L on its LLL-reduced basis (`_lll`)."""
+    return HermitianLattice(_lll(L.gram)[0])
 
 
 def direct_sum(*lattices) -> HermitianLattice:
@@ -316,13 +343,13 @@ def direct_sum(*lattices) -> HermitianLattice:
     return HermitianLattice(tuple(tuple(r) for r in G))
 
 
-def _fincke_pohst(G, bound: int):
+def _fincke_pohst(G, d, lam, bound: int):
     """(x, <x, x>) for the nonzero x in Z[w]^n with <x, x> <= bound, up to
     units: the last nonzero coordinate x_i = a_i + b_i w is its canonical
     associate, a_i > b_i >= 0, so each orbit of the six units gives one x.
 
-    G is a positive-definite Hermitian Gram matrix.  With the integral
-    Gram-Schmidt data d, lam of `_gram_schmidt_row`,
+    G is a positive-definite Hermitian Gram matrix.  With its integral
+    Gram-Schmidt data d, lam from `_lll`,
     <x, x> = sum_i N(z_i) / (d_i d_{i+1}), z_i = d_{i+1} x_i + s_i and
     s_i = sum_{k>i} lam[k][i] x_k, and 4 N(a + b w) = (2a - b)^2 + 3 b^2.
     Scaled by 4M, M = lcm(d_i d_{i+1}), each level is an integer search,
@@ -331,10 +358,6 @@ def _fincke_pohst(G, bound: int):
     lexicographic order of (b_{n-1}, a_{n-1}, ..., b_0, a_0).
     """
     n = len(G)
-    d = [1] + [0] * n
-    lam = [[ZERO] * k for k in range(n)]
-    for k in range(n):
-        _gram_schmidt_row(G, d, lam, k)
     M = math.lcm(*(d[i] * d[i + 1] for i in range(n)))
     w = [M // (d[i] * d[i + 1]) for i in range(n)]
     M4 = 4 * M

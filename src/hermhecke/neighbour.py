@@ -311,18 +311,18 @@ def _class_rows(classes: Classifier, walked, lattices, ideal: EisIdeal, *,
     """rows[i][j]: how many of the (key, lattice) pairs that
     lattices(walked[i], ideal) yields have their lattice in class j.
 
-    With grow, a lattice of no class of classes becomes a new class (walked
-    may be classes.representatives, which then grows as it is walked);
-    without, it raises OrphanLatticeError.  progress(i, placed, h) reports
+    A lattice of no class of classes becomes a new class (walked may be
+    classes.representatives, which then grows as it is walked); without
+    grow, it raises OrphanLatticeError.  progress(i, placed, h) reports
     every 10,000 lattices and each row's end, h being the classes known.
     """
-    place = classes.classify if grow else classes.find
+    known = len(classes.representatives)
     rows = []
     for i, R in enumerate(walked):
         row, placed = {}, 0
         for placed, (_, lat) in enumerate(lattices(R, ideal), 1):
-            j = place(lat)
-            if j is None:
+            j = classes.classify(lat)
+            if j >= known and not grow:
                 raise OrphanLatticeError(
                     f"neighbour of class {i} matches no representative: "
                     f"{lat.to_json_dict()}")

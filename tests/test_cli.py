@@ -24,6 +24,23 @@ def test_fixtures_check(capsys):
     assert out["ok"] is True
 
 
+def test_fixtures_check_reads_hermhecke_data(tmp_path, monkeypatch, capsys):
+    # HERMHECKE_DATA is the one way to point the fixtures at another copy
+    data = os.path.join(os.path.dirname(hermhecke.__file__), "data")
+    for name in os.listdir(data):
+        if name.endswith(".json"):
+            with open(os.path.join(data, name)) as fh:
+                doc = json.load(fh)
+            if name == "t2_unimodular_20.json":
+                doc["rows"][0][0] += 1
+            with open(tmp_path / name, "w") as fh:
+                json.dump(doc, fh)
+    monkeypatch.setenv("HERMHECKE_DATA", str(tmp_path))
+    rc, out = run(capsys, "fixtures", "check")
+    assert rc == 2
+    assert out["failures"][0].startswith("t2_20x20: row 1 sums to")
+
+
 def test_arthur_verify_table(capsys):
     rc, out = run(capsys, "arthur", "verify-table")
     assert rc == 0
@@ -130,6 +147,20 @@ def test_genus_requires_allow_long(tmp_path, capsys):
     HermitianLattice.standard(12).save(p)
     rc = main(["genus", str(p), "--prime", "2"])
     assert rc == 3
+
+
+def test_neighbours_requires_allow_long(tmp_path, capsys):
+    # a rank >= 8 neighbour set is built only with --allow-long; counting
+    # builds no lattice and needs no flag
+    p = tmp_path / "l.json"
+    HermitianLattice.standard(8).save(p)
+    rc = main(["neighbours", str(p), "--prime", "2"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == "" and "needs --allow-long" in captured.err
+    rc, out = run(capsys, "neighbours", str(p), "--prime", "2", "--count-only")
+    assert rc == 0
+    assert out == {"admissible_lines": 10965, "count": 21930}
 
 
 def test_hecke_direct_on_incomplete_genus(tmp_path, capsys):

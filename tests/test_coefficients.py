@@ -18,6 +18,9 @@ def test_ramanujan_tau():
     for p, v in TAU.items():
         if v is not None:
             assert ramanujan_tau(p) == v
+    for p in (0, 101):
+        with pytest.raises(MissingCoefficientError, match=rf"tau\({p}\)"):
+            ramanujan_tau(p)
 
 
 def test_store_values(store):

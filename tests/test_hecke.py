@@ -145,6 +145,8 @@ def test_truncated_genus_stores_no_rows(multiclass, monkeypatch):
     with pytest.raises(OrphanLatticeError,
                        match="neighbour of class 0 matches no representative"):
         hecke_direct(cut, P)
+    # the walk's own classifier took the orphan in; the genus did not
+    assert len(cut.representatives) == 1
 
 
 @pytest.fixture(scope="module")

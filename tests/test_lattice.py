@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermhecke.eisenstein import (OMEGA, UNITS, EisensteinInt,
+from hermhecke import eismat, lattice
+from hermhecke.eisenstein import (OMEGA, ONE, UNITS, ZERO, EisensteinInt,
                                   canonical_associate, eis, ideal_above)
 from hermhecke.fixtures import load_seed_sqrt3
 from hermhecke.isometry import IsometryCertificate, is_isometric
-from hermhecke.lattice import (HermitianLattice, direct_sum, herm_inner,
-                               herm_norm, hermitian_lll)
+from hermhecke.lattice import (HermitianLattice, _gram_schmidt_row, _lll,
+                               direct_sum, herm_inner, herm_norm,
+                               hermitian_lll)
 from hermhecke.neighbour import enumerate_genus, iter_neighbours
 from hermhecke.theta import theta_degree1
 from hermhecke.eismat import eis_det, smith_invariants
@@ -170,6 +172,55 @@ def test_pinned_short_vector_tables(name):
     assert hashlib.sha256(repr(table()).encode()).hexdigest() == digest
 
 
+def sheared_i6s():
+    """Three seeded shears of I6.  Enumerated on the basis given, their
+    norm-4 tables took 0.1 s, 9-17 s and 0.4-0.8 s on a 2-vCPU host."""
+    rng = random.Random(6)
+    out = []
+    for _ in range(3):
+        cols = random_unimodular_cols(6, rng)
+        out.append(HermitianLattice.standard(6).rebase(
+            [[cols[j][i] for j in range(6)] for i in range(6)]))
+    return out
+
+
+# sha256 of repr of their norm-4 tables, pinned while the tables were
+# enumerated on the basis given
+I6_SHEAR_DIGESTS = (
+    "57ede5ec59c3e0a79cacf2329c913ee3cde3183e8723cf391c952d4386d53f22",
+    "533bdf3d84791ea30d0c31bee6041378d02870ce5ef81a65c9eaabde7c39f9ba",
+    "a133a080b06265f171179602a26a70a13b62e6dbc367fb3d0d15b43e37b590b6",
+)
+
+
+def test_pinned_tables_of_sheared_i6():
+    # enumerated on the reduced basis and mapped back, each table is the
+    # one of the basis given, order and associates included
+    for L, digest in zip(sheared_i6s(), I6_SHEAR_DIGESTS):
+        table = L._vectors_by_norm(4)
+        assert hashlib.sha256(repr(table).encode()).hexdigest() == digest
+
+
+def test_enumeration_runs_on_reduced_bases(monkeypatch):
+    # whatever basis a lattice comes in, Fincke-Pohst sees an LLL-reduced
+    # Gram, so its cost does not depend on that basis
+    grams = []
+    enumerate_vectors = lattice._fincke_pohst
+
+    def on_reduced(G, d, lam, bound):
+        assert_lll_reduced(HermitianLattice(G))
+        grams.append(G)
+        return enumerate_vectors(G, d, lam, bound)
+
+    monkeypatch.setattr(lattice, "_fincke_pohst", on_reduced)
+    for name in sorted(TABLE_DIGESTS):
+        TABLE_DIGESTS[name][0]()
+    for L in sheared_i6s():
+        L._vectors_by_norm(4)
+    # one table each: the I4 shear, the seed, 12 neighbours, 3 I6 shears
+    assert len(grams) == 17
+
+
 def test_sqrt3_modular_seed():
     L = load_seed_sqrt3()
     assert L.rank == 4
@@ -281,6 +332,47 @@ def test_lll_of_sheared_bases(name):
         assert is_isometric(M, L) is not None
         grams.append(M.gram)
     assert hashlib.sha256(repr(grams).encode()).hexdigest() == LLL_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(LLL_INPUTS))
+def test_lll_transform_of_sheared_bases(name):
+    # the shears of test_lll_of_sheared_bases: the columns U of the
+    # transform carry the input Gram to the reduced one, U is unimodular,
+    # and d, lam are the Gram-Schmidt data of every row of the reduced Gram
+    L = HermitianLattice.from_gram(LLL_INPUTS[name])
+    n = L.rank
+    rng = random.Random(name)
+    for _ in range(4):
+        cols = random_unimodular_cols(n, rng)
+        S = L.rebase([[cols[j][i] for j in range(n)] for i in range(n)])
+        G, U, d, lam = _lll(S.gram)
+        assert G == hermitian_lll(S).gram
+        transform = [list(row) for row in zip(*U)]
+        assert eismat._congruence(S.gram, transform) == [list(r) for r in G]
+        assert all(f.is_unit() for f in eismat.smith(transform)[0])
+        fresh_d, fresh_lam = [1] + [0] * n, [[ZERO] * k for k in range(n)]
+        for k in range(n):
+            _gram_schmidt_row(G, fresh_d, fresh_lam, k)
+        assert (d, lam) == (fresh_d, fresh_lam)
+
+
+def test_lll_of_rank1():
+    # the LLL loop does not run at rank 1; the Gram-Schmidt data still do
+    G, U, d, lam = _lll(((eis(3),),))
+    assert (G, U, d, lam) == (((eis(3),),), [[ONE]], [1, 3], [[]])
+
+
+def test_lll_leaves_neighbours_unmoved():
+    # every neighbour of the <1,1,7> walk at (sqrt-3) is an LLL output that
+    # a second LLL leaves as it is, so its table is enumerated on its own
+    # basis with nothing to map back
+    P = ideal_above(3)
+    g = enumerate_genus(HermitianLattice.from_gram(LLL_INPUTS["<1,1,7>"]), P)
+    identity = [[ONE if i == j else ZERO for i in range(3)] for j in range(3)]
+    for R in g.representatives:
+        for _, M in iter_neighbours(R, P):
+            G, U, _, _ = _lll(M.gram)
+            assert U == identity and G == M.gram
 
 
 def test_isometry_certificate_verify():

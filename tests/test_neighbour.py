@@ -382,7 +382,7 @@ def test_classifier_places_a_repeated_gram_without_search(monkeypatch):
     assert len(set(fingerprints)) == len(reps)
     assert sorted(calls) == sorted(grams - {R.gram for R in reps})
     monkeypatch.undo()
-    assert [isometry.Classifier(reps).find(M) for M in lattices] == indices
+    assert [isometry.Classifier(reps).classify(M) for M in lattices] == indices
 
 
 def test_classifier_remembers_the_last_grams():
