@@ -88,10 +88,6 @@ def cmd_hecke(args):
     if args.method == "fixture":
         fx = FixtureSet.load()
         rows = {"t2-20": fx.t2_20x20, "t3-20": fx.t3_20x20, "t2-5": fx.t2_5x5}
-        if args.fixture not in rows:
-            print(f"unknown fixture {args.fixture!r}; options {sorted(rows)}",
-                  file=sys.stderr)
-            return EXIT_INVARIANT
         _emit({"rows": rows[args.fixture]}, args.out)
         return EXIT_OK
     if not args.genus or args.prime is None:
@@ -123,22 +119,25 @@ def cmd_congruences(args):
     return EXIT_OK
 
 
-def cmd_arthur(args):
-    store = CoefficientStore.load()
-    ideals = {"t2": _ideal(2), "t3": _ideal(3)}
-    if args.arthur_cmd == "verify-table":
-        fx = FixtureSet.load()
-        report = arthur.verify_table(store, fx.eigen_table, ideals)
-        bad = [lab for col in report.values() for lab, st in col.items()
-               if st == "mismatch"]
-        _emit(report, args.out)
-        return EXIT_INVARIANT if bad else EXIT_OK
-    if args.arthur_cmd == "eval":
-        param = arthur.parse_parameter(args.parameter)
-        value = arthur.eigenvalue_at(param, _ideal(args.prime, args.conjugate), store)
-        _emit({"parameter": args.parameter, "prime": args.prime, "value": str(value)})
-        return EXIT_OK
-    # congruence i j q
+def cmd_arthur_verify_table(args):
+    fx = FixtureSet.load()
+    report = arthur.verify_table(fx.store, fx.eigen_table,
+                                 {"t2": _ideal(2), "t3": _ideal(3)})
+    bad = [lab for col in report.values() for lab, st in col.items()
+           if st == "mismatch"]
+    _emit(report, args.out)
+    return EXIT_INVARIANT if bad else EXIT_OK
+
+
+def cmd_arthur_eval(args):
+    param = arthur.parse_parameter(args.parameter)
+    value = arthur.eigenvalue_at(param, _ideal(args.prime, args.conjugate),
+                                 CoefficientStore.load())
+    _emit({"parameter": args.parameter, "prime": args.prime, "value": str(value)})
+    return EXIT_OK
+
+
+def cmd_arthur_congruence(args):
     fx = FixtureSet.load()
     rows = {r["label"]: r for r in fx.eigen_table}
     for label in (args.i, args.j):
@@ -150,7 +149,7 @@ def cmd_arthur(args):
     pj = arthur.parse_parameter(rows[args.j]["parameter"])
     primes = [int(p) for p in args.primes.split(",")] if args.primes else [2, 3]
     report = arthur.verify_parameter_congruence(
-        pi, pj, args.q, {f"({p})": _ideal(p) for p in primes}, store)
+        pi, pj, args.q, {f"({p})": _ideal(p) for p in primes}, fx.store)
     _emit({f"{args.i} = {args.j} mod {args.q}": report})
     return EXIT_OK if all(v is True or isinstance(v, str) for v in report.values()) \
         else EXIT_INVARIANT
@@ -176,14 +175,14 @@ def cmd_fixtures(args):
 
 def build_parser():
     p = argparse.ArgumentParser(prog="hermhecke")
-    p.add_argument("--allow-long", action="store_true", dest="allow_long")
-    p.add_argument("--verbose", action="store_true")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     g = sub.add_parser("genus")
     g.add_argument("lattice")
     g.add_argument("--prime", type=int, required=True)
     g.add_argument("--out")
+    g.add_argument("--allow-long", action="store_true", dest="allow_long")
+    g.add_argument("--verbose", action="store_true")
     g.set_defaults(func=cmd_genus)
 
     nb = sub.add_parser("neighbours")
@@ -192,6 +191,7 @@ def build_parser():
     nb.add_argument("--conjugate", action="store_true")
     nb.add_argument("--count-only", action="store_true", dest="count_only")
     nb.add_argument("--out")
+    nb.add_argument("--allow-long", action="store_true", dest="allow_long")
     nb.set_defaults(func=cmd_neighbours)
 
     h = sub.add_parser("hecke")
@@ -199,8 +199,9 @@ def build_parser():
                    required=True)
     h.add_argument("--genus", help="directory of a saved genus enumeration")
     h.add_argument("--prime", type=int)
-    h.add_argument("--fixture", default="t2-20")
+    h.add_argument("--fixture", default="t2-20", choices=["t2-20", "t3-20", "t2-5"])
     h.add_argument("--out")
+    h.add_argument("--verbose", action="store_true")
     h.set_defaults(func=cmd_hecke)
 
     e = sub.add_parser("eigen")
@@ -216,18 +217,18 @@ def build_parser():
     asub = a.add_subparsers(dest="arthur_cmd", required=True)
     av = asub.add_parser("verify-table")
     av.add_argument("--out")
-    av.set_defaults(func=cmd_arthur)
+    av.set_defaults(func=cmd_arthur_verify_table)
     ae = asub.add_parser("eval")
     ae.add_argument("parameter")
     ae.add_argument("--prime", type=int, required=True)
     ae.add_argument("--conjugate", action="store_true")
-    ae.set_defaults(func=cmd_arthur)
+    ae.set_defaults(func=cmd_arthur_eval)
     ac = asub.add_parser("congruence")
     ac.add_argument("i", type=int)
     ac.add_argument("j", type=int)
     ac.add_argument("q", type=int)
     ac.add_argument("--primes", help="comma-separated rational primes")
-    ac.set_defaults(func=cmd_arthur)
+    ac.set_defaults(func=cmd_arthur_congruence)
 
     t = sub.add_parser("theta")
     t.add_argument("lattice")

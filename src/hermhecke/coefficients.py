@@ -8,15 +8,12 @@ is regenerated on demand from the eta-product q * prod (1-q^n)^24.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
-from importlib import resources
 
+from .data import _read_json
 from .eisenstein import is_prime
 from .errors import MissingCoefficientError
 from .quadfield import QuadExtElem, parse_quad
-
-DEFAULT_RESOURCE = "coefficients.json"
 
 
 def eta_product_coefficients(nmax: int) -> list[int]:
@@ -72,13 +69,9 @@ class CoefficientStore:
         return store
 
     @staticmethod
-    def load(path=None) -> "CoefficientStore":
-        if path is None:
-            text = resources.files("hermhecke.data").joinpath(DEFAULT_RESOURCE).read_text()
-        else:
-            with open(path) as fh:
-                text = fh.read()
-        store = CoefficientStore.from_json_dict(json.loads(text))
+    def load() -> "CoefficientStore":
+        """The shipped store, or the one in the directory HERMHECKE_DATA."""
+        store = CoefficientStore.from_json_dict(_read_json("coefficients.json"))
         store.populate_tau()
         return store
 

@@ -8,13 +8,11 @@ table, and the coefficient store.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 
 from .coefficients import CoefficientStore
+from .data import _read_json
 from .linalg import mat_mul
 from .quadfield import parse_quad
 
@@ -22,7 +20,7 @@ from .quadfield import parse_quad
 def load_seed_sqrt3():
     """The rank-4 sqrt(-3)-modular seed lattice (det 9, minimum 3)."""
     from .lattice import HermitianLattice
-    data = _load_json("seed_sqrt3_rank4.json")
+    data = _read_json("seed_sqrt3_rank4.json")
     return HermitianLattice.from_json_dict(
         {"rank": data["rank"], "gram": data["gram"]})
 
@@ -41,22 +39,13 @@ SPRIME_ROW_SUM = 3
 D_INTERSECTIONS = 2796885
 
 
-def _load_json(name: str, path=None):
-    if path is None:
-        text = resources.files("hermhecke.data").joinpath(name).read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
-    return json.loads(text)
-
-
-def load_reference_table(path=None):
+def load_reference_table():
     """Reference 20-row table: eigenvalues of T_(2), T_(sqrt(-3)) and the
     conjectured parameter strings."""
     return [{"label": row["label"], "t2": parse_quad(row["t2"]),
              "t3": parse_quad(row["t3"]), "parameter": row["parameter"],
              "dim": row["dim"]}
-            for row in _load_json("eigen_table_20.json", path)["rows"]]
+            for row in _read_json("eigen_table_20.json")["rows"]]
 
 
 @dataclass
@@ -74,18 +63,13 @@ class FixtureSet:
     @staticmethod
     def load() -> "FixtureSet":
         """The shipped fixtures, or those in the directory HERMHECKE_DATA."""
-        data_dir = os.environ.get("HERMHECKE_DATA") or None
-
-        def path(name):
-            return None if data_dir is None else f"{data_dir}/{name}"
-        t2 = _load_json("t2_unimodular_20.json", path("t2_unimodular_20.json"))
-        t3 = _load_json("t3_unimodular_20.json", path("t3_unimodular_20.json"))
-        t2e = _load_json("t2_eisenstein_5.json", path("t2_eisenstein_5.json"))
-        sp = _load_json("sprime2_eisenstein_25x5.json", path("sprime2_eisenstein_25x5.json"))
-        table = load_reference_table(path("eigen_table_20.json"))
-        store = CoefficientStore.load(path("coefficients.json"))
+        t2 = _read_json("t2_unimodular_20.json")
+        t3 = _read_json("t3_unimodular_20.json")
+        t2e = _read_json("t2_eisenstein_5.json")
+        sp = _read_json("sprime2_eisenstein_25x5.json")
         return FixtureSet(t2["rows"], t3["rows"], t2e["rows"], sp["rows"],
-                          sp["aut_L"], sp["aut_Lprime"], sp["d"], table, store)
+                          sp["aut_L"], sp["aut_Lprime"], sp["d"],
+                          load_reference_table(), CoefficientStore.load())
 
 
 def fixture_checksum(fx: FixtureSet) -> dict:

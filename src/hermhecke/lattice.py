@@ -149,26 +149,11 @@ class HermitianLattice:
         cols is the matrix, as a list of rows, whose columns are coordinates
         in the current basis; its entries are EisensteinInt or (a, b) pairs.
         The denominator d is an int or an EisensteinInt, and the new Gram is
-        cols^dagger G cols / N(d), N(d) = d^2 for an int.  Every neighbour
-        Gram is built here: a P-neighbour L' is L.rebase(key, pibar) for a
-        basis key of pibar L'.  ValueError if the Gram is not integral.
+        cols^dagger G cols / N(d), N(d) = d^2 for an int (`_rebased_gram`).
+        A P-neighbour L' is L.rebase(key, pibar) for a basis key of pibar L'.
+        ValueError if the Gram is not integral.
         """
-        if isinstance(denominator, EisensteinInt):
-            norm = denominator.norm()
-        else:
-            norm = denominator * denominator
-        out = []
-        for i, row in enumerate(eismat._congruence(self.gram, cols)):
-            orow = []
-            for j, (a, b) in enumerate(row):
-                if a % norm or b % norm:
-                    raise ValueError(
-                        f"rebased gram is not integral: entry ({i}, {j}) = "
-                        f"{EisensteinInt(a, b)} on a rank-{len(row)} basis "
-                        f"is not divisible by N(d) = {norm}")
-                orow.append(EisensteinInt(a // norm, b // norm))
-            out.append(tuple(orow))
-        return HermitianLattice(tuple(out))
+        return HermitianLattice(_rebased_gram(self.gram, cols, denominator))
 
     # --- JSON -----------------------------------------------------------
     def to_json_dict(self):
@@ -217,6 +202,27 @@ def _json_entry(x, i, j) -> EisensteinInt:
         return EisensteinInt(*x)
     raise ValueError(f"gram row {i}, column {j}: {x!r} is not a pair "
                      f"[a, b] of ints")
+
+
+def _rebased_gram(gram, cols, denominator) -> tuple:
+    """cols^dagger gram cols / N(denominator) as rows of EisensteinInt, the
+    Gram of `HermitianLattice.rebase`; ValueError if it is not integral."""
+    if isinstance(denominator, EisensteinInt):
+        norm = denominator.norm()
+    else:
+        norm = denominator * denominator
+    out = []
+    for i, row in enumerate(eismat._congruence(gram, cols)):
+        orow = []
+        for j, (a, b) in enumerate(row):
+            if a % norm or b % norm:
+                raise ValueError(
+                    f"rebased gram is not integral: entry ({i}, {j}) = "
+                    f"{EisensteinInt(a, b)} on a rank-{len(row)} basis "
+                    f"is not divisible by N(d) = {norm}")
+            orow.append(EisensteinInt(a // norm, b // norm))
+        out.append(tuple(orow))
+    return tuple(out)
 
 
 def _back(U, v):
@@ -329,6 +335,13 @@ def _lll(gram):
 def hermitian_lll(L: HermitianLattice) -> HermitianLattice:
     """The lattice L on its LLL-reduced basis (`_lll`)."""
     return HermitianLattice(_lll(L.gram)[0])
+
+
+def _reduced_rebase(L: HermitianLattice, cols, denominator=1) -> HermitianLattice:
+    """hermitian_lll(L.rebase(cols, denominator)), constructing only the
+    reduced lattice: the rebased Gram goes straight to `_lll`, so the walks
+    that build every neighbour and intersection check one Gram apiece."""
+    return HermitianLattice(_lll(_rebased_gram(L.gram, cols, denominator))[0])
 
 
 def direct_sum(*lattices) -> HermitianLattice:

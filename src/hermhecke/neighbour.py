@@ -28,7 +28,7 @@ from operator import add
 from .eisenstein import EisensteinInt, ONE, ZERO, EisIdeal, \
     canonical_associate, _pconj, _pdot, _pmul
 from . import eismat
-from .lattice import HermitianLattice, hermitian_lll
+from .lattice import HermitianLattice, _reduced_rebase
 from .isometry import Classifier, automorphism_order
 from .errors import OrphanLatticeError, PreconditionError, UnsupportedCaseError
 
@@ -225,7 +225,8 @@ def iter_lines_with_data(L: HermitianLattice, ideal: EisIdeal):
 def _line_neighbours(L: HermitianLattice, ideal: EisIdeal, x, ts, kernel):
     """Yields (hermite_key, lattice) for the neighbours of one line, where
     kernel = _kernel_columns(xg, ideal, n).  The key is a basis of pibar L'
-    in L-coordinates, so L' is L.rebase(key, pibar)."""
+    in L-coordinates, so L' is L.rebase(key, pibar), built here on its
+    LLL-reduced basis."""
     pibar = ideal.generator.conj()
     piv, ginv, cols = kernel
     scaled_kernel = [[_pmul(pibar, v) for v in col] for col in cols]
@@ -235,7 +236,7 @@ def _line_neighbours(L: HermitianLattice, ideal: EisIdeal, x, ts, kernel):
         a, b = _pmul(_pmul(pibar, t), ginv)
         xt[piv] = (xt[piv][0] + a, xt[piv][1] + b)
         key = _hermite_key([xt] + scaled_kernel)
-        yield key, hermitian_lll(L.rebase(key, pibar))
+        yield key, _reduced_rebase(L, key, pibar)
 
 
 def iter_neighbours(L: HermitianLattice, ideal: EisIdeal):
@@ -276,8 +277,8 @@ def count_neighbours(L: HermitianLattice, ideal: EisIdeal):
 
 def intersection_lattice(L: HermitianLattice, key) -> HermitianLattice:
     """The sublattice L cap L' (given by its canonical basis) as an abstract
-    Hermitian lattice."""
-    return hermitian_lll(L.rebase([list(row) for row in key]))
+    Hermitian lattice, on its LLL-reduced basis."""
+    return _reduced_rebase(L, key)
 
 
 def verify_neighbour(L: HermitianLattice, key, ideal: EisIdeal) -> bool:
@@ -401,8 +402,21 @@ def save_genus(genus: GenusEnumeration, directory: str):
 
 
 def load_genus(directory: str, ideal: EisIdeal = None) -> GenusEnumeration:
-    with open(os.path.join(directory, "manifest.json")) as fh:
+    """The genus saved by save_genus in directory.  PreconditionError if
+    its manifest lacks a class_count >= 1 or a list of that many positive
+    aut_orders."""
+    path = os.path.join(directory, "manifest.json")
+    with open(path) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        manifest = {}
+    count, auts = manifest.get("class_count"), manifest.get("aut_orders")
+    if type(count) is not int or count < 1:
+        raise PreconditionError(f"{path}: class_count must be an int >= 1")
+    if type(auts) is not list or len(auts) != count or \
+            any(type(a) is not int or a < 1 for a in auts):
+        raise PreconditionError(
+            f"{path}: aut_orders must be a list of {count} positive ints")
     reps = [HermitianLattice.load(os.path.join(directory, f"class_{i:03d}.json"))
-            for i in range(manifest["class_count"])]
-    return GenusEnumeration(reps, manifest["aut_orders"], ideal)
+            for i in range(count)]
+    return GenusEnumeration(reps, auts, ideal)

@@ -6,8 +6,11 @@ import sys
 import pytest
 
 import hermhecke
-from hermhecke.cli import main
+from hermhecke import arthur
+from hermhecke.cli import build_parser, main
+from hermhecke.coefficients import CoefficientStore
 from hermhecke.eisenstein import ideal_above
+from hermhecke.fixtures import load_seed_sqrt3
 from hermhecke.lattice import HermitianLattice
 from hermhecke.neighbour import GenusEnumeration, enumerate_genus, save_genus
 
@@ -24,21 +27,104 @@ def test_fixtures_check(capsys):
     assert out["ok"] is True
 
 
+def _data_copy(directory, monkeypatch, name, edit):
+    """Copy the shipped data into directory with edit(doc) applied to the
+    document `name`, and point HERMHECKE_DATA at the copy."""
+    data = os.path.join(os.path.dirname(hermhecke.__file__), "data")
+    for file in os.listdir(data):
+        if file.endswith(".json"):
+            with open(os.path.join(data, file)) as fh:
+                doc = json.load(fh)
+            if file == name:
+                edit(doc)
+            with open(directory / file, "w") as fh:
+                json.dump(doc, fh)
+    monkeypatch.setenv("HERMHECKE_DATA", str(directory))
+
+
 def test_fixtures_check_reads_hermhecke_data(tmp_path, monkeypatch, capsys):
     # HERMHECKE_DATA is the one way to point the fixtures at another copy
-    data = os.path.join(os.path.dirname(hermhecke.__file__), "data")
-    for name in os.listdir(data):
-        if name.endswith(".json"):
-            with open(os.path.join(data, name)) as fh:
-                doc = json.load(fh)
-            if name == "t2_unimodular_20.json":
-                doc["rows"][0][0] += 1
-            with open(tmp_path / name, "w") as fh:
-                json.dump(doc, fh)
-    monkeypatch.setenv("HERMHECKE_DATA", str(tmp_path))
+    def bump(doc):
+        doc["rows"][0][0] += 1
+    _data_copy(tmp_path, monkeypatch, "t2_unimodular_20.json", bump)
     rc, out = run(capsys, "fixtures", "check")
     assert rc == 2
     assert out["failures"][0].startswith("t2_20x20: row 1 sums to")
+
+
+@pytest.fixture
+def f12_79(tmp_path, monkeypatch):
+    """HERMHECKE_DATA at a copy of the data whose store has a_2(f12) = 79
+    (78 shipped)."""
+    def edit(doc):
+        doc["forms"]["f12"]["coeffs"]["2"] = "79"
+    _data_copy(tmp_path, monkeypatch, "coefficients.json", edit)
+    return tmp_path
+
+
+def test_arthur_verify_table_reads_hermhecke_data(f12_79, capsys):
+    # the table is checked against the directory's store, not the shipped one
+    rc, out = run(capsys, "arthur", "verify-table")
+    assert rc == 2
+    assert [lab for lab, st in out["t2"].items() if st == "mismatch"] == \
+        ["3", "7", "15"]
+
+
+def test_arthur_eval_reads_hermhecke_data(f12_79, capsys):
+    store = CoefficientStore.load()
+    assert str(store.a("f12", 2)) == "79"
+    param = "3D11 + [10]"
+    value = arthur.eigenvalue_at(arthur.parse_parameter(param),
+                                 ideal_above(2), store)
+    rc, out = run(capsys, "arthur", "eval", param, "--prime", "2")
+    assert rc == 0
+    assert out["value"] == str(value) != "1401453"
+
+
+def test_seed_reads_hermhecke_data(f12_79):
+    HermitianLattice.standard(4).save(f12_79 / "seed_sqrt3_rank4.json")
+    assert load_seed_sqrt3() == HermitianLattice.standard(4)
+
+
+# one valid command line per subcommand, and the flags their handlers read
+COMMANDS = {
+    "genus": ["genus", "l.json", "--prime", "2"],
+    "neighbours": ["neighbours", "l.json", "--prime", "2"],
+    "hecke": ["hecke", "--method", "fixture"],
+    "eigen": ["eigen"],
+    "congruences": ["congruences"],
+    "arthur verify-table": ["arthur", "verify-table"],
+    "arthur eval": ["arthur", "eval", "D11", "--prime", "2"],
+    "arthur congruence": ["arthur", "congruence", "2", "1", "691"],
+    "theta": ["theta", "l.json"],
+    "fixtures": ["fixtures", "check"],
+}
+READERS = {"--allow-long": {"genus", "neighbours"},
+           "--verbose": {"genus", "hecke"}}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("flag", READERS)
+def test_flag_only_after_the_commands_that_read_it(capsys, flag, command):
+    argv = COMMANDS[command]
+    if command in READERS[flag]:
+        args = build_parser().parse_args(argv + [flag])
+        assert getattr(args, flag[2:].replace("-", "_")) is True
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag])
+        assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main([flag] + argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_hecke_unknown_fixture(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["hecke", "--method", "fixture", "--fixture", "t5-20"])
+    assert exc.value.code == 2
+    assert "invalid choice: 't5-20'" in capsys.readouterr().err
 
 
 def test_arthur_verify_table(capsys):
@@ -174,6 +260,25 @@ def test_hecke_direct_on_incomplete_genus(tmp_path, capsys):
     assert err.count("\n") == 1 and "matches no representative" in err
 
 
+@pytest.mark.parametrize("manifest, key", [
+    ({"class_count": 1}, "aut_orders"),
+    ({"class_count": 1, "aut_orders": [1, 1]}, "aut_orders"),
+    ({"class_count": 1, "aut_orders": [0]}, "aut_orders"),
+    ({"class_count": 0, "aut_orders": []}, "class_count"),
+    ({"class_count": "1", "aut_orders": [1]}, "class_count"),
+    ([], "class_count"),
+], ids=["no-aut-orders", "short", "zero-order", "no-class", "str-count",
+        "not-an-object"])
+def test_hecke_direct_on_malformed_manifest(tmp_path, capsys, manifest, key):
+    HermitianLattice.standard(3).save(tmp_path / "class_000.json")
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    rc = main(["hecke", "--method", "direct", "--genus", str(tmp_path),
+               "--prime", "2"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and key in err and "manifest.json" in err
+
+
 def test_verbose_reports_progress_on_stderr(tmp_path, capsys):
     lattice, genus = tmp_path / "l.json", tmp_path / "genus"
     HermitianLattice.from_gram([[1, 0, 0], [0, 1, 0], [0, 0, 7]]).save(lattice)
@@ -189,7 +294,7 @@ def test_verbose_reports_progress_on_stderr(tmp_path, capsys):
     for argv, placed, known in runs:
         assert main(argv) == 0
         quiet = capsys.readouterr()
-        assert main(["--verbose"] + argv) == 0
+        assert main(argv + ["--verbose"]) == 0
         loud = capsys.readouterr()
         assert loud.out == quiet.out and quiet.err == ""
         # one report at the end of each class row

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import hermhecke
-from hermhecke import fixtures, isometry, neighbour
+from hermhecke import eismat, fixtures, isometry, neighbour
 from hermhecke.eisenstein import (ONE, UNITS, ZERO, classify_prime, eis,
                                   ideal_above)
 from hermhecke.eismat import column_hermite_form, smith_invariants
@@ -406,6 +406,22 @@ def test_intersection_lattice_index():
     # [L : L cap L'] = O/P, so the determinant scales by N(P)
     X = intersection_lattice(L, ns.intersections[0])
     assert X.det == L.det * P.residue_norm
+
+
+def test_each_walked_lattice_is_built_once(monkeypatch):
+    # one Hermitian check per neighbour and per intersection: the rebased
+    # Gram goes straight to the LLL, not through a throwaway lattice
+    L, P = HermitianLattice.standard(4), ideal_above(2)
+    calls = []
+    is_hermitian = eismat.is_hermitian
+    monkeypatch.setattr(eismat, "is_hermitian",
+                        lambda G: calls.append(1) or is_hermitian(G))
+    ns = neighbours(L, P)
+    assert len(ns) == len(calls) == 90
+    calls.clear()
+    for key in ns.intersections:
+        intersection_lattice(L, key)
+    assert len(ns.intersections) == len(calls) == 45
 
 
 def test_genus_archive_roundtrip(tmp_path):
