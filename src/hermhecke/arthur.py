@@ -10,9 +10,8 @@ exponent of the unsmeared constituent) and the smear length d.
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .coefficients import CoefficientStore
@@ -71,7 +70,6 @@ class ArthurConstituent:
 @dataclass(frozen=True)
 class ArthurParameter:
     constituents: tuple
-    text: str = field(default="", compare=False)
 
     @property
     def dimension(self) -> int:
@@ -138,7 +136,7 @@ def parse_parameter(text: str) -> ArthurParameter:
     constituents = []
     for t in terms:
         constituents.extend(_parse_term(t))
-    param = ArthurParameter(tuple(constituents), text=text)
+    param = ArthurParameter(tuple(constituents))
     if param.dimension != 12:
         raise ParameterError(f"total dimension {param.dimension} != 12 in {text!r}")
     return param

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import arthur, spectra, theta
@@ -35,7 +36,7 @@ def _emit(payload, out=None):
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
-    print(text)
+    print(text, flush=True)
 
 
 def _progress(args):
@@ -72,7 +73,7 @@ def cmd_neighbours(args):
     ideal = _ideal(args.prime, args.conjugate)
     if args.count_only:
         lines, total = count_neighbours(L, ideal)
-        _emit({"admissible_lines": lines, "count": total})
+        _emit({"admissible_lines": lines, "count": total}, args.out)
         return EXIT_OK
     if L.rank >= 8 and not args.allow_long:
         print("rank >= 8 neighbour construction needs --allow-long", file=sys.stderr)
@@ -84,18 +85,17 @@ def cmd_neighbours(args):
     return EXIT_OK
 
 
-def cmd_hecke(args):
-    if args.method == "fixture":
-        fx = FixtureSet.load()
-        rows = {"t2-20": fx.t2_20x20, "t3-20": fx.t3_20x20, "t2-5": fx.t2_5x5}
-        _emit({"rows": rows[args.fixture]}, args.out)
-        return EXIT_OK
-    if not args.genus or args.prime is None:
-        print("--genus and --prime are required for this method", file=sys.stderr)
-        return EXIT_INVARIANT
+def cmd_hecke_fixture(args):
+    fx = FixtureSet.load()
+    rows = {"t2-20": fx.t2_20x20, "t3-20": fx.t3_20x20, "t2-5": fx.t2_5x5}
+    _emit({"rows": rows[args.fixture]}, args.out)
+    return EXIT_OK
+
+
+def cmd_hecke_genus(args):
     ideal = _ideal(args.prime)
     genus = load_genus(args.genus, ideal)
-    if args.method == "direct":
+    if args.hecke_cmd == "direct":
         hm = hecke_direct(genus, ideal, progress=_progress(args))
     else:
         hm, data, _ = hecke_intertwining(genus, ideal, progress=_progress(args))
@@ -195,14 +195,19 @@ def build_parser():
     nb.set_defaults(func=cmd_neighbours)
 
     h = sub.add_parser("hecke")
-    h.add_argument("--method", choices=["direct", "intertwining", "fixture"],
-                   required=True)
-    h.add_argument("--genus", help="directory of a saved genus enumeration")
-    h.add_argument("--prime", type=int)
-    h.add_argument("--fixture", default="t2-20", choices=["t2-20", "t3-20", "t2-5"])
-    h.add_argument("--out")
-    h.add_argument("--verbose", action="store_true")
-    h.set_defaults(func=cmd_hecke)
+    hsub = h.add_subparsers(dest="hecke_cmd", required=True)
+    for method in ("direct", "intertwining"):
+        hm = hsub.add_parser(method)
+        hm.add_argument("--genus", required=True,
+                        help="directory of a saved genus enumeration")
+        hm.add_argument("--prime", type=int, required=True)
+        hm.add_argument("--out")
+        hm.add_argument("--verbose", action="store_true")
+        hm.set_defaults(func=cmd_hecke_genus)
+    hf = hsub.add_parser("fixture")
+    hf.add_argument("fixture", choices=["t2-20", "t3-20", "t2-5"])
+    hf.add_argument("--out")
+    hf.set_defaults(func=cmd_hecke_fixture)
 
     e = sub.add_parser("eigen")
     e.add_argument("--out")
@@ -246,6 +251,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout (`hermhecke eigen | head`): exit quietly,
+        # stdout on devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UnsupportedCaseError as exc:
         print(f"unsupported case: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED

@@ -45,11 +45,7 @@ def ramanujan_tau(p: int) -> int:
 @dataclass(frozen=True)
 class FormRecord:
     form_id: str
-    weight: int
-    level: int
-    char: str  # "triv" or "chi-3"
     coeffs: dict  # prime -> QuadExtElem
-    provenance: str
 
 
 @dataclass
@@ -62,8 +58,7 @@ class CoefficientStore:
         store = CoefficientStore()
         for fid, rec in data["forms"].items():
             coeffs = {int(p): parse_quad(v) for p, v in rec["coeffs"].items()}
-            store.forms[fid] = FormRecord(fid, rec["weight"], rec["level"],
-                                          rec["char"], coeffs, rec.get("provenance", ""))
+            store.forms[fid] = FormRecord(fid, coeffs)
         for tid, rec in data.get("u4_traces", {}).items():
             store.u4_traces[tid] = parse_quad(rec["value"])
         return store
@@ -87,8 +82,7 @@ class CoefficientStore:
                 if p in coeffs and coeffs[p] != tau:
                     raise ValueError(f"stored a_{p}(Delta) disagrees with eta oracle")
                 coeffs[p] = QuadExtElem.of(tau)
-        self.forms["Delta"] = FormRecord(rec.form_id, rec.weight, rec.level,
-                                         rec.char, coeffs, rec.provenance)
+        self.forms["Delta"] = FormRecord(rec.form_id, coeffs)
 
     def a(self, form_id: str, p: int) -> QuadExtElem:
         rec = self.forms.get(form_id)

@@ -114,12 +114,11 @@ class _Searcher:
 def is_isometric(L1: HermitianLattice, L2: HermitianLattice):
     """An IsometryCertificate mapping L1 onto L2, or None.
 
-    Images of a basis with matching Gram span a finite-index sublattice of
-    L2 of the same determinant, hence all of L2.
+    Equal discriminants (elementary divisor norms, whose product is det^2)
+    force equal rank and determinant; images of a basis with matching Gram
+    then span a full-rank sublattice of L2 of equal determinant: all of L2.
     """
-    if L1.rank != L2.rank:
-        return None
-    if L1.det != L2.det or L1.discriminant() != L2.discriminant():
+    if L1.discriminant() != L2.discriminant():
         return None
     full = _Searcher(L1, L2).complete([], [], 0)
     if full is None:

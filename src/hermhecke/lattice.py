@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .eisenstein import (EisensteinInt, ONE, ZERO, eis, canonical_associate,
-                         _associate_unit, _pconj, _pconj_mul, _pmul, _pnorm,
-                         _reduce, _sub_multiple)
+from .eisenstein import (EisensteinInt, ONE, SQRT_M3, ZERO, eis,
+                         canonical_associate, _associate_unit, _pconj,
+                         _pconj_mul, _pmul, _pnorm, _reduce, _sub_multiple)
 from . import eismat
 
 # the largest norm whose vector count enters a lattice's fingerprint
@@ -93,7 +93,7 @@ class HermitianLattice:
         return all(f.is_unit() for f in self.invariant_factors)
 
     def is_sqrt3_modular(self) -> bool:
-        s3 = canonical_associate(EisensteinInt(1, 2))
+        s3 = canonical_associate(SQRT_M3)
         return all(canonical_associate(f) == s3 for f in self.invariant_factors)
 
     @cached_property

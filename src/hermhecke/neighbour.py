@@ -35,8 +35,6 @@ from .errors import OrphanLatticeError, PreconditionError, UnsupportedCaseError
 
 @dataclass
 class NeighbourSet:
-    base: HermitianLattice
-    prime: EisIdeal
     neighbours: list            # HermitianLattice, aligned with hermite_keys
     hermite_keys: list          # canonical basis of pibar*L' in L-coordinates
     intersections: list         # deduplicated canonical bases of L cap L'
@@ -115,8 +113,7 @@ def _residues(ideal: EisIdeal) -> _Residues:
 
 
 def _check_precondition(L: HermitianLattice, ideal: EisIdeal):
-    p = 3 if ideal.split_type == "ramified" else ideal.p
-    if abs(L.det) % p == 0:
+    if abs(L.det) % ideal.p == 0:
         raise PreconditionError(
             f"prime {ideal} divides the discriminant of the lattice")
 
@@ -249,7 +246,7 @@ def iter_neighbours(L: HermitianLattice, ideal: EisIdeal):
 def neighbours(L: HermitianLattice, ideal: EisIdeal) -> NeighbourSet:
     """The complete neighbour set N(L, P), materialized."""
     n = L.rank
-    result = NeighbourSet(L, ideal, [], [], [])
+    result = NeighbourSet([], [], [])
     for x, xg, _, ts in iter_lines_with_data(L, ideal):
         kernel = _kernel_columns(xg, ideal, n)
         result.intersections.append(_hermite_key(kernel[2]))

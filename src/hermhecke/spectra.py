@@ -536,8 +536,6 @@ def verify_vector_reduction(system: EigenSystem, i: int, j: int, q: int):
 
 @dataclass(frozen=True)
 class GcdReport:
-    i: int
-    j: int
     value: object              # int, or None when the systems coincide
     factorization: dict
     infinite: bool
@@ -557,9 +555,9 @@ def difference_gcd(system: EigenSystem, i: int, j: int) -> GcdReport:
                                  f"the non-integral {v} at {op}")
         g = math.gcd(g, abs(int(v)))
     if g == 0:
-        return GcdReport(i, j, None, {}, True)
+        return GcdReport(None, {}, True)
     from .factoring import factorint
-    return GcdReport(i, j, g, factorint(g), False)
+    return GcdReport(g, factorint(g), False)
 
 
 def congruence_report_json(reports):

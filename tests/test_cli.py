@@ -90,7 +90,10 @@ def test_seed_reads_hermhecke_data(f12_79):
 COMMANDS = {
     "genus": ["genus", "l.json", "--prime", "2"],
     "neighbours": ["neighbours", "l.json", "--prime", "2"],
-    "hecke": ["hecke", "--method", "fixture"],
+    "hecke direct": ["hecke", "direct", "--genus", "g", "--prime", "2"],
+    "hecke intertwining": ["hecke", "intertwining", "--genus", "g",
+                           "--prime", "2"],
+    "hecke fixture": ["hecke", "fixture", "t2-5"],
     "eigen": ["eigen"],
     "congruences": ["congruences"],
     "arthur verify-table": ["arthur", "verify-table"],
@@ -100,7 +103,7 @@ COMMANDS = {
     "fixtures": ["fixtures", "check"],
 }
 READERS = {"--allow-long": {"genus", "neighbours"},
-           "--verbose": {"genus", "hecke"}}
+           "--verbose": {"genus", "hecke direct", "hecke intertwining"}}
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -120,9 +123,31 @@ def test_flag_only_after_the_commands_that_read_it(capsys, flag, command):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["hecke", "fixture", "t2-5", "--prime", "2"],
+    ["hecke", "fixture", "t2-5", "--genus", "g"],
+    ["hecke", "fixture"],
+    ["hecke", "direct", "--genus", "g", "--prime", "2", "--fixture", "t2-5"],
+    ["hecke", "direct", "--genus", "g", "t2-5", "--prime", "2"],
+    ["hecke", "direct", "--prime", "2"],
+    ["hecke", "intertwining", "--genus", "g"],
+    ["hecke", "--prime", "2", "direct", "--genus", "g"],
+    ["hecke", "--method", "fixture"],
+    ["hecke"],
+], ids=["fixture-prime", "fixture-genus", "fixture-none", "direct-fixture",
+        "direct-positional", "direct-no-genus", "intertwining-no-prime",
+        "prime-before-method", "method-flag", "no-method"])
+def test_hecke_flags_only_on_the_method_that_reads_them(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hermhecke") and "error: " in err
+
+
 def test_hecke_unknown_fixture(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["hecke", "--method", "fixture", "--fixture", "t5-20"])
+        main(["hecke", "fixture", "t5-20"])
     assert exc.value.code == 2
     assert "invalid choice: 't5-20'" in capsys.readouterr().err
 
@@ -199,7 +224,7 @@ def test_eigen(capsys):
 
 
 def test_hecke_fixture(capsys):
-    rc, out = run(capsys, "hecke", "--method", "fixture", "--fixture", "t2-5")
+    rc, out = run(capsys, "hecke", "fixture", "t2-5")
     assert rc == 0
     assert len(out["rows"]) == 5
 
@@ -218,6 +243,53 @@ def test_neighbours_count(tmp_path, capsys):
     rc, out = run(capsys, "neighbours", str(p), "--prime", "2", "--count-only")
     assert rc == 0
     assert out["count"] == 18
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A rank-3 lattice file and the saved genus of <1, 1, 7> at (sqrt-3)."""
+    d = tmp_path_factory.mktemp("inputs")
+    HermitianLattice.standard(3).save(d / "l.json")
+    L7 = HermitianLattice.from_gram([[1, 0, 0], [0, 1, 0], [0, 0, 7]])
+    save_genus(enumerate_genus(L7, ideal_above(3)), d / "genus")
+    return d
+
+
+@pytest.mark.parametrize("argv", [
+    ["neighbours", "{l}", "--prime", "2"],
+    ["neighbours", "{l}", "--prime", "2", "--count-only"],
+    ["hecke", "direct", "--genus", "{genus}", "--prime", "3"],
+    ["hecke", "intertwining", "--genus", "{genus}", "--prime", "3"],
+    ["hecke", "fixture", "t2-5"],
+    ["eigen"],
+    ["congruences"],
+    ["arthur", "verify-table"],
+    ["theta", "{l}"],
+], ids=["neighbours", "neighbours --count-only", "hecke direct",
+        "hecke intertwining", "hecke fixture", "eigen", "congruences",
+        "arthur verify-table", "theta"])
+def test_out_writes_what_is_printed(inputs, tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    argv = [a.format(l=inputs / "l.json", genus=inputs / "genus") for a in argv]
+    assert main(argv + ["--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith(("{", "[")) and out.read_text() == printed
+
+
+@pytest.mark.parametrize("argv", [["eigen"], ["hecke", "fixture", "t2-5"]],
+                         ids=["eigen", "hecke fixture"])
+def test_closed_stdout_exits_1_quietly(argv):
+    # `hermhecke eigen | head -c 10`: a reader that stops early is no bad
+    # input; the reader here closes the pipe before anything is written
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hermhecke.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "hermhecke.cli", *argv],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
 
 
 def test_neighbours_at_split_prime(tmp_path, capsys):
@@ -254,7 +326,7 @@ def test_hecke_direct_on_incomplete_genus(tmp_path, capsys):
     g = enumerate_genus(L, ideal_above(3))
     save_genus(GenusEnumeration(g.representatives[:1], g.aut_orders[:1],
                                 g.prime), tmp_path)
-    rc = main(["hecke", "--method", "direct", "--genus", str(tmp_path), "--prime", "3"])
+    rc = main(["hecke", "direct", "--genus", str(tmp_path), "--prime", "3"])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.count("\n") == 1 and "matches no representative" in err
@@ -272,8 +344,7 @@ def test_hecke_direct_on_incomplete_genus(tmp_path, capsys):
 def test_hecke_direct_on_malformed_manifest(tmp_path, capsys, manifest, key):
     HermitianLattice.standard(3).save(tmp_path / "class_000.json")
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    rc = main(["hecke", "--method", "direct", "--genus", str(tmp_path),
-               "--prime", "2"])
+    rc = main(["hecke", "direct", "--genus", str(tmp_path), "--prime", "2"])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.count("\n") == 1 and key in err and "manifest.json" in err
@@ -286,10 +357,10 @@ def test_verbose_reports_progress_on_stderr(tmp_path, capsys):
     # sublattice genus grows a class on each row
     runs = [(["genus", str(lattice), "--prime", "3", "--out", str(genus)],
              12, (2, 3, 3)),
-            (["hecke", "--method", "direct", "--genus", str(genus),
-              "--prime", "3"], 12, (3, 3, 3)),
-            (["hecke", "--method", "intertwining", "--genus", str(genus),
-              "--prime", "3"], 4, (1, 2, 3))]
+            (["hecke", "direct", "--genus", str(genus), "--prime", "3"],
+             12, (3, 3, 3)),
+            (["hecke", "intertwining", "--genus", str(genus), "--prime", "3"],
+             4, (1, 2, 3))]
     outs = []
     for argv, placed, known in runs:
         assert main(argv) == 0
@@ -308,7 +379,7 @@ def test_verbose_reports_progress_on_stderr(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["theta", "{missing}"],
-    ["hecke", "--method", "direct", "--genus", "{missing}", "--prime", "2"],
+    ["hecke", "direct", "--genus", "{missing}", "--prime", "2"],
 ], ids=["lattice", "genus"])
 def test_missing_input_path(tmp_path, capsys, argv):
     missing = str(tmp_path / "missing")

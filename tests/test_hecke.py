@@ -1,4 +1,6 @@
 import dataclasses
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -87,6 +89,39 @@ def test_matrix_json_roundtrip():
 def test_fixture_matrices_self_adjoint(fx):
     M = HeckeMatrix("(2)", fx.t2_5x5, "fixture")
     assert M.check_self_adjoint(fx.aut_5)
+
+
+def test_i12_rows_by_weight(fx):
+    # the oracle of the orbit route on I12: the units reduce onto every
+    # nonzero residue, so the lines of I12/P I12 fall into one orbit per
+    # weight w (number of nonzero coordinates). Row 11 (0-based) is I12's.
+    # At (sqrt-3) the weights 3, 6, 9 and 12 are isotropic, each orbit of
+    # C(12, w) 2^(w-1) lines giving 3 neighbours (2,640, 88,704, 168,960,
+    # 6,144)
+    assert sorted(x for x in fx.t3_20x20[11] if x) == \
+        sorted(3 * comb(12, w) * 2 ** (w - 1) for w in (3, 6, 9, 12))
+    # at (2) the even weights, each orbit of C(12, w) 3^(w-1) lines giving 2
+    # neighbours; weights 2 and 4 lie in one class (396 + 26,730)
+    t2 = {w: 2 * comb(12, w) * 3 ** (w - 1) for w in range(2, 13, 2)}
+    assert sorted(x for x in fx.t2_20x20[11] if x) == \
+        sorted([t2[2] + t2[4], t2[6], t2[8], t2[10], t2[12]]) == \
+        [27126, 354294, 449064, 2165130, 2598156]
+
+
+def test_swap_of_classes_3_and_4_is_the_one_fixture_symmetry(fx):
+    # of the 190 transpositions of the 20 classes, only the swap of classes
+    # 3 and 4 (0-based) leaves both 20x20 matrices unchanged, as complex
+    # conjugation would if it swaps those classes
+    def swapped(T, i, j):
+        s = list(range(len(T)))
+        s[i], s[j] = j, i
+        return [[T[a][b] for b in s] for a in s]
+
+    pairs = list(combinations(range(20), 2))
+    assert len(pairs) == 190
+    assert [(i, j) for i, j in pairs
+            if swapped(fx.t2_20x20, i, j) == fx.t2_20x20
+            and swapped(fx.t3_20x20, i, j) == fx.t3_20x20] == [(3, 4)]
 
 
 def test_multiclass_genus_records_rows(multiclass):
