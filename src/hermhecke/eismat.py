@@ -3,7 +3,7 @@
 Matrices are lists of rows of (a, b) pairs: EisensteinInt, or plain int
 tuples inside the eliminations.  Column convention: a module is the O-span
 of the columns.  Hermite form is lower triangular with canonical-associate
-pivots and canonically reduced entries to the right of each pivot, so equal
+pivots and each entry reduced modulo the pivot of its row, so equal
 modules get identical forms.  The public results are EisensteinInt.
 """
 
@@ -52,35 +52,46 @@ def _euclid(vecs, k):
     return swaps
 
 
-def column_hermite_form(M):
-    """Canonical column Hermite form of an n x m matrix of rank n.
-
-    Returns an n x n lower-triangular matrix whose columns span the same
-    O-module as the columns of M.
-    """
-    n = len(M)
-    cols = [list(c) for c in zip(*M)]  # columns as rows
-    basis = []
-    for pivot_row in range(n):
-        # gcd out the pivot_row entries of all remaining columns
-        piv = next((i for i, c in enumerate(cols) if c[pivot_row] != ZERO), None)
-        if piv is None:
-            raise ValueError("matrix does not have full row rank")
-        cols[0], cols[piv] = cols[piv], cols[0]
-        _euclid(cols, pivot_row)
-        pivot_col = cols.pop(0)
-        # normalize pivot to canonical associate
-        u = _associate_unit(pivot_col[pivot_row])
-        basis.append([_pmul(u, x) for x in pivot_col])
-    # Lower-triangular shape: reduce the entries below each pivot modulo
-    # the later pivots, whose columns are zero above their own pivot row.
+def _hermite_key(basis, cols=()):
+    """Canonical Hermite form of the span of basis and cols, as rows of
+    EisensteinInt.  basis is lower triangular, one slot per row: None or a
+    column zero above the row and nonzero on it.  Each column of cols is
+    inserted by one sweep down the rows, `_euclid` where it is nonzero, an
+    empty slot taking what is left of it; then the pivots become canonical
+    associates and each entry below a pivot is reduced modulo the pivot of
+    its row.  ValueError if a slot stays empty."""
+    basis = list(basis)
+    n = len(basis)
+    for v in cols:
+        for k in range(n):
+            if v[k] == ZERO:
+                continue
+            if basis[k] is None:
+                basis[k] = v
+                break
+            pair = [basis[k], v]
+            _euclid(pair, k)
+            basis[k], v = pair
+    if None in basis:
+        raise ValueError("matrix does not have full row rank")
     for j in range(n - 1, -1, -1):
+        u = _associate_unit(basis[j][j])
+        if u != ONE:
+            basis[j] = [_pmul(u, x) for x in basis[j]]
         for i in range(j + 1, n):
-            q, _ = _reduce(basis[j][i], basis[i][i])
-            if q != ZERO:
-                basis[j] = _sub_multiple(basis[j], q, basis[i])
-    # return as matrix with basis vectors as columns
-    return [[EisensteinInt(*basis[j][i]) for j in range(n)] for i in range(n)]
+            if basis[j][i] != ZERO:
+                q, _ = _reduce(basis[j][i], basis[i][i])
+                if q != ZERO:
+                    basis[j] = _sub_multiple(basis[j], q, basis[i])
+    return tuple(tuple(EisensteinInt(*basis[j][i]) for j in range(n))
+                 for i in range(n))
+
+
+def column_hermite_form(M):
+    """Canonical column Hermite form of an n x m matrix of rank n: the
+    n x n lower-triangular matrix whose columns span the same O-module as
+    the columns of M, each inserted into an empty basis."""
+    return [list(row) for row in _hermite_key([None] * len(M), zip(*M))]
 
 
 def smith(M):
@@ -124,6 +135,8 @@ def smith(M):
                 A = [list(r) for r in zip(*cols)]
                 continue
             p = A[0][0]
+            if _pnorm(p) == 1:
+                break           # a unit pivot divides every entry
             i = next((i for i in range(1, len(A))
                       if any(_pdivmod(x, p)[1] != ZERO for x in A[i][1:])), None)
             if i is None:
@@ -136,10 +149,8 @@ def smith(M):
 
 
 def smith_invariants(M):
-    """Invariant factors of the O-module O^n / (columns of M), rank n.
-
-    Returned as canonical-associate EisensteinInts, each dividing the next.
-    """
+    """Invariant factors of the O-module O^n / (columns of M), rank n, as
+    canonical-associate EisensteinInts, each dividing the next."""
     invariants, _ = smith(M)
     if invariants is None:
         raise ValueError("matrix not of full rank")

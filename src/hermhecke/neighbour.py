@@ -37,7 +37,7 @@ from .errors import OrphanLatticeError, PreconditionError, UnsupportedCaseError
 class NeighbourSet:
     neighbours: list            # HermitianLattice, aligned with hermite_keys
     hermite_keys: list          # canonical basis of pibar*L' in L-coordinates
-    intersections: list         # deduplicated canonical bases of L cap L'
+    intersections: list         # canonical bases of L cap L', one per line
 
     def __len__(self):
         return len(self.neighbours)
@@ -119,36 +119,25 @@ def _check_precondition(L: HermitianLattice, ideal: EisIdeal):
 
 
 def _kernel_columns(xg, ideal, n):
-    """(piv, ginv, cols): a pivot j with xg_j invertible mod P, a lift ginv
-    of its inverse, and lifted O-generators cols of
-    L_x = { y in L : <x, y> in P } (mod refinement: n-1 kernel lifts of the
-    functional y -> sum xg_j y_j plus pi e_piv)."""
+    """(s, ginv, cols): the last index s with xg_s invertible mod P, a lift
+    ginv of its inverse, and the lower-triangular basis cols of
+    L_x = { y in L : <x, y> in P }: e_j - (xg_j ginv) e_s for j < s, pi e_s,
+    and e_j for j > s, where xg_j = 0 mod P; it reduces to the intersection
+    key."""
     res = _residues(ideal)
-    for piv in range(n):
-        ginv = res.inverse[res.index(xg[piv])]
+    for s in range(n - 1, -1, -1):
+        ginv = res.inverse[res.index(xg[s])]
         if ginv is not None:
             break
     else:
         raise PreconditionError(
             f"degenerate line: form singular mod P (rank {n} at {ideal})")
-    cols = []
-    for k in range(n):
-        if k == piv:
-            continue
-        ca, cb = _pmul(xg[k], ginv)
-        col = [ZERO] * n
-        col[k] = ONE
-        col[piv] = (-ca, -cb)
-        cols.append(col)
-    col = [ZERO] * n
-    col[piv] = ideal.generator
-    cols.append(col)
-    return piv, ginv, cols
-
-
-def _hermite_key(cols):
-    """Canonical Hermite basis of the span of the columns cols."""
-    return tuple(map(tuple, eismat.column_hermite_form(list(zip(*cols)))))
+    cols = [[ONE if i == j else ZERO for i in range(n)] for j in range(n)]
+    cols[s][s] = ideal.generator
+    for j in range(s):
+        ca, cb = _pmul(xg[j], ginv)
+        cols[j][s] = (-ca, -cb)
+    return s, ginv, cols
 
 
 def iter_lines_with_data(L: HermitianLattice, ideal: EisIdeal):
@@ -221,18 +210,18 @@ def iter_lines_with_data(L: HermitianLattice, ideal: EisIdeal):
 
 def _line_neighbours(L: HermitianLattice, ideal: EisIdeal, x, ts, kernel):
     """Yields (hermite_key, lattice) for the neighbours of one line, where
-    kernel = _kernel_columns(xg, ideal, n).  The key is a basis of pibar L'
-    in L-coordinates, so L' is L.rebase(key, pibar), built here on its
-    LLL-reduced basis."""
+    kernel = _kernel_columns(xg, ideal, n).  The key is the basis of
+    pibar L' = xt + pibar L_x in L-coordinates, so L' is
+    L.rebase(key, pibar), built here on its LLL-reduced basis."""
     pibar = ideal.generator.conj()
-    piv, ginv, cols = kernel
+    s, ginv, cols = kernel
     scaled_kernel = [[_pmul(pibar, v) for v in col] for col in cols]
     for t in ts:
-        # z = t * ginv * e_piv has <x, z> = t mod P
+        # z = t * ginv * e_s has <x, z> = t mod P
         xt = list(x)
         a, b = _pmul(_pmul(pibar, t), ginv)
-        xt[piv] = (xt[piv][0] + a, xt[piv][1] + b)
-        key = _hermite_key([xt] + scaled_kernel)
+        xt[s] = (xt[s][0] + a, xt[s][1] + b)
+        key = eismat._hermite_key(scaled_kernel, [xt])
         yield key, _reduced_rebase(L, key, pibar)
 
 
@@ -249,7 +238,7 @@ def neighbours(L: HermitianLattice, ideal: EisIdeal) -> NeighbourSet:
     result = NeighbourSet([], [], [])
     for x, xg, _, ts in iter_lines_with_data(L, ideal):
         kernel = _kernel_columns(xg, ideal, n)
-        result.intersections.append(_hermite_key(kernel[2]))
+        result.intersections.append(eismat._hermite_key(kernel[2]))
         for key, lat in _line_neighbours(L, ideal, x, ts, kernel):
             result.hermite_keys.append(key)
             result.neighbours.append(lat)
@@ -263,13 +252,24 @@ def neighbours(L: HermitianLattice, ideal: EisIdeal) -> NeighbourSet:
 
 
 def count_neighbours(L: HermitianLattice, ideal: EisIdeal):
-    """(number of admissible lines, number of neighbours), without
-    constructing any lattice."""
-    lines = nbrs = 0
-    for _, _, _, ts in iter_lines_with_data(L, ideal):
-        lines += 1
-        nbrs += len(ts)
-    return lines, nbrs
+    """(number of admissible lines, number of neighbours) in closed form:
+    the isotropic points of L/PL for the form mod P, nondegenerate as P
+    does not divide det L.  Split: all lines, 1 neighbour each; inert: a
+    Hermitian form over F_(p^2), p each; ramified: a quadratic form over
+    F_3, 3 each, for n = 2m of plus type exactly when (-1)^m det L = 1 mod
+    3 (Greenberg-Voight 2014).  iter_lines_with_data is the oracle."""
+    _check_precondition(L, ideal)
+    n, p, sign = L.rank, ideal.p, (-1) ** L.rank
+    if ideal.split_type == "split":
+        return ((p ** n - 1) // (p - 1),) * 2
+    if ideal.split_type == "inert":
+        lines = (p ** n - sign) * (p ** (n - 1) + sign) // (p * p - 1)
+    elif n % 2:
+        lines = (3 ** (n - 1) - 1) // 2
+    else:
+        eps = 1 if (-1) ** (n // 2) * L.det % 3 == 1 else -1
+        lines = (3 ** (n // 2) - eps) * (3 ** (n // 2 - 1) + eps) // 2
+    return lines, p * lines
 
 
 def intersection_lattice(L: HermitianLattice, key) -> HermitianLattice:
@@ -278,29 +278,32 @@ def intersection_lattice(L: HermitianLattice, key) -> HermitianLattice:
     return _reduced_rebase(L, key)
 
 
+@functools.cache
+def _neighbour_invariants(n: int, ideal: EisIdeal) -> tuple:
+    """The invariant factors verify_neighbour expects at rank n."""
+    pi, pibar = ideal.generator, ideal.generator.conj()
+    factors = [pi] if n == 1 else [ONE] + [pibar] * (n - 2) + [pibar * pi]
+    return tuple(map(canonical_associate, factors))
+
+
 def verify_neighbour(L: HermitianLattice, key, ideal: EisIdeal) -> bool:
     """Invariant-factor check of the neighbour definition.
 
     key is a basis of pibar L' in L-coordinates; relative to L the lattice
     L' must have elementary divisors (pibar^-1, 1, ..., 1, pi), i.e. the key
     matrix must have invariant factors (1, pibar, ..., pibar, pibar*pi).
+    At rank 1, L' = (pi/pibar) L and the one invariant factor is pi.
     """
-    n = L.rank
-    pi, pibar = ideal.generator, ideal.generator.conj()
-    inv = eismat.smith_invariants([list(r) for r in key])
-    expect = [canonical_associate(ONE)] + \
-             [canonical_associate(pibar)] * (n - 2) + \
-             [canonical_associate(pibar * pi)]
-    return [canonical_associate(f) for f in inv] == expect
+    return tuple(eismat.smith_invariants(key)) == \
+        _neighbour_invariants(L.rank, ideal)
 
 
 # --- class rows ------------------------------------------------------------
 
 def _iter_intersections(L: HermitianLattice, ideal: EisIdeal):
     """Yields (key, L cap L') per admissible line, like iter_neighbours."""
-    n = L.rank
     for _, xg, _, _ in iter_lines_with_data(L, ideal):
-        key = _hermite_key(_kernel_columns(xg, ideal, n)[2])
+        key = eismat._hermite_key(_kernel_columns(xg, ideal, L.rank)[2])
         yield key, intersection_lattice(L, key)
 
 

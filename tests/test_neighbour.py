@@ -14,6 +14,7 @@ from hermhecke import eismat, fixtures, isometry, neighbour
 from hermhecke.eisenstein import (ONE, UNITS, ZERO, classify_prime, eis,
                                   ideal_above)
 from hermhecke.eismat import column_hermite_form, smith_invariants
+from hermhecke.errors import PreconditionError
 from hermhecke.isometry import automorphism_order, is_isometric
 from hermhecke.lattice import HermitianLattice
 from hermhecke.neighbour import (UnsupportedCaseError, count_neighbours,
@@ -89,16 +90,33 @@ def is_diagonal(L):
                for j in range(L.rank) if i != j)
 
 
-# (prime, ranks, admissible lines of I_n, neighbours per line): at (2) the
-# isotropic lines of the Hermitian form on F_4^n, at (sqrt-3) for odd n the
-# lines of F_3^n isotropic for the reduced quadratic form, at either prime
-# above 7 every line of F_7^n
+def walk_count(L, P):
+    """(admissible lines, neighbours) by the line walk, the oracle of
+    count_neighbours's closed forms."""
+    lines = nbrs = 0
+    for _, _, _, ts in iter_lines_with_data(L, P):
+        lines += 1
+        nbrs += len(ts)
+    return lines, nbrs
+
+
+# (prime, ranks, admissible lines of I_n, neighbours per line): at (2) and
+# (5) the isotropic lines of the Hermitian form on F_(p^2)^n, at (sqrt-3)
+# the lines of F_3^n isotropic for the reduced quadratic form (for n = 2m
+# of plus type when (-1)^m = 1 mod 3, so I_2 and I_6 are of minus type and
+# I_4 of plus type), at the primes above 7 and 13 every line of F_p^n
 COUNT_FORMULAS = [
-    (ideal_above(2), range(3, 7),
+    (ideal_above(2), range(1, 7),
      lambda n: (2 ** n - (-1) ** n) * (2 ** (n - 1) - (-1) ** (n - 1)) // 3, 2),
-    (ideal_above(3), (1, 3, 5), lambda n: (3 ** (n - 1) - 1) // 2, 3),
+    (ideal_above(3), range(1, 8),
+     lambda n: (3 ** (n - 1) - 1) // 2 if n % 2 else
+     (3 ** (n // 2) - (-1) ** (n // 2)) * (3 ** (n // 2 - 1) + (-1) ** (n // 2)) // 2,
+     3),
+    (ideal_above(5), range(1, 4),
+     lambda n: (5 ** n - (-1) ** n) * (5 ** (n - 1) - (-1) ** (n - 1)) // 24, 5),
     (classify_prime(7)[1][0], range(1, 5), lambda n: (7 ** n - 1) // 6, 1),
     (classify_prime(7)[1][1], range(1, 5), lambda n: (7 ** n - 1) // 6, 1),
+    (classify_prime(13)[1][0], range(1, 5), lambda n: (13 ** n - 1) // 12, 1),
 ]
 
 
@@ -109,17 +127,59 @@ def test_neighbour_count_formula_rank3():
     lines, total = count_neighbours(L, P)
     assert total == len(neighbours(L, P))
     # closed-form counts of I_n, on the standard basis and after seeded unit
-    # shears, whose Gram matrices are not diagonal
+    # shears, whose Gram matrices are not diagonal, equal the line walk
     rng = random.Random(3)
     for P, ranks, formula, per_line in COUNT_FORMULAS:
         for n in ranks:
             I = HermitianLattice.standard(n)
             want = (formula(n), per_line * formula(n))
-            assert count_neighbours(I, P) == want, (str(P), n)
+            assert count_neighbours(I, P) == want == walk_count(I, P), \
+                (str(P), n)
             for _ in range(2 if n > 1 else 0):
                 S = unit_shear(I, rng)
                 assert not is_diagonal(S)
-                assert count_neighbours(S, P) == want, (str(P), n, S.gram)
+                assert count_neighbours(S, P) == want == walk_count(S, P), \
+                    (str(P), n, S.gram)
+    # the two types of an even rank at (sqrt-3), walked: I_2 and I_6 of
+    # minus type, I_4 and <1,2> of plus type
+    P = ideal_above(3)
+    for diagonal, lines in (((1, 1), 0), ((1,) * 6, 112), ((1,) * 4, 16),
+                            ((1, 2), 2)):
+        L = HermitianLattice.from_gram(
+            [[d if i == j else 0 for j in range(len(diagonal))]
+             for i, d in enumerate(diagonal)])
+        assert walk_count(L, P) == count_neighbours(L, P) == (lines, 3 * lines)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_count_equals_the_walk_on_sheared_diagonals(rank):
+    # <1, ..., 1, d> after seeded unit shears, at every prime of the walk
+    # oracle that does not divide d: a determinant other than 1 sets the
+    # type of an even rank at (sqrt-3)
+    primes = [ideal_above(2), ideal_above(3), ideal_above(5),
+              *classify_prime(7)[1], classify_prime(13)[1][0]]
+    rng = random.Random(f"sheared-{rank}")
+    for d in (2, 5, 7, 10, 11, 13):
+        L = HermitianLattice.from_gram(
+            [[(d if i == rank - 1 else 1) if i == j else 0
+              for j in range(rank)] for i in range(rank)])
+        S = unit_shear(L, rng)
+        for P in primes:
+            if d % P.p == 0 or P.residue_norm ** rank > 20000:
+                continue
+            assert count_neighbours(S, P) == walk_count(S, P), (d, str(P))
+
+
+def test_count_keeps_its_precondition():
+    # a prime dividing det L raises, as the line walk does; the others count
+    L = HermitianLattice.from_gram([[1, 0, 0], [0, 1, 0], [0, 0, 42]])
+    for P in (ideal_above(2), ideal_above(3), *classify_prime(7)[1]):
+        with pytest.raises(PreconditionError):
+            count_neighbours(L, P)
+        with pytest.raises(PreconditionError):
+            walk_count(L, P)
+    for P in (ideal_above(5), classify_prime(13)[1][0]):
+        assert count_neighbours(L, P) == walk_count(L, P)
 
 
 def direct_lines(L, P):
@@ -165,6 +225,76 @@ def test_line_data_matches_direct_formula(d):
             assert got
 
 
+def generator_keys(L, P):
+    """(neighbour keys, intersection keys) in walk order, each the
+    column_hermite_form of a generating set: L_x = { y : <x, y> in P } is
+    spanned by e_k - (xg_k / xg_piv) e_piv for k != piv and pi e_piv, piv
+    the first index with xg_piv a unit mod P, and pibar L' by xt and
+    pibar L_x, xt = x + pibar t (xg_piv)^-1 e_piv."""
+    n, pi = L.rank, P.generator
+    pibar = pi.conj()
+    reps = ([eis(a, b) for a in range(P.p) for b in range(P.p)]
+            if P.split_type == "inert" else [eis(a) for a in range(P.p)])
+    keys, intersections = [], []
+    for x, xg, _, ts in iter_lines_with_data(L, P):
+        x, xg = [eis(*v) for v in x], [eis(*v) for v in xg]
+        piv = next(j for j in range(n) if not pi.divides(xg[j]))
+        ginv = next(g for g in reps if pi.divides(xg[piv] * g - 1))
+        gens = []
+        for k in range(n):
+            col = [eis(0)] * n
+            if k != piv:
+                col[k], col[piv] = eis(1), -(xg[k] * ginv)
+            else:
+                col[piv] = pi
+            gens.append(col)
+        intersections.append(tuple(map(tuple, column_hermite_form(
+            [list(r) for r in zip(*gens)]))))
+        for t in ts:
+            xt = list(x)
+            xt[piv] = xt[piv] + pibar * eis(*t) * ginv
+            cols = [xt] + [[pibar * v for v in g] for g in gens]
+            keys.append(tuple(map(tuple, column_hermite_form(
+                [list(r) for r in zip(*cols)]))))
+    return keys, intersections
+
+
+@pytest.mark.parametrize("prime", ["2", "sqrt-3", "P7", "Pbar7", "5"])
+def test_keys_equal_the_hermite_form_of_the_generators(prime):
+    # the keys inserted into the closed-form kernel basis, and the kernel
+    # bases reduced, equal the Hermite forms of the generating sets, in
+    # order, on sheared I_3 and <1,1,d> and, but at (5), sheared I_4
+    P = {**PRIMES, "5": ideal_above(5)}[prime]
+    rng = random.Random(f"keys-{prime}")
+    lattices = [HermitianLattice.standard(3)] + [
+        HermitianLattice.from_gram([[1, 0, 0], [0, 1, 0], [0, 0, d]])
+        for d in (2, 5, 10, 11) if d % P.p]
+    if prime != "5":
+        lattices.append(HermitianLattice.standard(4))
+    for L in lattices:
+        S = unit_shear(L, rng)
+        assert not is_diagonal(S)
+        ns = neighbours(S, P)
+        keys, intersections = generator_keys(S, P)
+        assert ns.hermite_keys == keys
+        assert ns.intersections == intersections
+        assert len(keys) == count_neighbours(S, P)[1]
+
+
+@pytest.mark.parametrize("p,side", [(7, 0), (7, 1), (13, 0), (13, 1)],
+                         ids=["P7", "Pbar7", "P13", "Pbar13"])
+def test_rank1_neighbour_verifies(p, side):
+    # at rank 1, L' = (pi/pibar) L: the key is (pi), whose one invariant
+    # factor is pi; a key of another ideal fails
+    P = classify_prime(p)[1][side]
+    L = HermitianLattice.standard(1)
+    ns = neighbours(L, P)
+    assert ns.hermite_keys == [((P.generator,),)]
+    assert verify_neighbour(L, ns.hermite_keys[0], P)
+    assert not verify_neighbour(L, ((P.conjugate().generator,),), P)
+    assert ns.neighbours[0].gram == L.gram
+
+
 def sha256_of_repr(obj):
     return hashlib.sha256(repr(obj).encode()).hexdigest()
 
@@ -205,9 +335,11 @@ def test_pinned_hecke_rows_117():
 
 @pytest.mark.long
 def test_rank12_count_at_2():
-    # every line of the rank-12 seed at (2): two neighbours per admissible line
+    # every line of the rank-12 seed at (2), walked: two neighbours per
+    # admissible line, as the closed form and the fixtures say
     L = fixtures.seed_sqrt3_rank12()
-    assert count_neighbours(L, ideal_above(2)) == (2796885, 5593770) == \
+    assert walk_count(L, ideal_above(2)) == \
+        count_neighbours(L, ideal_above(2)) == (2796885, 5593770) == \
         (fixtures.D_INTERSECTIONS, fixtures.T2_ROW_SUM)
 
 
