@@ -5,7 +5,9 @@ recorded while classifying the neighbours, and the intertwining route.
 
 This is an hour-scale run in pure Python (millions of isometry
 classifications); pass --allow-long to acknowledge that.  --archive saves
-the representatives so later runs can reload instead of re-enumerating.
+the walked genus (the representatives, their |Aut|, the prime and the T_(2)
+rows), so that `hermhecke hecke direct --genus DIR --prime 2` later reads
+the rows instead of walking the classes again.
 Progress lines give the elapsed seconds, the class whose neighbours (in the
 intertwining phase, whose intersections L cap L') are being placed, how many
 are placed and how many classes are known; the difference between
@@ -26,7 +28,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--allow-long", action="store_true")
     ap.add_argument("--archive", metavar="DIR",
-                    help="directory to save the genus representatives")
+                    help="directory to save the walked genus")
     args = ap.parse_args()
     if not args.allow_long:
         print("this enumeration takes hours; rerun with --allow-long",

@@ -94,7 +94,7 @@ def cmd_hecke_fixture(args):
 
 def cmd_hecke_genus(args):
     ideal = _ideal(args.prime)
-    genus = load_genus(args.genus, ideal)
+    genus = load_genus(args.genus)
     if args.hecke_cmd == "direct":
         hm = hecke_direct(genus, ideal, progress=_progress(args))
     else:

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .eisenstein import EisIdeal
-from .neighbour import GenusEnumeration, neighbour_rows, sublattice_genus
+from .neighbour import (GenusEnumeration, count_neighbours, neighbour_rows,
+                        sublattice_genus)
 
 
 @dataclass
@@ -61,10 +62,12 @@ class IntertwiningData:
     aut_Lprime: list
 
     def verify(self) -> bool:
-        if any(sum(row) != self.d for row in self.S):
+        """S has row sums d; S' is S scaled by the orders, row sums constant."""
+        if any(sum(row) != self.d for row in self.S) or \
+                len({sum(row) for row in self.S_prime}) != 1:
             return False
         try:
-            return _scaled_transpose(self.S, self.aut_Lprime, self.aut_L, "S'") == self.S_prime
+            return sprime_from_s(self.S, self.aut_L, self.aut_Lprime) == self.S_prime
         except AssertionError:
             return False
 
@@ -73,15 +76,19 @@ def hecke_direct(genus: GenusEnumeration, ideal: EisIdeal,
                  progress=None) -> HeckeMatrix:
     """T(ideal) by counting neighbours: t_ij = #neighbours of L_i in class j.
 
-    The rows that enumerate_genus recorded are used when the genus was
-    walked at this prime; otherwise neighbour_rows(genus, ideal, progress).
+    The rows the genus records are used when it was walked at this prime;
+    otherwise neighbour_rows(genus, ideal, progress).  Either way each row
+    must sum to the closed-form count, which catches an edited archive.
     """
     if genus.hecke_rows is not None and genus.prime == ideal:
         entries = [list(row) for row in genus.hecke_rows]
     else:
         entries = neighbour_rows(genus, ideal, progress)
     T = HeckeMatrix(ideal, entries, "direct")
-    T.check_row_sums_constant()
+    total = count_neighbours(genus.representatives[0], ideal)[1]
+    if T.check_row_sums_constant() != total:
+        raise AssertionError(f"rows of T{ideal} do not sum to the {total} "
+                             f"neighbours of a class")
     return T
 
 

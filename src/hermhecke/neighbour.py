@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 from dataclasses import dataclass
 from operator import add
 
 from .eisenstein import EisensteinInt, ONE, ZERO, EisIdeal, \
-    canonical_associate, _pconj, _pdot, _pmul
+    canonical_associate, classify_prime, is_prime, _pconj, _pdot, _pmul
 from . import eismat
 from .lattice import HermitianLattice, _reduced_rebase
 from .isometry import Classifier, automorphism_order
@@ -49,7 +50,7 @@ class GenusEnumeration:
     aut_orders: list
     prime: EisIdeal
     # T(prime) rows recorded by enumerate_genus: hecke_rows[i][j] neighbours
-    # of class i lie in class j.  None for a genus loaded from an archive.
+    # of class i lie in class j.  None when the record holds no rows.
     hecke_rows: list = None
 
     @property
@@ -393,18 +394,32 @@ def save_genus(genus: GenusEnumeration, directory: str):
     manifest = {
         "class_count": genus.class_number,
         "aut_orders": genus.aut_orders,
-        "prime": str(genus.prime),
-        "fingerprints": [list(map(str, L.fingerprint()))
-                         for L in genus.representatives],
+        "prime": list(genus.prime.generator),
+        "hecke_rows": genus.hecke_rows,
     }
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=1)
 
 
-def load_genus(directory: str, ideal: EisIdeal = None) -> GenusEnumeration:
-    """The genus saved by save_genus in directory.  PreconditionError if
-    its manifest lacks a class_count >= 1 or a list of that many positive
-    aut_orders."""
+def _ints(v, length, low=-math.inf):
+    """v is a list of `length` ints, each >= low."""
+    return type(v) is list and len(v) == length and \
+        all(type(t) is int and t >= low for t in v)
+
+
+def _prime_ideal(g: EisensteinInt):
+    """The prime ideal of classify_prime that g generates, or None."""
+    n = g.norm()
+    return next((P for p in (n, math.isqrt(n)) if is_prime(p)
+                 for P in classify_prime(p)[1]
+                 if P.residue_norm == n and P.generator.divides(g)), None)
+
+
+def load_genus(directory: str) -> GenusEnumeration:
+    """The genus saved by save_genus in directory.  PreconditionError,
+    naming the manifest and the key, unless it holds a class_count >= 1,
+    that many positive aut_orders, the generator pair of a prime ideal and
+    hecke_rows that are null or class_count rows of as many ints >= 0."""
     path = os.path.join(directory, "manifest.json")
     with open(path) as fh:
         manifest = json.load(fh)
@@ -413,10 +428,18 @@ def load_genus(directory: str, ideal: EisIdeal = None) -> GenusEnumeration:
     count, auts = manifest.get("class_count"), manifest.get("aut_orders")
     if type(count) is not int or count < 1:
         raise PreconditionError(f"{path}: class_count must be an int >= 1")
-    if type(auts) is not list or len(auts) != count or \
-            any(type(a) is not int or a < 1 for a in auts):
+    if not _ints(auts, count, 1):
         raise PreconditionError(
             f"{path}: aut_orders must be a list of {count} positive ints")
+    pair, rows = manifest.get("prime"), manifest.get("hecke_rows")
+    prime = _ints(pair, 2) and _prime_ideal(EisensteinInt(*pair))
+    if not prime:
+        raise PreconditionError(
+            f"{path}: prime must be the generator pair [a, b] of a prime ideal")
+    if rows is not None and not (type(rows) is list and len(rows) == count
+                                 and all(_ints(row, count, 0) for row in rows)):
+        raise PreconditionError(f"{path}: hecke_rows must be null or {count} "
+                                f"rows of {count} nonnegative ints")
     reps = [HermitianLattice.load(os.path.join(directory, f"class_{i:03d}.json"))
             for i in range(count)]
-    return GenusEnumeration(reps, auts, ideal)
+    return GenusEnumeration(reps, auts, prime, rows)

@@ -339,8 +339,18 @@ def test_hecke_direct_on_incomplete_genus(tmp_path, capsys):
     ({"class_count": 0, "aut_orders": []}, "class_count"),
     ({"class_count": "1", "aut_orders": [1]}, "class_count"),
     ([], "class_count"),
+    ({"class_count": 1, "aut_orders": [1]}, "prime"),
+    ({"class_count": 1, "aut_orders": [1], "prime": "(2)"}, "prime"),
+    ({"class_count": 1, "aut_orders": [1], "prime": [4, 0]}, "prime"),
+    ({"class_count": 1, "aut_orders": [1], "prime": [2, 0],
+      "hecke_rows": [[18], [18]]}, "hecke_rows"),
+    ({"class_count": 1, "aut_orders": [1], "prime": [2, 0],
+      "hecke_rows": [[-18]]}, "hecke_rows"),
+    ({"class_count": 1, "aut_orders": [1], "prime": [2, 0],
+      "hecke_rows": [[18.0]]}, "hecke_rows"),
 ], ids=["no-aut-orders", "short", "zero-order", "no-class", "str-count",
-        "not-an-object"])
+        "not-an-object", "no-prime", "str-prime", "not-a-prime",
+        "rows-shape", "rows-negative", "rows-float"])
 def test_hecke_direct_on_malformed_manifest(tmp_path, capsys, manifest, key):
     HermitianLattice.standard(3).save(tmp_path / "class_000.json")
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
@@ -353,14 +363,17 @@ def test_hecke_direct_on_malformed_manifest(tmp_path, capsys, manifest, key):
 def test_verbose_reports_progress_on_stderr(tmp_path, capsys):
     lattice, genus = tmp_path / "l.json", tmp_path / "genus"
     HermitianLattice.from_gram([[1, 0, 0], [0, 1, 0], [0, 0, 7]]).save(lattice)
-    # genus finds class 2 on row 1; the loaded genus knows all three; the
-    # sublattice genus grows a class on each row
+    # genus finds class 2 on row 1; hecke direct at the walk's prime reads
+    # the archived rows and places nothing; the sublattice genus grows a
+    # class on each row; at another prime the loaded genus knows all three
     runs = [(["genus", str(lattice), "--prime", "3", "--out", str(genus)],
              12, (2, 3, 3)),
             (["hecke", "direct", "--genus", str(genus), "--prime", "3"],
-             12, (3, 3, 3)),
+             12, ()),
             (["hecke", "intertwining", "--genus", str(genus), "--prime", "3"],
-             4, (1, 2, 3))]
+             4, (1, 2, 3)),
+            (["hecke", "direct", "--genus", str(genus), "--prime", "2"],
+             18, (3, 3, 3))]
     outs = []
     for argv, placed, known in runs:
         assert main(argv) == 0
@@ -375,6 +388,7 @@ def test_verbose_reports_progress_on_stderr(tmp_path, capsys):
         outs.append(json.loads(loud.out))
     assert outs[0]["discovery"] == [[0, 1], [1, 2]]
     assert outs[1]["rows"] == outs[2]["rows"] == [[0, 12, 0], [1, 8, 3], [0, 6, 6]]
+    assert [sum(row) for row in outs[3]["rows"]] == [18, 18, 18]
 
 
 @pytest.mark.parametrize("argv", [

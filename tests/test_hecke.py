@@ -12,7 +12,7 @@ from hermhecke.hecke import (HeckeMatrix, assemble_intertwining, hecke_direct,
 from hermhecke.lattice import HermitianLattice
 from hermhecke.linalg import mat_mul
 from hermhecke.neighbour import (GenusEnumeration, enumerate_genus, load_genus,
-                                 save_genus)
+                                 neighbour_rows, save_genus)
 
 # <1, 1, d> at the prime above p: sorted |Aut| of the classes, the row sum
 # of T (the neighbour count of a rank-3 class), the number of sublattice
@@ -64,6 +64,10 @@ def test_verify_reports_bad_data(fx):
     S_prime = [list(row) for row in data.S_prime]
     S_prime[0][0] += 1
     assert dataclasses.replace(data, S_prime=S_prime).verify() is False
+    # S' built from S with one sublattice order doubled: its row doubles
+    assert {sum(row) for row in data.S_prime} == {3}
+    aut_25 = [2 * fx.aut_25[0]] + list(fx.aut_25[1:])
+    assert assemble_intertwining(S, fx.aut_5, aut_25)[1].verify() is False
 
 
 def test_hecke_direct_rank4(genus_o4):
@@ -135,12 +139,43 @@ def test_multiclass_genus_records_rows(multiclass):
     assert T.check_self_adjoint(g.aut_orders)
 
 
-def test_stored_rows_equal_a_fresh_walk(multiclass, tmp_path):
+def _no_walk(monkeypatch):
+    def no_walk(L, ideal):
+        raise AssertionError(f"a neighbour walk at {ideal}")
+
+    monkeypatch.setattr(neighbour, "iter_neighbours", no_walk)
+
+
+def test_stored_rows_equal_a_fresh_walk(multiclass, tmp_path, monkeypatch):
     _, P, g, _ = multiclass
     save_genus(g, str(tmp_path / "g"))
-    loaded = load_genus(str(tmp_path / "g"), P)
-    assert loaded.hecke_rows is None and loaded.discovery_log == []
-    assert hecke_direct(loaded, P).entries == g.hecke_rows
+    loaded = load_genus(str(tmp_path / "g"))
+    assert [R.gram for R in loaded.representatives] == \
+        [R.gram for R in g.representatives]
+    assert (loaded.aut_orders, loaded.prime) == (g.aut_orders, P)
+    assert loaded.hecke_rows == g.hecke_rows
+    assert loaded.discovery_log == g.discovery_log
+    fresh = neighbour_rows(g, P)
+    _no_walk(monkeypatch)
+    assert hecke_direct(loaded, P).entries == fresh == g.hecke_rows
+
+
+def test_split_prime_archive_roundtrip(tmp_path, monkeypatch):
+    # <1,1,37> walked at Pbar_7: the archive must not resolve the prime to
+    # its conjugate, whose rows differ
+    L = HermitianLattice.from_gram([[1, 0, 0], [0, 1, 0], [0, 0, 37]])
+    P, Pbar = classify_prime(7)[1]
+    g = enumerate_genus(L, Pbar)
+    assert g.class_number == 15
+    save_genus(g, str(tmp_path / "g"))
+    loaded = load_genus(str(tmp_path / "g"))
+    assert loaded.prime == Pbar != P
+    assert (loaded.hecke_rows, loaded.discovery_log) == \
+        (g.hecke_rows, g.discovery_log)
+    T = hecke_direct(loaded, P).entries
+    assert T != loaded.hecke_rows
+    _no_walk(monkeypatch)
+    assert hecke_direct(loaded, Pbar).entries == g.hecke_rows
 
 
 def test_multiclass_direct_equals_intertwining(multiclass):
@@ -150,6 +185,23 @@ def test_multiclass_direct_equals_intertwining(multiclass):
     assert Ti.entries == hecke_direct(g, P).entries
     assert data.verify()
     assert Ti.check_self_adjoint(g.aut_orders)
+    # each row of S' sums to the lattices of the genus above a sublattice
+    # class: 3 at (2), 4 at (sqrt-3); a doubled order |Aut L'_0| doubles
+    # row 0, which S' built from S cannot show
+    assert {sum(row) for row in data.S_prime} == \
+        {3 if P.residue_norm == 4 else 4}
+    aut = [2 * data.aut_Lprime[0]] + data.aut_Lprime[1:]
+    assert assemble_intertwining(data.S, data.aut_L, aut)[1].verify() is False
+
+
+def test_hecke_direct_checks_the_neighbour_count(multiclass):
+    # rows that sum to one constant other than the neighbour count of a
+    # class, as an edited archive may hold
+    _, P, g, (_, row_sum, _, _) = multiclass
+    rows = [[t * 2 for t in row] for row in g.hecke_rows]
+    edited = GenusEnumeration(g.representatives, g.aut_orders, P, rows)
+    with pytest.raises(AssertionError, match=f"not sum to the {row_sum} neighbours"):
+        hecke_direct(edited, P)
 
 
 def test_walk_at_another_prime_commutes(multiclass):

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import itertools
+import json
 import math
 import os
 import random
@@ -559,10 +560,37 @@ def test_each_walked_lattice_is_built_once(monkeypatch):
 def test_genus_archive_roundtrip(tmp_path):
     g = enumerate_genus(HermitianLattice.standard(3), ideal_above(2))
     save_genus(g, str(tmp_path / "g"))
-    g2 = load_genus(str(tmp_path / "g"), ideal_above(2))
+    g2 = load_genus(str(tmp_path / "g"))
     assert g2.class_number == g.class_number
     assert g2.aut_orders == g.aut_orders
     assert is_isometric(g2.representatives[0], g.representatives[0]) is not None
+    assert (g2.prime, g2.hecke_rows) == (g.prime, g.hecke_rows)
+
+
+def _record(g):
+    return ([R.gram for R in g.representatives], g.aut_orders, g.prime,
+            g.hecke_rows)
+
+
+def test_every_manifest_key_has_a_reader(tmp_path):
+    # the archive holds the walked record and nothing else: deleting any
+    # manifest key makes load_genus refuse it or return another record
+    g = enumerate_genus(HermitianLattice.from_gram(
+        [[1, 0, 0], [0, 1, 0], [0, 0, 7]]), ideal_above(3))
+    save_genus(g, str(tmp_path))
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    assert sorted(manifest) == ["aut_orders", "class_count", "hecke_rows",
+                                "prime"]
+    assert _record(load_genus(str(tmp_path))) == _record(g)
+    for key in manifest:
+        path.write_text(json.dumps({k: v for k, v in manifest.items()
+                                    if k != key}))
+        try:
+            record = _record(load_genus(str(tmp_path)))
+        except PreconditionError:
+            continue
+        assert record != _record(g), key
 
 
 @pytest.mark.parametrize("rank,p,count", [(3, 7, 57), (4, 7, 400), (3, 13, 183)],
