@@ -11,16 +11,18 @@ image, and the first nonzero product fixes which unit multiple can follow.
 A unit multiple of an isometry is an isometry, so the image of the first
 basis vector is the table vector itself.  Group orders come from the
 orbit-stabilizer chain, so huge groups are never enumerated element by
-element.
+element; the automorphisms the chain finds generate the group.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .eisenstein import ONE, UNITS, ZERO, _pconj, _pdot, _pmul
 from .eismat import _congruence
 from .lattice import HermitianLattice
+from .orbits import generating_set
 
 # how many Grams of placed lattices a Classifier remembers; a rank-12 Gram
 # takes about 11 KB
@@ -94,7 +96,7 @@ class _Searcher:
                     break
             else:
                 for u in UNITS if unit is None else (unit,):
-                    yield tuple(u * x for x in v)
+                    yield v if u == ONE else tuple(u * x for x in v)
 
     def complete(self, images, xgs, level):
         """Extend a partial assignment to a full one; None if impossible."""
@@ -131,27 +133,51 @@ def is_isometric(L1: HermitianLattice, L2: HermitianLattice):
     return cert
 
 
-def automorphism_order(L: HermitianLattice) -> int:
-    """|Aut(L)| as O_E-linear isometries, via the orbit-stabilizer chain.
+def automorphism_group(L: HermitianLattice):
+    """(|Aut(L)|, generators): the order of the O_E-linear isometries of L
+    and automorphisms that generate them (`orbits.generating_set`), each
+    given by the images of the basis; each passes
+    `IsometryCertificate.verify`.  Searched once per lattice and kept in the
+    instance dict, like the short-vector table."""
+    group = L.__dict__.get("_automorphism_group")
+    if group is None:
+        group = L.__dict__["_automorphism_group"] = _search_group(L)
+    return group
+
+
+def _search_group(L: HermitianLattice):
+    """(order, generators) of `automorphism_group`, searched.
 
     At level k the group under consideration is the stabilizer of the first
     k basis vectors; its order is the orbit size of basis vector k times
     the order one level down.  The unit scalars act freely on the orbit of
-    e_0, so the order starts from 6 and level 0 counts unit orbits.
+    e_0, so the order starts from 6 and level 0 counts unit orbits.  The
+    search finds an automorphism for each point of each orbit.
     """
     n = L.rank
     searcher = _Searcher(L, L)
-    order = 6
+    transversals = []
     prefix, xgs = [], []
     for k in range(n):
-        # how many w does some automorphism fixing the prefix send e_k to?
-        order *= sum(searcher.complete(prefix + [w],
-                                       xgs + [searcher.dagger_gram(w)], k + 1)
-                     is not None for w in searcher.extensions(xgs, k))
-        e_k = tuple(ONE if i == k else ZERO for i in range(n))
-        prefix.append(e_k)
-        xgs.append(searcher.dagger_gram(e_k))
-    return order
+        # an automorphism fixing the prefix for each w it can send e_k to
+        found = (searcher.complete(prefix + [w],
+                                   xgs + [searcher.dagger_gram(w)], k + 1)
+                 for w in searcher.extensions(xgs, k))
+        transversals.append([g for g in found if g is not None])
+        prefix.append(tuple(ONE if i == k else ZERO for i in range(n)))
+        xgs.append(searcher.dagger_gram(prefix[k]))
+    generators = generating_set(transversals)
+    for g in generators:
+        if not IsometryCertificate(g).verify(L, L):
+            raise AssertionError(
+                f"automorphism of a rank-{n} lattice of determinant {L.det} "
+                f"fails its Gram check")
+    return 6 * math.prod(map(len, transversals)), generators
+
+
+def automorphism_order(L: HermitianLattice) -> int:
+    """|Aut(L)| as O_E-linear isometries (`automorphism_group`)."""
+    return automorphism_group(L)[0]
 
 
 class Classifier:

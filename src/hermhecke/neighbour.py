@@ -30,7 +30,8 @@ from .eisenstein import EisensteinInt, ONE, ZERO, EisIdeal, \
     canonical_associate, classify_prime, is_prime, _pconj, _pdot, _pmul
 from . import eismat
 from .lattice import HermitianLattice, _reduced_rebase
-from .isometry import Classifier, automorphism_order
+from .isometry import Classifier, automorphism_group, automorphism_order
+from .orbits import line_orbits
 from .errors import OrphanLatticeError, PreconditionError, UnsupportedCaseError
 
 
@@ -301,34 +302,56 @@ def verify_neighbour(L: HermitianLattice, key, ideal: EisIdeal) -> bool:
 
 # --- class rows ------------------------------------------------------------
 
-def _iter_intersections(L: HermitianLattice, ideal: EisIdeal):
-    """Yields (key, L cap L') per admissible line, like iter_neighbours."""
-    for _, xg, _, _ in iter_lines_with_data(L, ideal):
+def _line_orbits(L: HermitianLattice, ideal: EisIdeal, generators):
+    """Yields (size, (x, xg, c0, ts)) for the first line of each orbit of
+    the generators on the lines of `iter_lines_with_data` (`line_orbits`)."""
+    return line_orbits(iter_lines_with_data(L, ideal), generators,
+                       _residues(ideal), count_neighbours(L, ideal)[0],
+                       f"a rank-{L.rank} lattice at {ideal}")
+
+
+def _orbit_neighbours(L: HermitianLattice, ideal: EisIdeal, generators):
+    """Yields (orbit size, lattice) for the neighbours of the first line of
+    each line orbit, built as `iter_neighbours` builds them."""
+    for size, (x, xg, _, ts) in _line_orbits(L, ideal, generators):
+        for _, lat in _line_neighbours(L, ideal, x, ts,
+                                       _kernel_columns(xg, ideal, L.rank)):
+            yield size, lat
+
+
+def _orbit_intersections(L: HermitianLattice, ideal: EisIdeal, generators):
+    """Yields (orbit size, L cap L') for the first line of each line orbit."""
+    for size, (_, xg, _, _) in _line_orbits(L, ideal, generators):
         key = eismat._hermite_key(_kernel_columns(xg, ideal, L.rank)[2])
-        yield key, intersection_lattice(L, key)
+        yield size, intersection_lattice(L, key)
 
 
 def _class_rows(classes: Classifier, walked, lattices, ideal: EisIdeal, *,
                 grow: bool, progress=None) -> list:
-    """rows[i][j]: how many of the (key, lattice) pairs that
-    lattices(walked[i], ideal) yields have their lattice in class j.
+    """rows[i][j]: the total weight of the (weight, lattice) pairs that
+    lattices(walked[i], ideal, generators) yields with their lattice in
+    class j, the generators being those of Aut(walked[i]), read at the
+    start of the row (`automorphism_group`).
 
     A lattice of no class of classes becomes a new class (walked may be
     classes.representatives, which then grows as it is walked); without
     grow, it raises OrphanLatticeError.  progress(i, placed, h) reports
-    every 10,000 lattices and each row's end, h being the classes known.
+    every 10,000 lattices placed and each row's end, h being the classes
+    known.
     """
     known = len(classes.representatives)
     rows = []
     for i, R in enumerate(walked):
+        generators = automorphism_group(R)[1]
         row, placed = {}, 0
-        for placed, (_, lat) in enumerate(lattices(R, ideal), 1):
+        for placed, (weight, lat) in enumerate(
+                lattices(R, ideal, generators), 1):
             j = classes.classify(lat)
             if j >= known and not grow:
                 raise OrphanLatticeError(
                     f"neighbour of class {i} matches no representative: "
                     f"{lat.to_json_dict()}")
-            row[j] = row.get(j, 0) + 1
+            row[j] = row.get(j, 0) + weight
             if progress and placed % 10000 == 0:
                 progress(i, placed, len(classes.representatives))
         if progress:
@@ -342,15 +365,18 @@ def enumerate_genus(L: HermitianLattice, ideal: EisIdeal,
                     progress=None) -> GenusEnumeration:
     """The classes of the genus of L reached by iterated P-neighbours.
 
-    Every neighbour of every class is classified once, which also gives
-    the rows of T(P).  The orders |Aut| of the classes are searched once
-    the rows are complete.
+    Each class's group Aut is searched at the start of its row, and the
+    neighbours of one line per orbit of the group on the lines are
+    classified, weighted by the orbit size; this also gives the rows of
+    T(P).  The first line of each orbit in walk order stands for it, so
+    classes are found in the order, and with the representatives, of a
+    walk over every neighbour.  The orders |Aut| are read from the groups.
     """
     if L.rank < 3:
         raise UnsupportedCaseError(
             "neighbours need not stay in the genus for rank < 3")
     classes = Classifier([L])
-    rows = _class_rows(classes, classes.representatives, iter_neighbours,
+    rows = _class_rows(classes, classes.representatives, _orbit_neighbours,
                        ideal, grow=True, progress=progress)
     reps = classes.representatives
     return GenusEnumeration(reps, [automorphism_order(R) for R in reps],
@@ -360,9 +386,10 @@ def enumerate_genus(L: HermitianLattice, ideal: EisIdeal,
 def neighbour_rows(genus: GenusEnumeration, ideal: EisIdeal,
                    progress=None) -> list:
     """T(ideal) rows of a complete genus: rows[i][j] neighbours of class i
-    lie in class j.  A neighbour of no class raises OrphanLatticeError."""
+    lie in class j, from one line per orbit of Aut of class i, as in
+    enumerate_genus.  A neighbour of no class raises OrphanLatticeError."""
     classes = Classifier(genus.representatives)
-    return _class_rows(classes, genus.representatives, iter_neighbours,
+    return _class_rows(classes, genus.representatives, _orbit_neighbours,
                        ideal, grow=False, progress=progress)
 
 
@@ -371,14 +398,15 @@ def sublattice_genus(L_genus: GenusEnumeration, ideal: EisIdeal,
     """Representatives of genus(L cap N') plus the incidence matrix S.
 
     s_{i, j} = number of index-N sublattices X of L_i (arising as L_i cap N')
-    with X isometric to L'_j.  As in enumerate_genus, the orders |Aut| of
-    the classes are searched once S is complete.
+    with X isometric to L'_j.  As in enumerate_genus, one line per orbit
+    of Aut(L_i) is walked, weighted by the orbit size, and the orders
+    |Aut| of the new classes are searched once S is complete.
     """
     if ideal.split_type == "split":
         raise UnsupportedCaseError(
             "the intertwining method requires an inert or ramified prime")
     classes = Classifier()
-    S = _class_rows(classes, L_genus.representatives, _iter_intersections,
+    S = _class_rows(classes, L_genus.representatives, _orbit_intersections,
                     ideal, grow=True, progress=progress)
     reps = classes.representatives
     return GenusEnumeration(reps, [automorphism_order(R) for R in reps],

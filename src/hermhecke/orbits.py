@@ -1,0 +1,142 @@
+"""Orbits of automorphism groups, on vectors and on the lines of L/PL.
+
+`isometry.automorphism_group` keeps a generating set of the automorphisms
+its stabilizer chain finds, closing the orbit of each basis vector under
+them.  The class-row walks of `neighbour` take one line per orbit of those
+automorphisms, weighted by the orbit size: any subgroup of Aut(L) permutes
+the lines of L/PL and keeps the class of each neighbour (Greenberg-Voight
+2014).  Automorphisms are given by the images of the basis, as the columns
+of an `isometry.IsometryCertificate`.
+"""
+
+from __future__ import annotations
+
+import functools
+
+from .eisenstein import OMEGA, ONE, ZERO, _pconj, _pmul
+
+
+def generating_set(transversals) -> tuple:
+    """Generators of Aut(L) from a stabilizer chain: transversals[k] holds
+    an automorphism for each image of e_k under the stabilizer of e_0, ...,
+    e_(k-1), and at k = 0 one for each orbit of the units.
+
+    Kept is only the one whose image of e_k lies outside the orbit that
+    the kept generators of its level and the levels below, with the unit
+    scalar w at level 0, already reach.  One level's transversal and the
+    group one level down generate the group at that level, so filtering
+    bottom-up keeps a generating set.
+    """
+    n = len(transversals)
+    basis = [tuple(ONE if i == k else ZERO for i in range(n)) for k in range(n)]
+    generators = []
+    for k in reversed(range(n)):
+        size = len(transversals[k])
+        if not k:
+            generators.append([tuple(OMEGA if c == ONE else ZERO for c in e)
+                               for e in basis])
+            size *= 6
+        orbit, seen = [basis[k]], {basis[k]}
+        close_orbit(orbit, seen, generators, 0, size)
+        for g in transversals[k]:
+            if len(orbit) == size:
+                break
+            if g[k] not in seen:
+                generators.append(g)
+                close_orbit(orbit, seen, generators, len(orbit), size)
+    return tuple(map(tuple, generators))
+
+
+def close_orbit(points, seen, generators, known, size):
+    """Extend the list points, whose set is seen, to the orbit of its first
+    point under the group the generators generate, or until it has size
+    points; points[:known] are closed under all but the last generator."""
+    i = 0
+    while i < len(points) < size:
+        y = [(j, a, b) for j, (a, b) in enumerate(points[i]) if a or b]
+        for g in generators[-1:] if i < known else generators:
+            # g y = sum_j y_j g[j]
+            j, a, b = y[0]
+            z = [(a * c - b * d, a * d + b * c - b * d) for c, d in g[j]]
+            for j, a, b in y[1:]:
+                z = [(p + a * c - b * d, q + a * d + b * c - b * d)
+                     for (p, q), (c, d) in zip(z, g[j])]
+            z = tuple(z)
+            if z not in seen:
+                seen.add(z)
+                points.append(z)
+        i += 1
+
+
+@functools.cache
+def _field(res):
+    """O/P by positions in res.reps (zero first) for the residue tables res
+    of `neighbour._residues`: (code, add, mul, inv), code(x) the position
+    of the class of x, add[i][j] and mul[i][j] those of the sum and the
+    product, inv[i] that of the inverse (None for zero)."""
+    reps = res.reps
+    position = {res.index(r): i for i, r in enumerate(reps)}
+
+    def code(x):
+        return position[res.index(x)]
+
+    add = tuple(tuple(code((a + c, b + d)) for c, d in reps) for a, b in reps)
+    mul = tuple(tuple(code(_pmul(r, t)) for t in reps) for r in reps)
+    one = code((1, 0))
+    inv = (None,) + tuple(row.index(one) for row in mul[1:])
+    return code, add, mul, inv
+
+
+def line_orbits(lines, generators, res, count, where):
+    """Yields (size, line) for the first line in walk order of each orbit
+    of <generators> on the lines that `lines` yields, size being the
+    orbit's.
+
+    Each line is a tuple whose first entry x is its representative, as
+    `neighbour.iter_lines_with_data` yields them; res holds the residue
+    tables of P.  An automorphism g maps L_x = { y : <x, y> in P } to L_gx,
+    and with it the neighbours and the intersection of line x to those of
+    line gx.  <x, y> mod P reads conj(x) mod P, so a line is keyed by the
+    residues of conj(x) mod P, first nonzero 1, and g acts there as
+    conj(g); at a split prime the action of g itself on x mod P gives
+    other orbits.  Each new line's orbit is found by breadth-first search
+    on keys; the keys it reaches ahead of the walk are dropped as the walk
+    passes them.  AssertionError, naming where the walk was, unless the
+    orbit sizes sum to count and no key reached ahead is left at the end:
+    a generator that is no automorphism shows here.
+    """
+    code, add, mul, inv = _field(res)
+    one = code((1, 0))
+    # conj(g) mod P by rows: (j, code) for its nonzero entries
+    actions = [[[(j, c) for j, col in enumerate(g)
+                 if (c := code(_pconj(col[i])))] for i in range(len(g))]
+               for g in generators]
+    ahead, total = set(), 0
+    for line in lines:
+        key = tuple(code(_pconj(c)) for c in line[0])
+        if key in ahead:
+            ahead.remove(key)
+            continue
+        orbit, queue = {key}, [key]
+        for y in queue:
+            for rows in actions:
+                z = []
+                for row in rows:
+                    acc = 0
+                    for j, c in row:
+                        acc = add[acc][mul[c][y[j]]]
+                    z.append(acc)
+                lead = next(c for c in z if c)
+                z = tuple(z) if lead == one else \
+                    tuple(mul[inv[lead]][c] for c in z)
+                if z not in orbit:
+                    orbit.add(z)
+                    queue.append(z)
+        total += len(queue)
+        orbit.remove(key)
+        ahead |= orbit
+        yield len(queue), line
+    if total != count or ahead:
+        raise AssertionError(
+            f"line orbits of {where} cover {total} of {count} lines, "
+            f"{len(ahead)} reached ahead were never walked")

@@ -365,17 +365,19 @@ def test_verbose_reports_progress_on_stderr(tmp_path, capsys):
     HermitianLattice.from_gram([[1, 0, 0], [0, 1, 0], [0, 0, 7]]).save(lattice)
     # genus finds class 2 on row 1; hecke direct at the walk's prime reads
     # the archived rows and places nothing; the sublattice genus grows a
-    # class on each row; at another prime the loaded genus knows all three
+    # class on each row; at another prime the loaded genus knows all three.
+    # A row places the lattices of one line per orbit of the class's group:
+    # 3 of the 12 neighbours of class 0 at (sqrt-3), 4 of its 18 at (2)
     runs = [(["genus", str(lattice), "--prime", "3", "--out", str(genus)],
-             12, (2, 3, 3)),
+             ((3, 2), (6, 3), (6, 3))),
             (["hecke", "direct", "--genus", str(genus), "--prime", "3"],
-             12, ()),
+             ()),
             (["hecke", "intertwining", "--genus", str(genus), "--prime", "3"],
-             4, (1, 2, 3)),
+             ((1, 1), (2, 2), (2, 3))),
             (["hecke", "direct", "--genus", str(genus), "--prime", "2"],
-             18, (3, 3, 3))]
+             ((4, 3), (4, 3), (6, 3)))]
     outs = []
-    for argv, placed, known in runs:
+    for argv, reports in runs:
         assert main(argv) == 0
         quiet = capsys.readouterr()
         assert main(argv + ["--verbose"]) == 0
@@ -384,7 +386,7 @@ def test_verbose_reports_progress_on_stderr(tmp_path, capsys):
         # one report at the end of each class row
         assert loud.err.splitlines() == [
             f"class {i}: {placed} lattices placed, {h} classes known"
-            for i, h in enumerate(known)]
+            for i, (placed, h) in enumerate(reports)]
         outs.append(json.loads(loud.out))
     assert outs[0]["discovery"] == [[0, 1], [1, 2]]
     assert outs[1]["rows"] == outs[2]["rows"] == [[0, 12, 0], [1, 8, 3], [0, 6, 6]]

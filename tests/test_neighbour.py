@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import hermhecke
-from hermhecke import eismat, fixtures, isometry, neighbour
+from hermhecke import eismat, fixtures, isometry
 from hermhecke.eisenstein import (ONE, UNITS, ZERO, classify_prime, eis,
                                   ideal_above)
 from hermhecke.eismat import column_hermite_form, smith_invariants
@@ -439,29 +439,30 @@ def test_aut_orders_small():
 
 
 def test_orders_follow_the_walk(monkeypatch):
-    # the classifiers only place lattices; |Aut| of each class is searched
-    # once every row, of the genus and of its sublattice genus, is complete
+    # each walked class's group is searched once, at the start of its row,
+    # and its order read from it; the orders of the sublattice classes,
+    # which are not walked, are searched once S is complete
     events = []
+    search = isometry._search_group
 
-    def order(L):
-        events.append("order")
-        return automorphism_order(L)
+    def searched(L):
+        events.append(("group", L.gram))
+        return search(L)
 
     def progress(i, placed, h):
         events.append(("row", i))
 
-    for module in (isometry, neighbour):
-        monkeypatch.setattr(module, "automorphism_order", order, raising=False)
+    monkeypatch.setattr(isometry, "_search_group", searched)
     P = ideal_above(2)
     genus = enumerate_genus(HermitianLattice.from_gram(
         [[1, 0, 0], [0, 1, 0], [0, 0, 5]]), P, progress=progress)
-    assert events[-3:] == [("row", 1), "order", "order"]
-    assert events.count("order") == genus.class_number == 2
+    assert genus.class_number == 2
+    assert events == [e for i, R in enumerate(genus.representatives)
+                      for e in (("group", R.gram), ("row", i))]
     events.clear()
     sub, _ = sublattice_genus(genus, P, progress=progress)
-    last_row = events.index(("row", genus.class_number - 1))
-    assert events[last_row + 1:] == ["order"] * sub.class_number
-    assert events.count("order") == sub.class_number
+    assert events == [("row", i) for i in range(genus.class_number)] + \
+        [("group", M.gram) for M in sub.representatives]
 
 
 def unit_monomial(n, rng):
