@@ -9,20 +9,21 @@ image x brings the nonzero entries of x^dagger G, the conjugate of G x,
 computed once, so a candidate costs one sparse dot product per earlier
 image, and the first nonzero product fixes which unit multiple can follow.
 A unit multiple of an isometry is an isometry, so the image of the first
-basis vector is the table vector itself.  Group orders come from the
-orbit-stabilizer chain, so huge groups are never enumerated element by
-element; the automorphisms the chain finds generate the group.
+basis vector is the table vector itself.  Automorphism groups are
+searched bottom-up along the stabilizer chain, and a candidate image that
+the automorphisms found so far already reach is not searched
+(Plesken-Souvignier); the order is the product of the orbit sizes, so
+huge groups are never enumerated element by element.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .eisenstein import ONE, UNITS, ZERO, _pconj, _pdot, _pmul
+from .eisenstein import OMEGA, ONE, UNITS, ZERO, _pconj, _pdot, _pmul
 from .eismat import _congruence
 from .lattice import HermitianLattice
-from .orbits import generating_set
+from .orbits import close_orbit
 
 # how many Grams of placed lattices a Classifier remembers; a rank-12 Gram
 # takes about 11 KB
@@ -135,10 +136,9 @@ def is_isometric(L1: HermitianLattice, L2: HermitianLattice):
 
 def automorphism_group(L: HermitianLattice):
     """(|Aut(L)|, generators): the order of the O_E-linear isometries of L
-    and automorphisms that generate them (`orbits.generating_set`), each
-    given by the images of the basis; each passes
-    `IsometryCertificate.verify`.  Searched once per lattice and kept in the
-    instance dict, like the short-vector table."""
+    and automorphisms that generate them, each given by the images of the
+    basis; each passes `IsometryCertificate.verify`.  Searched once per
+    lattice and kept in the instance dict, like the short-vector table."""
     group = L.__dict__.get("_automorphism_group")
     if group is None:
         group = L.__dict__["_automorphism_group"] = _search_group(L)
@@ -146,33 +146,43 @@ def automorphism_group(L: HermitianLattice):
 
 
 def _search_group(L: HermitianLattice):
-    """(order, generators) of `automorphism_group`, searched.
+    """(order, generators) of `automorphism_group`, searched bottom-up.
 
-    At level k the group under consideration is the stabilizer of the first
-    k basis vectors; its order is the orbit size of basis vector k times
-    the order one level down.  The unit scalars act freely on the orbit of
-    e_0, so the order starts from 6 and level 0 counts unit orbits.  The
-    search finds an automorphism for each point of each orbit.
+    At level k, from n - 1 down to 0, every generator found so far fixes
+    e_0, ..., e_(k-1).  The orbit of e_k under them is closed first, and
+    only a candidate image outside it is searched; each automorphism found
+    joins the generators and the orbit is closed again.  So the generators
+    of levels k and up generate the stabilizer of e_0, ..., e_(k-1), and
+    the order is the product of the orbit sizes.  Level 0 starts from the
+    scalar -w, whose powers are the six units, so its orbit holds every
+    unit multiple of the table vectors the search tries.
     """
     n = L.rank
     searcher = _Searcher(L, L)
-    transversals = []
-    prefix, xgs = [], []
-    for k in range(n):
-        # an automorphism fixing the prefix for each w it can send e_k to
-        found = (searcher.complete(prefix + [w],
-                                   xgs + [searcher.dagger_gram(w)], k + 1)
-                 for w in searcher.extensions(xgs, k))
-        transversals.append([g for g in found if g is not None])
-        prefix.append(tuple(ONE if i == k else ZERO for i in range(n)))
-        xgs.append(searcher.dagger_gram(prefix[k]))
-    generators = generating_set(transversals)
+    basis = [tuple(ONE if i == k else ZERO for i in range(n)) for k in range(n)]
+    xgs = [searcher.dagger_gram(e) for e in basis]
+    generators, order = [], 1
+    for k in reversed(range(n)):
+        if not k:
+            generators.append([tuple(-OMEGA if c == ONE else ZERO for c in e)
+                               for e in basis])
+        orbit, seen = [basis[k]], {basis[k]}
+        close_orbit(orbit, seen, generators, 0)
+        for w in searcher.extensions(xgs[:k], k):
+            if w in seen:
+                continue
+            g = searcher.complete(basis[:k] + [w],
+                                  xgs[:k] + [searcher.dagger_gram(w)], k + 1)
+            if g is not None:
+                generators.append(g)
+                close_orbit(orbit, seen, generators, len(orbit))
+        order *= len(orbit)
     for g in generators:
         if not IsometryCertificate(g).verify(L, L):
             raise AssertionError(
                 f"automorphism of a rank-{n} lattice of determinant {L.det} "
                 f"fails its Gram check")
-    return 6 * math.prod(map(len, transversals)), generators
+    return order, tuple(map(tuple, generators))
 
 
 def automorphism_order(L: HermitianLattice) -> int:

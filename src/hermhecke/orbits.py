@@ -1,58 +1,27 @@
 """Orbits of automorphism groups, on vectors and on the lines of L/PL.
 
-`isometry.automorphism_group` keeps a generating set of the automorphisms
-its stabilizer chain finds, closing the orbit of each basis vector under
-them.  The class-row walks of `neighbour` take one line per orbit of those
-automorphisms, weighted by the orbit size: any subgroup of Aut(L) permutes
-the lines of L/PL and keeps the class of each neighbour (Greenberg-Voight
-2014).  Automorphisms are given by the images of the basis, as the columns
-of an `isometry.IsometryCertificate`.
+`isometry.automorphism_group` closes the orbit of each basis vector under
+the automorphisms found so far (`close_orbit`) and searches only images
+outside it.  The class-row walks of `neighbour` take one line per orbit
+of those automorphisms, weighted by the orbit size: any subgroup of Aut(L)
+permutes the lines of L/PL and keeps the class of each neighbour
+(Greenberg-Voight 2014).  Automorphisms are given by the images of the
+basis, as the columns of an `isometry.IsometryCertificate`.
 """
 
 from __future__ import annotations
 
 import functools
 
-from .eisenstein import OMEGA, ONE, ZERO, _pconj, _pmul
+from .eisenstein import _pconj, _pmul
 
 
-def generating_set(transversals) -> tuple:
-    """Generators of Aut(L) from a stabilizer chain: transversals[k] holds
-    an automorphism for each image of e_k under the stabilizer of e_0, ...,
-    e_(k-1), and at k = 0 one for each orbit of the units.
-
-    Kept is only the one whose image of e_k lies outside the orbit that
-    the kept generators of its level and the levels below, with the unit
-    scalar w at level 0, already reach.  One level's transversal and the
-    group one level down generate the group at that level, so filtering
-    bottom-up keeps a generating set.
-    """
-    n = len(transversals)
-    basis = [tuple(ONE if i == k else ZERO for i in range(n)) for k in range(n)]
-    generators = []
-    for k in reversed(range(n)):
-        size = len(transversals[k])
-        if not k:
-            generators.append([tuple(OMEGA if c == ONE else ZERO for c in e)
-                               for e in basis])
-            size *= 6
-        orbit, seen = [basis[k]], {basis[k]}
-        close_orbit(orbit, seen, generators, 0, size)
-        for g in transversals[k]:
-            if len(orbit) == size:
-                break
-            if g[k] not in seen:
-                generators.append(g)
-                close_orbit(orbit, seen, generators, len(orbit), size)
-    return tuple(map(tuple, generators))
-
-
-def close_orbit(points, seen, generators, known, size):
+def close_orbit(points, seen, generators, known):
     """Extend the list points, whose set is seen, to the orbit of its first
-    point under the group the generators generate, or until it has size
-    points; points[:known] are closed under all but the last generator."""
+    point under the group the generators generate; points[:known] are
+    closed under all but the last generator."""
     i = 0
-    while i < len(points) < size:
+    while i < len(points):
         y = [(j, a, b) for j, (a, b) in enumerate(points[i]) if a or b]
         for g in generators[-1:] if i < known else generators:
             # g y = sum_j y_j g[j]

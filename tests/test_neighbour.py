@@ -17,7 +17,7 @@ from hermhecke.eisenstein import (ONE, UNITS, ZERO, classify_prime, eis,
 from hermhecke.eismat import column_hermite_form, smith_invariants
 from hermhecke.errors import PreconditionError
 from hermhecke.isometry import automorphism_order, is_isometric
-from hermhecke.lattice import HermitianLattice
+from hermhecke.lattice import HermitianLattice, direct_sum
 from hermhecke.neighbour import (UnsupportedCaseError, count_neighbours,
                                  enumerate_genus, intersection_lattice,
                                  iter_lines_with_data, iter_neighbours,
@@ -345,6 +345,13 @@ def test_rank12_count_at_2():
 
 
 @pytest.mark.long
+def test_rank12_seed_order(fx):
+    # the 5-class genus's first class, 155,520^3 * 3!, from its own search
+    # (about 10 s)
+    assert automorphism_order(fixtures.seed_sqrt3_rank12()) == fx.aut_5[0]
+
+
+@pytest.mark.long
 def test_rank12_isometry_288_pair():
     # neighbours 2000 and 3000 of the seed's (2)-walk (counting from 0),
     # both with 288 norm-3 vectors: the positive isometry test that places
@@ -435,7 +442,10 @@ def test_aut_orders_small():
     for n in range(1, 9):
         assert automorphism_order(HermitianLattice.standard(n)) == \
             6 ** n * math.factorial(n)
-    assert automorphism_order(fixtures.load_seed_sqrt3()) == 155520
+    S = fixtures.load_seed_sqrt3()
+    assert automorphism_order(S) == 155520
+    # two orthogonal copies: 155,520^2 * 2! (about 2 s)
+    assert automorphism_order(direct_sum(S, S)) == 155520 ** 2 * 2
 
 
 def test_orders_follow_the_walk(monkeypatch):

@@ -35,8 +35,10 @@ def table_images(L, g, points, index):
 
 
 @pytest.mark.parametrize("L", [
-    HermitianLattice.standard(3), diagonal(1, 1, 5), diagonal(1, 1, 7),
-    fixtures.load_seed_sqrt3()], ids=["I3", "<1,1,5>", "<1,1,7>", "seed4"])
+    HermitianLattice.standard(1), HermitianLattice.standard(3),
+    diagonal(5, 1, 1), diagonal(1, 1, 5), diagonal(1, 1, 7),
+    fixtures.load_seed_sqrt3()],
+    ids=["I1", "I3", "<5,1,1>", "<1,1,5>", "<1,1,7>", "seed4"])
 def test_generators_generate_the_group(L):
     # the table up to the largest diagonal entry holds the basis, so Aut(L)
     # acts faithfully on its vectors times units; sympy's order of the
@@ -55,6 +57,30 @@ def test_generators_generate_the_group(L):
     assert group.order() == order == automorphism_order(L)
     # searched once: the generators stay with the lattice
     assert automorphism_group(L)[1] is generators
+
+
+@pytest.mark.parametrize("L", [
+    HermitianLattice.standard(6), diagonal(1, 1, 5),
+    fixtures.load_seed_sqrt3()], ids=["I6", "<1,1,5>", "seed4"])
+def test_no_search_inside_a_known_orbit(L, monkeypatch):
+    # a candidate image in the orbit the generators found so far already
+    # reach is not searched, so each search that succeeds from
+    # _search_group brings one generator; the other is the scalar -w
+    expected = automorphism_order(L)
+    complete, depth, successes = isometry._Searcher.complete, [0], []
+
+    def counted(self, images, xgs, level):
+        depth[0] += 1
+        full = complete(self, images, xgs, level)
+        depth[0] -= 1
+        if depth[0] == 0 and full is not None:
+            successes.append(full)
+        return full
+
+    monkeypatch.setattr(isometry._Searcher, "complete", counted)
+    order, generators = isometry._search_group(L)
+    assert order == expected
+    assert len(successes) == len(generators) - 1
 
 
 def test_a_generator_failing_its_gram_check_raises(monkeypatch):
