@@ -174,9 +174,9 @@ def _psi_value(kind: str, ideal: EisIdeal) -> QuadExtElem:
     alpha6 = EisensteinInt(1, 0)
     for _ in range(6):
         alpha6 = alpha6 * gen
-    # a + b*omega = (a - b/2) + (b/2) sqrt(-3)
-    a, b = alpha6.a, alpha6.b
-    return QuadExtElem.of(Fraction(2 * a - b, 2), Fraction(b, 2), -3)
+    # a + b*omega = (2a - b + b sqrt(-3)) / 2
+    a, b = alpha6
+    return QuadExtElem(2 * a - b, b, 2, -3)
 
 
 def _tau_and_weight(c: ArthurConstituent, ideal: EisIdeal, store: CoefficientStore):
@@ -220,23 +220,28 @@ def _twisted(tau, w, c, ideal):
     return tau * _psi_value(PSI6 if c.twist == "psi6" else CPSI6, ideal), w + 6
 
 
+def _scaled(tau: QuadExtElem, p: int, e: int, m: int) -> QuadExtElem:
+    """tau * p^e * m for ints p, e and m; a rational factor only for e < 0."""
+    return tau * (p ** e * m) if e >= 0 else tau * m / p ** -e
+
+
 def constituent_contribution(c: ArthurConstituent, ideal: EisIdeal,
                              store: CoefficientStore) -> QuadExtElem:
     p = ideal.p
     tau, w = _tau_and_weight(c, ideal, store)
     e = 11 - w - (c.d - 1)
     if ideal.split_type == "inert":
-        return tau * Fraction(p) ** e * _geom_sum(p * p, c.d)
+        return _scaled(tau, p, e, _geom_sum(p * p, c.d))
     if ideal.split_type == "split":
         if e % 2:
             raise UnsupportedCaseError(
                 f"half-integral prime power for {c.kind}[{c.d}] at split ({p})")
-        return tau * Fraction(p) ** (e // 2) * _geom_sum(p, c.d)
+        return _scaled(tau, p, e // 2, _geom_sum(p, c.d))
     # ramified: Np = 3, contribution tau * 3^(e/2) * (3^d - 1)/2
     if e % 2:
         raise UnsupportedCaseError(
             f"half-integral prime power for {c.kind}[{c.d}] at (sqrt(-3))")
-    return tau * Fraction(3) ** (e // 2) * Fraction(3 ** c.d - 1, 2)
+    return _scaled(tau, 3, e // 2, (3 ** c.d - 1) // 2)
 
 
 def constant_term(ideal: EisIdeal) -> int:
@@ -266,11 +271,11 @@ def verify_table(store: CoefficientStore, table_rows, ideals) -> dict:
     entry per ideal tag ('t2' for (2), 't3' for (sqrt(-3))).
     Returns {tag: {label: 'match'|'mismatch'|'excluded'}}.
     """
+    params = [parse_parameter(row["parameter"]) for row in table_rows]
     report = {}
     for tag, ideal in ideals.items():
         col = {}
-        for row in table_rows:
-            param = parse_parameter(row["parameter"])
+        for row, param in zip(table_rows, params):
             expected = row[tag]
             try:
                 got = eigenvalue_at(param, ideal, store)

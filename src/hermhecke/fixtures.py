@@ -9,7 +9,6 @@ table, and the coefficient store.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .coefficients import CoefficientStore
 from .data import _read_json
@@ -100,12 +99,11 @@ def fixture_checksum(fx: FixtureSet) -> dict:
     if fx.d != D_INTERSECTIONS:
         failures.append(f"d = {fx.d}, expected {D_INTERSECTIONS}")
 
-    # weighted symmetry of the 5x5 matrix: t_ij / |Aut L_i| = t_ji / |Aut L_j|
+    # weighted symmetry of the 5x5 matrix: t_ij / |Aut L_i| = t_ji / |Aut L_j|,
+    # cross-multiplied: t_ij |Aut L_j| = t_ji |Aut L_i|
     for i in range(5):
         for j in range(5):
-            lhs = Fraction(fx.t2_5x5[i][j], fx.aut_5[i])
-            rhs = Fraction(fx.t2_5x5[j][i], fx.aut_5[j])
-            if lhs != rhs:
+            if fx.t2_5x5[i][j] * fx.aut_5[j] != fx.t2_5x5[j][i] * fx.aut_5[i]:
                 failures.append(f"t2_5x5 weighted symmetry fails at ({i + 1},{j + 1})")
 
     if len(fx.eigen_table) != 20:

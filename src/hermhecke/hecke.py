@@ -8,7 +8,6 @@ intersections (T = S S' - d I).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .eisenstein import EisIdeal
 from .neighbour import (GenusEnumeration, count_neighbours, neighbour_rows,
@@ -99,11 +98,11 @@ def _scaled_transpose(M, num, den, name):
     for j in range(len(M[0])):
         row = []
         for i in range(len(M)):
-            v = Fraction(num[j] * M[i][j], den[i])
-            if v.denominator != 1 or v < 0:
-                raise AssertionError(
-                    f"{name} entry ({j},{i}) = {v} is not a nonnegative integer")
-            row.append(int(v))
+            v, r = divmod(num[j] * M[i][j], den[i])
+            if r or v < 0:
+                raise AssertionError(f"{name} entry ({j},{i}) = {num[j] * M[i][j]}/{den[i]} "
+                                     "is not a nonnegative integer")
+            row.append(v)
         out.append(row)
     return out
 

@@ -20,11 +20,10 @@ import operator
 
 
 def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    if len(A[0]) != k:
-        raise AssertionError(f"mat_mul: {len(A[0])} columns against {k} rows")
-    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
-            for i in range(n)]
+    if len(A[0]) != len(B):
+        raise AssertionError(f"mat_mul: {len(A[0])} columns against {len(B)} rows")
+    cols = [[row[j] for row in B] for j in range(len(B[0]))]
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in A]
 
 
 def dot(u, v):

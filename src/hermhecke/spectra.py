@@ -14,30 +14,37 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cache, cached_property, cmp_to_key
 
 from .linalg import (charpoly_factors, dot, factor_kernels, mat_mul, mat_vec,
                      normalize_primitive, solve_right)
 from .errors import PreconditionError, UnsupportedCaseError, UnsupportedFieldError
-from .quadfield import (QuadExtElem, divisible_at, ideal_valuation, rational,
-                        roots_of_factor)
+from .quadfield import QuadExtElem, divisible_at, ideal_valuation, roots_of_factor
 
 
 def _primitive_quadratic(vec):
     """Scale a vector over Q(sqrt(D)) so that its rational and surd parts are
     integers with gcd 1, the first nonzero part positive."""
+    r, s, _ = _parts(vec)
+    parts = normalize_primitive(r + s)
     n = len(vec)
-    parts = normalize_primitive([x.rational_part for x in vec]
-                                + [x.surd_part for x in vec])
-    return [QuadExtElem.of(r, s, x.D)
-            for r, s, x in zip(parts[:n], parts[n:], vec)]
+    return [QuadExtElem(a, b, 1, x.D) for a, b, x in zip(parts[:n], parts[n:], vec)]
 
 
 def _parts(vec):
-    """The rational parts r and surd parts s of a vector r + s*sqrt(D) of
-    ints and QuadExtElems; an int is its own rational part."""
-    return [getattr(x, "rational_part", x) for x in vec], [getattr(x, "surd_part", 0) for x in vec]
+    """Integer vectors r and s and the least d > 0 with vec = (r + s*sqrt(D)) / d,
+    for a vector of ints and QuadExtElems."""
+    d = math.lcm(*{x.e for x in vec if type(x) is QuadExtElem})
+    r, s = [], []
+    for x in vec:
+        if type(x) is QuadExtElem:
+            a, b, e, _ = x
+            r.append(a * (d // e))
+            s.append(b * (d // e))
+        else:
+            r.append(x * d)
+            s.append(0)
+    return r, s, d
 
 
 # ---------------------------------------------------------------------------
@@ -80,13 +87,9 @@ class EigenSystem:
             if any(getattr(x, "D", 1) not in (1, D)
                    for x in (*rec.vector, *rec.eigenvalues.values())):
                 return False
-            r, s = _parts(rec.vector)
-            d = math.lcm(*[x.denominator for x in r + s])
-            r, s = [int(x * d) for x in r], [int(x * d) for x in s]
+            r, s, _ = _parts(rec.vector)
             for op in self.operator_names:
-                lam = rec.eigenvalues[op]
-                e = math.lcm(lam.rational_part.denominator, lam.surd_part.denominator)
-                a, b = int(lam.rational_part * e), int(lam.surd_part * e)
+                a, b, e, _ = rec.eigenvalues[op]
                 Mr, Ms = (mat_vec(self.matrices[op], v) for v in (r, s))
                 if ([e * x for x in Mr] != [a * x + b * D * y for x, y in zip(r, s)]
                         or [e * x for x in Ms] != [b * x + a * y for x, y in zip(r, s)]):
@@ -112,13 +115,14 @@ class EigenSystem:
         pair i < j with v_i = r + s*sqrt(D) contributing r at i and s at j;
         None if they are dependent.  P^-1 is X / den.  Computed on first use
         and not refreshed if `labels` changes afterwards."""
-        cols = {lab: _parts(rec.vector)[0] for lab, rec in self.labels.items()}
-        for i, j in self._mates.items():
-            cols[j] = _parts(self.labels[i].vector)[1]
-        if any(x.denominator != 1 for col in cols.values() for x in col):
+        parts = {lab: _parts(rec.vector) for lab, rec in self.labels.items()}
+        if any(d != 1 for _, _, d in parts.values()):
             raise AssertionError("eigenbasis_inverse: a stored vector is not integral")
+        cols = {lab: r for lab, (r, _, _) in parts.items()}
+        for i, j in self._mates.items():
+            cols[j] = parts[i][1]
         n = self.size
-        return solve_right([[int(cols[lab][i]) for lab in sorted(cols)] for i in range(n)],
+        return solve_right([[cols[lab][i] for lab in sorted(cols)] for i in range(n)],
                            [[int(i == j) for j in range(n)] for i in range(n)])
 
     def to_json_dict(self):
@@ -151,7 +155,7 @@ def _common_eigenvalues(mats, basis):
         p = dot(M[k], u)
         if any([u[k] * x for x in mat_vec(M, v)] != [p * x for x in v] for v in basis):
             return None
-        eigs.append(QuadExtElem.of(Fraction(p, u[k])))
+        eigs.append(QuadExtElem(p, 0, u[k]))
     return tuple(eigs)
 
 
@@ -188,35 +192,32 @@ def _decompose(mats, T):
             else:
                 records.extend((eigs, tuple(v), len(ker), 1, True) for v in ker)
             continue
-        # a Galois-conjugate pair: solve for the root a + b*sqrt(D) of f only;
-        # the mate's eigenvalues and primitive vector are the conjugates of
-        # its own.  For u in ker, (T - a + b*sqrt(D)) u is an eigenvector,
-        # scaled to 1 at its last nonzero entry k before the content is taken
-        # out; each operator's eigenvalue is its image's entry k.
-        root = roots_of_factor(coeffs)[0]
+        # a Galois-conjugate pair: solve for the root (a + b*sqrt(D)) / c of
+        # f only; the mate's eigenvalues and primitive vector are the
+        # conjugates of its own.  For u in ker, (cT - a + b*sqrt(D)) u is an
+        # eigenvector, scaled to 1 at its last nonzero entry k before the
+        # content is taken out; each operator's eigenvalue is its image's
+        # entry k.
+        a, b, c, D = roots_of_factor(coeffs)[0]
         u = ker[0]
-        a, b = root.rational_part, root.surd_part
-        vec = [QuadExtElem.of(t - a * x, b * x, root.D)
-               for t, x in zip(mat_vec(T, u), u)]
-        k = max(i for i, x in enumerate(vec) if x != 0)
+        vec = [QuadExtElem(c * t - a * x, b * x, 1, D) for t, x in zip(mat_vec(T, u), u)]
+        k = max(i for i, x in enumerate(vec) if not x.is_zero())
         vec = tuple(_primitive_quadratic([x / vec[k] for x in vec]))
-        r, s = _parts(vec)
-        eigs = tuple(QuadExtElem.of(dot(M[k], r), dot(M[k], s), root.D) / vec[k]
-                     for M in mats)
+        r, s, _ = _parts(vec)
+        eigs = tuple(QuadExtElem(dot(M[k], r), dot(M[k], s), 1, D) / vec[k] for M in mats)
         if mult > 1 and len(ker) != 2:
             # one pair of conjugate eigenspaces, not a meeting of pairs, iff
-            # every operator with eigenvalue e = p + q*sqrt(D) on the first
-            # pair acts on the kernel as p + (q/b)(T - a)
-            if all([b * x for x in mat_vec(M, v)]
-                   == [e.rational_part * b * y + e.surd_part * (t - a * y)
-                       for t, y in zip(mat_vec(T, v), v)]
-                   for M, e in zip(mats, eigs) for v in ker):
+            # every operator with eigenvalue (p + q*sqrt(D)) / g on the first
+            # pair acts on the kernel as (p + (q/b)(cT - a)) / g
+            if all([b * g * x for x in mat_vec(M, v)]
+                   == [p * b * y + q * (c * t - a * y) for t, y in zip(mat_vec(T, v), v)]
+                   for M, (p, q, g, _) in zip(mats, eigs) for v in ker):
                 raise UnsupportedFieldError(
                     "multi-dimensional quadratic eigenspace not supported")
             return None
-        records.append((eigs, vec, 1, root.D, False))
+        records.append((eigs, vec, 1, D, False))
         records.append((tuple(e.conjugate() for e in eigs),
-                        tuple(x.conjugate() for x in vec), 1, root.D, False))
+                        tuple(x.conjugate() for x in vec), 1, D, False))
     # a residual block adds one record per dimension
     if len(records) != len(T):
         raise PreconditionError("the operators are not simultaneously diagonalizable")
@@ -280,9 +281,9 @@ def eigensystem(matrices, operator_names=None, reference=None) -> EigenSystem:
     return system
 
 
-def _real_sign(a, b, D: int) -> int:
-    """Exact sign of a + b*sqrt(D) for rationals a, b and a positive
-    non-square D."""
+def _real_sign(a: int, b: int, D: int) -> int:
+    """Exact sign of a + b*sqrt(D) for ints a, b and a positive non-square
+    D."""
     sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
     if sa * sb >= 0:
         return sa or sb
@@ -293,12 +294,12 @@ def _compare_real(x: QuadExtElem, y: QuadExtElem) -> int:
     """Exact sign of x - y for elements of real quadratic fields."""
     if 1 in (x.D, y.D) or x.D == y.D:
         d = x - y
-        return _real_sign(d.rational_part, d.surd_part, d.D)
-    # x - y = u - w with u = (a - c) + b*sqrt(D) and w = d*sqrt(E): when u and
-    # w share a sign, compare u^2 = (a - c)^2 + b^2 D + 2(a - c)b sqrt(D)
-    # with w^2 = d^2 E
-    a, b, D = x.rational_part - y.rational_part, x.surd_part, x.D
-    d, E = y.surd_part, y.D
+        return _real_sign(d.a, d.b, d.D)
+    # e f (x - y) = u - w with u = (a f - c e) + b f sqrt(D) and
+    # w = d e sqrt(E), for x = (a + b sqrt(D)) / e and y = (c + d sqrt(E)) / f:
+    # when u and w share a sign, compare u^2 with w^2 = (d e)^2 E
+    a, b, D = x.a * y.e - y.a * x.e, x.b * y.e, x.D
+    d, E = y.b * x.e, y.D
     su, sw = _real_sign(a, b, D), (d > 0) - (d < 0)
     if su * sw <= 0:
         return su or -sw
@@ -364,20 +365,20 @@ def expand_in_eigenbasis(v, system: EigenSystem):
     """Coefficients of v in the stored eigenbasis (block basis vectors count
     as basis elements for their labels).  Returns {label: QuadExtElem}.
 
-    One product with the system's cached integer eigenbasis inverse X / den,
-    divided by den once per coordinate: of a conjugate pair i < j with
-    v_i = r + s*sqrt(D), the coordinates x on r and y on s give
-    x/2 + y*sqrt(D)/(2D) on v_i and the conjugate on v_j."""
+    One product with the system's cached integer eigenbasis inverse X / den:
+    a coordinate c gives c / den, and of a conjugate pair i < j with
+    v_i = r + s*sqrt(D), the coordinates c on r and c' on s give
+    (c D + c' sqrt(D)) / (2 D den) on v_i and the conjugate on v_j."""
     if len(v) != system.size:
         raise PreconditionError(f"vector of length {len(v)}, not {system.size}")
     if system.eigenbasis_inverse is None:
         raise PreconditionError("stored eigenvectors are linearly dependent")
     X, den = system.eigenbasis_inverse
-    coords = {lab: Fraction(c, den) for lab, c in zip(sorted(system.labels), mat_vec(X, v))}
-    out = {lab: rational(c) for lab, c in coords.items()}
+    coords = dict(zip(sorted(system.labels), mat_vec(X, v)))
+    out = {lab: QuadExtElem(c, 0, den) for lab, c in coords.items()}
     for i, j in system._mates.items():
         D = system.labels[i].field_tag
-        out[i] = QuadExtElem.of(coords[i] / 2, coords[j] / (2 * D), D)
+        out[i] = QuadExtElem(coords[i] * D, coords[j], 2 * D * den, D)
         out[j] = out[i].conjugate()
     return out
 
@@ -401,10 +402,9 @@ def _denominator_primes(c: QuadExtElem, primes, D: int, content):
     primes are those of c's denominator."""
     if c.is_zero():
         return []
-    den = math.lcm(c.rational_part.denominator, c.surd_part.denominator)
     out = []
     for q in primes:
-        if den % q:
+        if c.e % q:
             continue
         if D == 1:
             out.append((q, ""))
@@ -522,10 +522,9 @@ def _scan_order(r: CongruenceReport):
 
 def verify_vector_reduction(system: EigenSystem, i: int, j: int, q: int):
     """True iff v_i = c * v_j (mod q) for a scalar c != 0 mod q."""
-    (vi, si), (vj, sj) = _parts(system.labels[i].vector), _parts(system.labels[j].vector)
-    if any(si + sj):
+    (vi, si, di), (vj, sj, dj) = _parts(system.labels[i].vector), _parts(system.labels[j].vector)
+    if any(si + sj) or di * dj != 1:
         raise PreconditionError("rational-integral eigenvectors required")
-    vi, vj = [int(x) for x in vi], [int(x) for x in vj]
     k = next((t for t, x in enumerate(vj) if x % q), None)
     if k is None:
         raise PreconditionError(f"v_{j} vanishes mod {q}; content not reduced?")
@@ -549,11 +548,13 @@ def difference_gcd(system: EigenSystem, i: int, j: int) -> GcdReport:
         d = system.eigenvalue(i, op) - system.eigenvalue(j, op)
         if d.is_zero():
             continue
-        v = d.as_fraction() if d.is_rational() else d.field_norm()
-        if v.denominator != 1:
+        # the difference itself if rational, else its norm, as n / den
+        a, b, e, D = d
+        n, den = (a * a - D * b * b, e * e) if b else (a, e)
+        if n % den:
             raise AssertionError(f"difference_gcd: labels {i} and {j} differ by "
-                                 f"the non-integral {v} at {op}")
-        g = math.gcd(g, abs(int(v)))
+                                 f"the non-integral {QuadExtElem(n, 0, den)} at {op}")
+        g = math.gcd(g, n // den)
     if g == 0:
         return GcdReport(None, {}, True)
     from .factoring import factorint

@@ -4,7 +4,7 @@ import pytest
 
 from hermhecke import arthur
 from hermhecke.coefficients import CoefficientStore
-from hermhecke.eisenstein import ideal_above
+from hermhecke.eisenstein import classify_prime, ideal_above
 from hermhecke.quadfield import parse_quad, rational
 
 P2 = ideal_above(2)
@@ -306,3 +306,26 @@ def test_sym2_euler_factor(store):
     assert evaluate(14) == Fraction(2 ** 5 * 5 ** 3 * 7 * 19, 3 ** 12)
     with pytest.raises(ValueError):
         arthur.sym2_euler_factor_at_3(9, rational(5))
+
+
+# --- branches the reference table does not reach -----------------------------
+
+def test_trivial_block_at_both_primes_above_7(store):
+    # [12] at a split prime: tau = 1, w = 0 and e = 11 - 11 = 0, so the
+    # eigenvalue is 1 + 7 + ... + 7^11 = (7^12 - 1)/6 at each prime above 7
+    split_type, primes = classify_prime(7)
+    assert split_type == "split" and len(primes) == 2
+    assert primes[1] == primes[0].conjugate()
+    for P in primes:
+        assert ev("[12]", P, store) == 2306881200 == (7 ** 12 - 1) // 6
+
+
+def test_negative_exponent_at_an_inert_prime(store):
+    # psi6[7] at (2): psi6 = 2^6, w = 6 and e = 11 - 6 - 6 = -1, so the term
+    # is 2^6 * 2^-1 * (1 + 4 + ... + 4^6) = 32 * 5461; [5] adds
+    # 2^7 * (1 + 4 + ... + 4^4) and the constant term (2^12 - 1)/3
+    param = arthur.parse_parameter("psi6[7] + [5]")
+    psi, _ = param.constituents
+    assert 11 - 6 - (psi.d - 1) == -1
+    assert arthur.constituent_contribution(psi, P2, store) == 174752 == 32 * 5461
+    assert arthur.eigenvalue_at(param, P2, store) == 219765 == 174752 + 128 * 341 + 1365

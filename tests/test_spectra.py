@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hermhecke import factoring, linalg, spectra
+from hermhecke import arthur, factoring, linalg, spectra
 from hermhecke.quadfield import QuadExtElem, parse_quad, rational
 
 
@@ -530,3 +530,28 @@ def test_check_exactness_with_half_integral_eigenvalues():
         labels[1] = dataclasses.replace(rec, eigenvalues={"T0": rec.eigenvalues["T0"] + shift})
         assert not spectra.EigenSystem(labels, system.operator_names,
                                        system.matrices).check_exactness()
+
+
+@pytest.fixture
+def fraction_count(monkeypatch):
+    """The number of Fractions made since the fixture was set up."""
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(1)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    assert Fraction(1, 2) and len(made) == 1
+    made.clear()
+    return made
+
+
+def test_the_spectral_layer_makes_no_fraction(fx, system, ideals, fraction_count):
+    # Q(sqrt(D)) is in ints: eigenvalue reconstruction and the congruence
+    # scan make no Fraction, not even one per operation
+    report = arthur.verify_table(fx.store, fx.eigen_table, ideals)
+    assert set(report["t2"].values()) == {"match"}
+    assert spectra.scan_congruences_lemma(system, q_min=11)
+    assert len(fraction_count) == 0
